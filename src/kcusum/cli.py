@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, load_config
 from .harness import build_context, run_experiment, write_bounds_txt
 
 __all__ = ["main", "build_parser"]
@@ -39,44 +38,21 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--replications", type=int, default=None, help="replication count override"
         )
-        cmd.add_argument(
-            "--threads", type=int, default=None, help="worker thread count override"
-        )
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    camp = cfg.campaign
+def _overrides(args) -> dict:
+    """Command-line values as ``section.key`` entries for the config parser."""
+    values = {"campaign.seed": args.seed, "campaign.replications": args.replications}
     if args.command in ("trace", "mtbfa", "md"):
-        camp = replace(camp, mode=args.command)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("campaign.seed: must fit in an unsigned 64-bit integer")
-        camp = replace(camp, seed=args.seed)
-    if args.replications is not None:
-        if args.replications < 1:
-            raise ConfigError("campaign.replications: must be >= 1")
-        camp = replace(camp, replications=args.replications)
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("campaign.threads: must be >= 1")
-        camp = replace(camp, threads=args.threads)
-    cfg = replace(cfg, campaign=camp)
-    # cross-field checks that depend on the (possibly overridden) mode
-    if camp.mode == "md" and cfg.scenario.change_at is None:
-        raise ConfigError("campaign.mode: md campaigns need scenario.change_at set")
-    if camp.mode == "mtbfa" and cfg.scenario.change_at is not None:
-        raise ConfigError("campaign.mode: mtbfa campaigns need scenario.change_at = none")
-    if cfg.scenario.kind == "csv" and camp.mode != "trace":
-        raise ConfigError("campaign.mode: csv scenarios support trace mode only")
-    return cfg
+        values["campaign.mode"] = args.command
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = load_config(args.config, _overrides(args))
 
         if args.command == "calibrate":
             if cfg.detector.correction != "calibrate":

@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 
 _SCENARIO_KEYS = {
-    "kind", "length", "change_at", "burn_in", "dim", "pre_variance",
+    "kind", "length", "change_at", "burn_in", "pre_variance",
     "post_variance", "post_mean", "matrix", "states", "pre_matrix",
     "post_matrix", "path",
 }
@@ -45,9 +45,9 @@ _DETECTOR_KEYS = {
     "weights", "correction", "margin", "quantile", "holdout",
     "sigma_reference", "sigma_buffer",
 }
-_CAMPAIGN_KEYS = {"mode", "replications", "thresholds", "horizon_factor", "seed", "threads"}
+_CAMPAIGN_KEYS = {"mode", "replications", "thresholds", "horizon_factor", "seed"}
 _OUTPUT_KEYS = {"directory", "formats"}
-_BOUNDS_KEYS = {"lam", "lag", "norm_f", "gamma"}
+_BOUNDS_KEYS = {"lam", "lag", "gamma"}
 
 _KINDS = ("ar-variance", "ar-mean", "finite", "csv")
 _MODES = ("trace", "mtbfa", "md")
@@ -55,6 +55,14 @@ _MODES = ("trace", "mtbfa", "md")
 
 def _fail(section: str, key: str, message: str) -> None:
     raise ConfigError(f"{section}.{key}: {message}")
+
+
+def _build(name: str, key: str, make):
+    """Construct a domain object; its ``ValueError`` names ``name.key``."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{key}: {exc}") from exc
 
 
 def _get_float(section, name: str, key: str, default=None) -> float:
@@ -105,51 +113,32 @@ def _parse_floats(text: str, name: str, key: str) -> list[float]:
 
 @dataclass(frozen=True)
 class ScenarioSection:
-    """What process to monitor and when (if ever) it changes."""
+    """What process to monitor and when (if ever) it changes.
+
+    The parser builds the simulator inputs once: ``ar`` for the AR kinds,
+    ``chains`` (pre, post) for the finite kind; the other is None.
+    """
 
     kind: str
     length: int
     change_at: int | None
     burn_in: int
-    dim: int
     pre_variance: float
     post_variance: float
     post_mean: float
-    matrix: np.ndarray | None
-    states: np.ndarray | None
-    pre_matrix: np.ndarray | None
-    post_matrix: np.ndarray | None
     path: str | None
+    ar: ArScenario | None = None
+    chains: tuple[FiniteChain, FiniteChain] | None = None
 
     def ar_scenario(self) -> ArScenario:
-        if self.kind not in ("ar-variance", "ar-mean"):
+        if self.ar is None:
             raise ConfigError(f"scenario.kind: {self.kind!r} is not an AR scenario")
-        matrix = self.matrix if self.matrix is not None else default_system_matrix()
-        pre = GaussianLaw.isotropic(matrix.shape[0], self.pre_variance)
-        post = None
-        if self.change_at is not None:
-            if self.kind == "ar-variance":
-                post = GaussianLaw.isotropic(matrix.shape[0], self.post_variance)
-            else:
-                post = GaussianLaw.isotropic(
-                    matrix.shape[0], self.pre_variance, mean=self.post_mean
-                )
-        return ArScenario(
-            matrix=matrix,
-            pre_noise=pre,
-            post_noise=post,
-            change_at=self.change_at,
-            length=self.length,
-            burn_in=self.burn_in,
-        )
+        return self.ar
 
     def finite_chains(self) -> tuple[FiniteChain, FiniteChain]:
-        if self.kind != "finite":
+        if self.chains is None:
             raise ConfigError(f"scenario.kind: {self.kind!r} is not a finite scenario")
-        pre = FiniteChain(self.states, self.pre_matrix)
-        post_matrix = self.post_matrix if self.post_matrix is not None else self.pre_matrix
-        post = FiniteChain(self.states, post_matrix)
-        return pre, post
+        return self.chains
 
 
 @dataclass(frozen=True)
@@ -182,7 +171,6 @@ class CampaignSection:
     thresholds: tuple[float, ...]
     horizon_factor: int
     seed: int
-    threads: int
 
 
 @dataclass(frozen=True)
@@ -193,15 +181,11 @@ class OutputSection:
 
 @dataclass(frozen=True)
 class BoundsSection:
-    lam: float | None
-    lag: int | None
-    norm_f: float
+    certificate: DoeblinParams | None
     gamma: float | None
 
     def doeblin(self) -> DoeblinParams | None:
-        if self.lam is None or self.lag is None:
-            return None
-        return DoeblinParams(lam=self.lam, lag=self.lag)
+        return self.certificate
 
 
 @dataclass(frozen=True)
@@ -211,7 +195,7 @@ class ExperimentConfig:
     campaign: CampaignSection
     output: OutputSection
     bounds: BoundsSection = field(
-        default_factory=lambda: BoundsSection(lam=None, lag=None, norm_f=1.0, gamma=None)
+        default_factory=lambda: BoundsSection(certificate=None, gamma=None)
     )
 
 
@@ -243,40 +227,53 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
     burn_in = _get_int(sec, "scenario", "burn_in", 500)
     if burn_in < 0:
         _fail("scenario", "burn_in", "must be >= 0")
-    dim = _get_int(sec, "scenario", "dim", 4)
-    if dim < 1:
-        _fail("scenario", "dim", "must be >= 1")
     pre_variance = _get_float(sec, "scenario", "pre_variance", 0.1)
     post_variance = _get_float(sec, "scenario", "post_variance", 0.2)
     post_mean = _get_float(sec, "scenario", "post_mean", 0.05)
     if pre_variance <= 0 or post_variance <= 0:
         _fail("scenario", "pre_variance", "variances must be positive")
 
-    matrix = states = pre_matrix = post_matrix = None
+    matrix = default_system_matrix()
     if "matrix" in sec:
         matrix = _parse_matrix(sec["matrix"], "scenario", "matrix")
         if matrix.shape[0] != matrix.shape[1]:
             _fail("scenario", "matrix", "must be square")
 
-    if kind == "finite":
+    ar = chains = None
+    if kind in ("ar-variance", "ar-mean"):
+        d = matrix.shape[0]
+        post = None
+        if change_at is not None:
+            if kind == "ar-variance":
+                post = GaussianLaw.isotropic(d, post_variance)
+            else:
+                post = GaussianLaw.isotropic(d, pre_variance, mean=post_mean)
+        ar = _build("scenario", "matrix", lambda: ArScenario(
+            matrix=matrix, pre_noise=GaussianLaw.isotropic(d, pre_variance),
+            post_noise=post, change_at=change_at, length=length, burn_in=burn_in,
+        ))
+    elif kind == "finite":
         if "states" not in sec:
             _fail("scenario", "states", "required for finite scenarios")
         states = _parse_matrix(sec["states"], "scenario", "states")
         if "pre_matrix" not in sec:
             _fail("scenario", "pre_matrix", "required for finite scenarios")
         pre_matrix = _parse_matrix(sec["pre_matrix"], "scenario", "pre_matrix")
+        pre = _build("scenario", "pre_matrix", lambda: FiniteChain(states, pre_matrix))
+        post = pre
         if "post_matrix" in sec:
             post_matrix = _parse_matrix(sec["post_matrix"], "scenario", "post_matrix")
+            post = _build("scenario", "post_matrix", lambda: FiniteChain(states, post_matrix))
+        chains = (pre, post)
 
     path = sec.get("path")
     if kind == "csv" and not path:
         _fail("scenario", "path", "required for csv scenarios")
 
     return ScenarioSection(
-        kind=kind, length=length, change_at=change_at, burn_in=burn_in, dim=dim,
+        kind=kind, length=length, change_at=change_at, burn_in=burn_in,
         pre_variance=pre_variance, post_variance=post_variance, post_mean=post_mean,
-        matrix=matrix, states=states, pre_matrix=pre_matrix, post_matrix=post_matrix,
-        path=path,
+        path=path, ar=ar, chains=chains,
     )
 
 
@@ -351,12 +348,9 @@ def _parse_campaign(parser: configparser.ConfigParser) -> CampaignSection:
     seed = _get_int(sec, "campaign", "seed", 0)
     if not 0 <= seed < 2**64:
         _fail("campaign", "seed", "must fit in an unsigned 64-bit integer")
-    threads = _get_int(sec, "campaign", "threads", 1)
-    if threads < 1:
-        _fail("campaign", "threads", "must be >= 1")
     return CampaignSection(
         mode=mode, replications=replications, thresholds=thresholds,
-        horizon_factor=horizon_factor, seed=seed, threads=threads,
+        horizon_factor=horizon_factor, seed=seed,
     )
 
 
@@ -377,37 +371,41 @@ def _parse_output(parser: configparser.ConfigParser) -> OutputSection:
 
 def _parse_bounds(parser: configparser.ConfigParser) -> BoundsSection:
     if "bounds" not in parser:
-        return BoundsSection(lam=None, lag=None, norm_f=1.0, gamma=None)
+        return BoundsSection(certificate=None, gamma=None)
     _check_keys(parser, "bounds", _BOUNDS_KEYS)
     sec = parser["bounds"]
-    lam = lag = gamma = None
+    certificate = gamma = None
+    if ("lam" in sec) != ("lag" in sec):
+        _fail("bounds", "lam", "lam and lag must be given together")
     if "lam" in sec:
         lam = _get_float(sec, "bounds", "lam")
-        if not 0.0 < lam <= 1.0:
-            _fail("bounds", "lam", "must lie in (0, 1]")
-    if "lag" in sec:
         lag = _get_int(sec, "bounds", "lag")
         if lag < 1:
             _fail("bounds", "lag", "must be >= 1")
-    if (lam is None) != (lag is None):
-        _fail("bounds", "lam", "lam and lag must be given together")
-    norm_f = _get_float(sec, "bounds", "norm_f", 1.0)
-    if norm_f <= 0:
-        _fail("bounds", "norm_f", "must be positive")
+        certificate = _build("bounds", "lam", lambda: DoeblinParams(lam=lam, lag=lag))
     if "gamma" in sec:
         gamma = _get_float(sec, "bounds", "gamma")
         if gamma < 0:
             _fail("bounds", "gamma", "must be >= 0")
-    return BoundsSection(lam=lam, lag=lag, norm_f=norm_f, gamma=gamma)
+    return BoundsSection(certificate=certificate, gamma=gamma)
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse configuration text; raise :class:`ConfigError` on any defect."""
+def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse configuration text; raise :class:`ConfigError` on any defect.
+
+    ``overrides`` maps ``"section.key"`` to a value that replaces the
+    text's before validation, so a command-line value passes the same
+    checks as one written in the file.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from exc
+    for name, value in (overrides or {}).items():
+        section, key = name.split(".")
+        if section in parser:  # a missing section stays an error
+            parser[section][key] = str(value)
     known = {"scenario", "detector", "campaign", "output", "bounds"}
     unknown = set(parser.sections()) - known
     if unknown:
@@ -425,17 +423,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
         _fail("campaign", "mode", "mtbfa campaigns need scenario.change_at = none")
     if cfg.scenario.kind == "csv" and cfg.campaign.mode != "trace":
         _fail("campaign", "mode", "csv scenarios support trace mode only")
-    if cfg.scenario.kind != "csv" and cfg.detector.correction == "calibrate":
-        if cfg.detector.holdout < cfg.detector.window + 1:
-            _fail("detector", "holdout", "must cover at least one full window")
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Read and parse a config file; raise :class:`ConfigError` on defects."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"config file: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, overrides)

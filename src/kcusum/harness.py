@@ -12,10 +12,8 @@ stream 2             the single monitored trace
 stream 16 + i        monitored trajectory of replication i
 ===================  =====================================
 
-Campaign replications may run on a thread pool; results are aggregated
-by replication index, so the outputs are identical whatever the
-completion order.  Rerunning with the same config and seed reproduces
-every CSV byte for byte.
+Campaign replications run one after another in index order.  Rerunning
+with the same config and seed reproduces every CSV byte for byte.
 
 Clock conventions
 -----------------
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -337,11 +334,11 @@ def run_trace(
 
 
 def _statistic_series(context: HarnessContext, cfg: ExperimentConfig, trajectory) -> list:
-    """Run the detector over a trajectory, returning the CUSUM series.
+    """Run the detector over a whole trajectory, returning the CUSUM series.
 
-    The detector's own threshold is irrelevant here -- crossing times
-    for the whole campaign grid are extracted from the series afterwards
-    -- so the largest configured threshold is used as a placeholder.
+    Crossing times for the whole threshold grid are read from the series
+    afterwards, so the detector's own threshold only needs to be valid;
+    the largest campaign threshold is used.
     """
     det = KernelCusumDetector(
         context.reference,
@@ -377,6 +374,32 @@ def _crossing_times(series, thresholds) -> list:
     return hits
 
 
+def _replication_hits(cfg: ExperimentConfig, context: HarnessContext, length: int, i: int) -> list:
+    """Crossing times of replication ``i`` on a ``length``-step trajectory."""
+    trajectory = _monitored_trajectory(
+        cfg, length, cfg.campaign.seed, REPLICATION_STREAM_BASE + i
+    )
+    return _crossing_times(
+        _statistic_series(context, cfg, trajectory), cfg.campaign.thresholds
+    )
+
+
+def _horizons(cfg: ExperimentConfig) -> list:
+    """Per-threshold horizon ``ceil(horizon_factor * (b + min_sample))``."""
+    camp = cfg.campaign
+    return [
+        math.ceil(camp.horizon_factor * (b + cfg.detector.min_sample))
+        for b in camp.thresholds
+    ]
+
+
+def _mean_sem(values) -> tuple:
+    """Sample mean and its standard error (0 for a single value)."""
+    arr = np.asarray(values)
+    sem = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return float(arr.mean()), sem
+
+
 def run_mtbfa_campaign(
     cfg: ExperimentConfig, context: HarnessContext | None = None
 ) -> CampaignResult:
@@ -394,30 +417,14 @@ def run_mtbfa_campaign(
     det = cfg.detector
     if context is None:
         context = build_context(cfg, camp.seed)
-    thresholds = camp.thresholds
-    horizons = [
-        math.ceil(camp.horizon_factor * (b + det.min_sample)) for b in thresholds
-    ]
+    horizons = _horizons(cfg)
     length = horizons[-1] + det.window
-
-    def one_rep(i: int) -> list:
-        trajectory = _monitored_trajectory(
-            cfg, length, camp.seed, REPLICATION_STREAM_BASE + i
-        )
-        series = _statistic_series(context, cfg, trajectory)
-        return _crossing_times(series, thresholds)
-
-    if camp.threads > 1:
-        with ThreadPoolExecutor(max_workers=camp.threads) as pool:
-            all_hits = list(pool.map(one_rep, range(camp.replications)))
-    else:
-        all_hits = [one_rep(i) for i in range(camp.replications)]
+    all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
 
     pre_block, _, _ = _theory_inputs(cfg, context)
     rows = []
     notes = list(context.notes)
-    for j, b in enumerate(thresholds):
-        horizon = horizons[j]
+    for j, (b, horizon) in enumerate(zip(camp.thresholds, horizons)):
         times = []
         truncated = 0
         for hits in all_hits:
@@ -427,9 +434,7 @@ def run_mtbfa_campaign(
                 times.append(float(horizon))
             else:
                 times.append(float(n_alarm))
-        arr = np.asarray(times)
-        mean = float(arr.mean())
-        sem = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+        mean, sem = _mean_sem(times)
         theory = None
         if pre_block is not None:
             theory = mtbfa_lower_bound(b, det.min_sample, pre_block).value
@@ -468,37 +473,21 @@ def run_md_campaign(
     tau = cfg.scenario.change_at
     if context is None:
         context = build_context(cfg, camp.seed)
-    thresholds = camp.thresholds
     tau_stat = tau - det.window
     if tau_stat < 1:
         raise ConfigError(
             "scenario.change_at: must exceed detector.window so pre-change "
             "statistics exist"
         )
-    horizons = [
-        math.ceil(camp.horizon_factor * (b + det.min_sample)) for b in thresholds
-    ]
+    horizons = _horizons(cfg)
     length = tau + horizons[-1] + det.window
-
-    def one_rep(i: int) -> list:
-        trajectory = _monitored_trajectory(
-            cfg, length, camp.seed, REPLICATION_STREAM_BASE + i
-        )
-        series = _statistic_series(context, cfg, trajectory)
-        return _crossing_times(series, thresholds)
-
-    if camp.threads > 1:
-        with ThreadPoolExecutor(max_workers=camp.threads) as pool:
-            all_hits = list(pool.map(one_rep, range(camp.replications)))
-    else:
-        all_hits = [one_rep(i) for i in range(camp.replications)]
+    all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
 
     _, post_block, gamma = _theory_inputs(cfg, context)
     rows = []
     notes = list(context.notes)
     aborted = False
-    for j, b in enumerate(thresholds):
-        horizon = horizons[j]
+    for j, (b, horizon) in enumerate(zip(camp.thresholds, horizons)):
         delays = []
         excluded = truncated = 0
         for hits in all_hits:
@@ -518,9 +507,7 @@ def run_md_campaign(
             )
             aborted = True
             continue
-        arr = np.asarray(delays)
-        mean = float(arr.mean())
-        sem = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+        mean, sem = _mean_sem(delays)
         theory = None
         warn = ""
         if post_block is not None and gamma is not None:

@@ -508,8 +508,3 @@ def load_trajectory(path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no observations")
     return np.asarray(rows, dtype=float)
-
-
-def _lifted_pairs_of_path(path: np.ndarray) -> np.ndarray:
-    """Convenience used in tests: pairs of a raw path without the dataclass."""
-    return np.hstack([path[:-1], path[1:]])

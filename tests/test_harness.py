@@ -11,7 +11,9 @@ from kcusum import (
     CampaignResult,
     CampaignRow,
     ConfigError,
+    DetectorConfig,
     FiniteChain,
+    KernelCusumDetector,
     TraceRow,
     build_context,
     calibrate_correction,
@@ -26,6 +28,7 @@ from kcusum import (
     simulate_finite,
     stream_rng,
 )
+from kcusum import harness
 from kcusum.cli import main
 from kcusum.harness import (
     HOLDOUT_STREAM,
@@ -70,7 +73,6 @@ replications = 5
 thresholds = 0.5,1
 horizon_factor = 50
 seed = 3
-threads = 1
 
 [output]
 directory = out
@@ -100,13 +102,13 @@ def finite_config(**edits):
 def test_minimal_config_defaults():
     cfg = parse_config_text(MINIMAL)
     s, d, c, o = cfg.scenario, cfg.detector, cfg.campaign, cfg.output
-    assert (s.kind, s.length, s.change_at, s.burn_in, s.dim) == ("ar-variance", 2000, None, 500, 4)
+    assert (s.kind, s.length, s.change_at, s.burn_in) == ("ar-variance", 2000, None, 500)
     assert (s.pre_variance, s.post_variance, s.post_mean) == (0.1, 0.2, 0.05)
     assert (d.window, d.min_sample, d.threshold, d.reference) == (50, 10, 5.0, 500)
     assert d.bandwidths == (0.1, 1.0, 10.0) and d.weights is None
     assert (d.correction, d.margin, d.quantile, d.holdout) == ("calibrate", 0.01, 1.0, 1000)
     assert (c.mode, c.replications, c.thresholds) == ("trace", 200, (5.0,))
-    assert (c.horizon_factor, c.seed, c.threads) == (50, 0, 1)
+    assert (c.horizon_factor, c.seed) == (50, 0)
     assert (o.directory, o.formats) == ("out", ("csv", "svg"))
     assert cfg.bounds.doeblin() is None and cfg.bounds.gamma is None
     scenario = cfg.scenario.ar_scenario()
@@ -140,6 +142,13 @@ def test_minimal_config_defaults():
         (MINIMAL.replace("[output]", "[output]\nformats = svg"), "csv output cannot be disabled"),
         (MINIMAL + "\n[bounds]\nlam = 0.3", "given together"),
         (MINIMAL + "\n[bounds]\nlam = 2\nlag = 1", "bounds.lam"),
+        (MINIMAL + "\n[bounds]\nlam = 1.0\nlag = 1", "bounds.lam"),
+        (MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 1\nnorm_f = 2", "bounds.norm_f: unknown key"),
+        (finite_config(pre_matrix="1,0;0,1"), "scenario.pre_matrix"),
+        (finite_config(post_matrix="0,1;1,0"), "scenario.post_matrix"),
+        (MINIMAL.replace("[scenario]", "[scenario]\nmatrix = 2,0;0,2"), "scenario.matrix"),
+        (MINIMAL.replace("[scenario]", "[scenario]\ndim = 6"), "scenario.dim: unknown key"),
+        (MINIMAL.replace("mode = trace", "mode = trace\nthreads = 1"), "campaign.threads: unknown key"),
         (MINIMAL.replace("mode = trace", "mode = trace\nseed = -1"), "campaign.seed"),
         (MINIMAL.replace("mode = trace", "mode = trace\nreplications = 0"), "campaign.replications"),
     ],
@@ -194,10 +203,10 @@ def test_finite_section_builders():
 
 
 def test_bounds_section_roundtrip():
-    cfg = parse_config_text(MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 2\ngamma = 0.5\nnorm_f = 2")
+    cfg = parse_config_text(MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 2\ngamma = 0.5")
     params = cfg.bounds.doeblin()
     assert (params.lam, params.lag) == (0.3, 2)
-    assert cfg.bounds.gamma == 0.5 and cfg.bounds.norm_f == 2.0
+    assert cfg.bounds.gamma == 0.5
 
 
 def test_load_config_missing_file(tmp_path):
@@ -317,18 +326,41 @@ def test_mtbfa_rejects_wrong_mode():
         run_mtbfa_campaign(cfg)
 
 
-def test_mtbfa_thread_pool_matches_serial():
-    base = finite_config(
-        mode="mtbfa", change_at="none", correction="0.4",
-        thresholds="0.5", horizon_factor="5", replications="6",
+def _full_series(context, cfg, trajectory):
+    """Every statistic of the whole trajectory, from one ``extend`` call."""
+    det = KernelCusumDetector(
+        context.reference,
+        DetectorConfig(
+            window=cfg.detector.window, min_sample=cfg.detector.min_sample,
+            threshold=cfg.campaign.thresholds[-1], correction=context.correction,
+        ),
     )
-    threaded_text = finite_config(
-        mode="mtbfa", change_at="none", correction="0.4",
-        thresholds="0.5", horizon_factor="5", replications="6", threads="3",
+    return [out.statistic for out in det.extend(trajectory) if out.index is not None]
+
+
+@pytest.mark.parametrize(
+    "edits,run",
+    [
+        # b=2 has both truncated and counted runs
+        (dict(mode="mtbfa", change_at="none", correction="0.1"), run_mtbfa_campaign),
+        # both rows have excluded (false-alarm) and counted runs
+        (dict(mode="md", correction="0.3"), run_md_campaign),
+    ],
+)
+def test_campaign_rows_match_full_trajectory_recomputation(monkeypatch, edits, run):
+    cfg = parse_config_text(
+        finite_config(thresholds="0.5,2", horizon_factor="3", replications="6", **edits)
     )
-    serial = run_mtbfa_campaign(parse_config_text(base))
-    threaded = run_mtbfa_campaign(parse_config_text(threaded_text))
-    assert serial.rows == threaded.rows
+    ctx = build_context(cfg, cfg.campaign.seed)
+    stepped = run(cfg, context=ctx)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_statistic_series", _full_series)
+        recomputed = run(cfg, context=ctx)
+    assert stepped.rows == recomputed.rows and stepped.notes == recomputed.notes
+    if cfg.campaign.mode == "mtbfa":
+        assert 0 < stepped.rows[1].truncated < 6
+    else:
+        assert all(row.excluded and row.n_runs for row in stepped.rows)
 
 
 def test_md_counts_exclusions_and_aborts_on_all_false_alarms():
@@ -555,6 +587,15 @@ def test_cli_bounds_writes_report(tmp_path, capsys):
     assert code == 0
     assert (out / "bounds.txt").exists()
     assert "closed-form guarantees" in captured.out
+
+
+def test_cli_bounds_config_error_exit_1(tmp_path, capsys):
+    # DoeblinParams needs lam < 1; the parser reports it, not a traceback
+    cfg = write_config(tmp_path, FINITE_BASE + "\n[bounds]\nlam = 1.0\nlag = 1\n")
+    code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "config error: bounds.lam" in captured.err
 
 
 def test_cli_seed_and_replications_overrides(tmp_path):
