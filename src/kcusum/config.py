@@ -40,6 +40,8 @@ _SCENARIO_KEYS = {
     "post_variance", "post_mean", "matrix", "states", "pre_matrix",
     "post_matrix", "path",
 }
+# keys that only the AR kinds read; a finite or csv scenario would ignore them
+_AR_ONLY_KEYS = ("matrix", "pre_variance", "post_variance", "post_mean", "burn_in")
 _DETECTOR_KEYS = {
     "window", "min_sample", "threshold", "reference", "bandwidths",
     "weights", "correction", "margin", "quantile", "holdout",
@@ -214,6 +216,10 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
     kind = sec.get("kind")
     if kind not in _KINDS:
         _fail("scenario", "kind", f"must be one of {', '.join(_KINDS)}; got {kind!r}")
+    if kind in ("finite", "csv"):
+        for key in _AR_ONLY_KEYS:
+            if key in sec:
+                _fail("scenario", key, f"applies to AR scenarios only, not kind = {kind}")
     length = _get_int(sec, "scenario", "length", 2000)
     if length < 2:
         _fail("scenario", "length", "must be at least 2")

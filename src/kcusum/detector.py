@@ -1,27 +1,38 @@
 """Streaming change detector: windowed kernel discrepancy fed into a CUSUM.
 
-The detector watches one observation at a time, maintains the last
-``window + 1`` raw observations as ``window`` lifted pairs, scores the
-buffer against a fixed reference sample by kernel mean discrepancy, and
-accumulates the corrected scores in a CUSUM that ignores trailing sums
-shorter than ``min_sample`` steps.
+The detector keeps the last ``window + 1`` raw observations as
+``window`` lifted pairs, scores that window against a fixed reference
+sample by kernel mean discrepancy, and accumulates the corrected scores
+in a CUSUM that ignores trailing sums shorter than ``min_sample`` steps.
 
-Incremental bookkeeping keeps one step at O(window^2 + reference size)
-kernel-free flops: every Gram entry and every cross row-sum is computed
-exactly once, when its pair enters the buffer, so the streamed statistic
-cannot drift from a from-scratch recomputation.
+One block scorer serves every caller.  :meth:`KernelCusumDetector.step`
+hands it a block of one pair; :meth:`~KernelCusumDetector.extend`,
+:func:`calibrate_correction`, the campaigns (through ``extend``) and
+:meth:`~KernelCusumDetector.restore` hand it whole blocks.  Per chunk
+of a block it makes two kernel calls: the block against the reference
+(one row sum per pair) and the block against the pairs it follows (the
+band of within-window kernels).  Each Gram entry and each cross row sum
+is computed once, when its pair arrives, and written into a ring of
+``window`` slots; a window value is a plain sum over that ring.
+
+Because :meth:`KernelSpec.gram` is batch-invariant, these numbers do not
+depend on how the stream was cut into blocks: ``extend`` equals a
+``step`` loop bit for bit, and a restore, which rescores the buffered
+pairs in one block at the slots the live detector used, continues an
+interrupted run bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points
+from .kernels import KernelSpec, as_points, row_chunks
 from .mmd import LiftedTrajectory, lift
 
 __all__ = [
@@ -36,7 +47,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "kcusum-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -45,23 +56,34 @@ class ReferenceSet:
 
     ``self_mean`` is the mean of the full reference-by-reference Gram
     matrix; it enters every windowed discrepancy, so it is computed once
-    here, with compensated summation.
+    here, with compensated summation over row chunks.
+
+    ``pairs`` is stored column-major: that is the transposed layout in
+    which :meth:`KernelSpec.gram` reads its right-hand set, so scoring
+    against the reference copies nothing.  ``digest`` is a SHA-256 of
+    the kernel's weights and bandwidths and of the pairs; checkpoints
+    carry it, so a detector is never resumed against another reference.
     """
 
     kernel: KernelSpec
     pairs: np.ndarray
     self_mean: float = 0.0
+    digest: str = field(default="", init=False, repr=False)
 
     def __post_init__(self) -> None:
         pairs = as_points(self.pairs, name="pairs")
         if pairs.shape[1] % 2 != 0:
             raise ValueError("reference pairs must have even dimension (lifted points)")
-        m = pairs.shape[0]
-        self_mean = self.kernel.gram_sum(pairs, pairs) / (m * m)
-        pairs = pairs.copy()
+        pairs = np.array(pairs, order="F")
         pairs.flags.writeable = False
+        m = pairs.shape[0]
+        digest = hashlib.sha256()
+        for arr in (self.kernel.weights, self.kernel.bandwidths, pairs):
+            digest.update(repr(arr.shape).encode())
+            digest.update(arr.astype("<f8").tobytes())
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "self_mean", self_mean)
+        object.__setattr__(self, "self_mean", self.kernel.gram_sum(pairs, pairs) / (m * m))
+        object.__setattr__(self, "digest", digest.hexdigest())
 
     @property
     def n_pairs(self) -> int:
@@ -209,57 +231,72 @@ class CusumStream:
         return out
 
 
-class _SlidingMmd:
-    """Ring-buffered window of lifted pairs scored against a reference.
+class _BlockScorer:
+    """Windowed discrepancy of a stream of lifted pairs, fed in blocks.
 
-    Gram rows (pair vs current buffer) and cross sums (pair vs reference)
-    are computed once when a pair is added; stale entries left in
-    columns of evicted pairs are overwritten by the incoming row before
-    any statistic reads them.  The per-step discrepancy then only sums
-    cached arrays, so it is reproducible from the buffer contents alone.
+    The k-th pair pushed sits in ring slot ``(start + k) % window``.
+    ``_gram`` holds the kernel between the pairs of every two slots and
+    ``_cross`` each slot's kernel row sum against the reference; both are
+    written once, when the later pair arrives, from the kernel calls of
+    its block.  ``_tail`` keeps the last ``window - 1`` pairs, oldest
+    first, for the band of the next block.  A window value sums the two
+    arrays whole, so it depends on the window's pairs and the ring's
+    start slot, not on how the stream was cut into blocks.
     """
 
-    __slots__ = ("reference", "window", "_slots", "_gram", "_cross", "_count", "_head")
+    __slots__ = ("reference", "window", "_gram", "_cross", "_tail", "_next", "_held")
 
-    def __init__(self, reference: ReferenceSet, window: int):
+    def __init__(self, reference: ReferenceSet, window: int, start: int = 0):
         self.reference = reference
         self.window = int(window)
-        dim2 = reference.pairs.shape[1]
-        self._slots = np.zeros((self.window, dim2))
         self._gram = np.zeros((self.window, self.window))
         self._cross = np.zeros(self.window)
-        self._count = 0
-        self._head = 0
+        self._tail = np.empty((0, reference.pairs.shape[1]))
+        self._next = start
+        self._held = 0
 
-    @property
-    def full(self) -> bool:
-        return self._count == self.window
+    def push(self, pairs: np.ndarray) -> list:
+        """Add ``pairs`` in order; return the window value after each pair
+        that leaves the window full."""
+        r = self.window
+        kernel = self.reference.kernel
+        values = []
+        for rows in row_chunks(pairs.shape[0], self.reference.n_pairs):
+            block = pairs[rows]
+            cross = kernel.gram(block, self.reference.pairs).sum(axis=1)
+            seen = np.concatenate([self._tail, block])
+            band = kernel.gram(block, seen)
+            offset = self._tail.shape[0]
+            for i in range(block.shape[0]):
+                # kernels of pair i against itself and the pairs before it
+                # that are still in the window, oldest first
+                end = offset + i + 1
+                self._place(band[i, end - min(self._held + 1, r) : end], cross[i])
+                if self._held == r:
+                    values.append(self._value())
+            self._tail = seen[max(0, seen.shape[0] - (r - 1)) :]
+        return values
 
-    def place(self, slot: int, pair: np.ndarray) -> None:
-        """Write one pair into ``slot`` and refresh its Gram row and cross sum."""
-        self._slots[slot] = pair
-        row = self.reference.kernel.gram(pair[None, :], self._slots)[0]
-        self._gram[slot, :] = row
-        self._gram[:, slot] = row
-        self._cross[slot] = float(
-            np.sum(self.reference.kernel.gram(pair[None, :], self.reference.pairs))
-        )
-
-    def add(self, pair: np.ndarray) -> None:
-        if self._count < self.window:
-            slot = self._count
-            self._count += 1
+    def _place(self, row: np.ndarray, cross: float) -> None:
+        r = self.window
+        slot = self._next
+        first = slot + 1 - row.shape[0]
+        if first >= 0:
+            parts = ((slice(first, slot + 1), row),)
         else:
-            slot = self._head
-            self._head = (self._head + 1) % self.window
-        self.place(slot, pair)
+            parts = ((slice(r + first, r), row[:-first]), (slice(0, slot + 1), row[-first:]))
+        for cols, values in parts:
+            self._gram[slot, cols] = values
+            self._gram[cols, slot] = values
+        self._cross[slot] = cross
+        self._next = (slot + 1) % r
+        self._held = min(self._held + 1, r)
 
-    def value(self) -> float:
-        """Current windowed discrepancy (buffer must be full)."""
+    def _value(self) -> float:
         r = self.window
         m = self.reference.n_pairs
-        within = float(np.sum(self._gram))
-        cross = float(np.sum(self._cross))
+        within = float(self._gram.sum())
+        cross = float(self._cross.sum())
         squared = (
             within / (r * r)
             + self.reference.self_mean
@@ -267,11 +304,15 @@ class _SlidingMmd:
         )
         return math.sqrt(max(squared, 0.0))
 
-    def ordered_pairs(self) -> np.ndarray:
-        """Buffer contents in chronological order."""
-        if self._count < self.window:
-            return self._slots[: self._count].copy()
-        return np.roll(self._slots, -self._head, axis=0)
+
+def _pairs(chain: np.ndarray) -> np.ndarray:
+    """Consecutive pairs of a ``(k, d)`` run of observations, ``(k - 1, 2d)``."""
+    return np.concatenate((chain[:-1], chain[1:]), axis=1)
+
+
+_WARMING_UP = StepOutcome(
+    index=None, discrepancy=None, score=None, statistic=-math.inf, alarm=False
+)
 
 
 class KernelCusumDetector:
@@ -291,7 +332,7 @@ class KernelCusumDetector:
         self.config = config
         self._dim = reference.point_dim
         self._raw: deque[np.ndarray] = deque(maxlen=config.window + 1)
-        self._sliding = _SlidingMmd(reference, config.window)
+        self._scorer = _BlockScorer(reference, config.window)
         self._cusum = CusumStream(config.min_sample)
         self._alarmed_at: int | None = None
 
@@ -311,7 +352,9 @@ class KernelCusumDetector:
 
     def buffer_pairs(self) -> np.ndarray:
         """Current buffer pairs, oldest first (may be shorter than window)."""
-        return self._sliding.ordered_pairs()
+        if len(self._raw) < 2:
+            return np.empty((0, 2 * self._dim))
+        return _pairs(np.array(self._raw))
 
     def step(self, observation) -> StepOutcome:
         """Feed one observation, get the updated detector state."""
@@ -320,43 +363,48 @@ class KernelCusumDetector:
             raise ValueError(
                 f"observation must be a 1-D vector of dimension {self._dim}"
             )
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ValueError("observation contains non-finite values")
-        y = y.copy()
-        if self._raw:
-            self._sliding.add(np.concatenate([self._raw[-1], y]))
-        self._raw.append(y)
-        if not self._sliding.full:
-            return StepOutcome(
-                index=None,
-                discrepancy=None,
-                score=None,
-                statistic=-math.inf,
-                alarm=False,
-            )
-        discrepancy = self._sliding.value()
-        score = discrepancy - self.config.correction
-        statistic = self._cusum.update(score)
-        alarm = statistic >= self.config.threshold
-        if alarm and self._alarmed_at is None:
-            self._alarmed_at = self._cusum.n
-        return StepOutcome(
-            index=self._cusum.n,
-            discrepancy=discrepancy,
-            score=score,
-            statistic=statistic,
-            alarm=alarm,
-        )
+        return self._advance(y[None, :])[0]
 
     def extend(self, observations) -> list[StepOutcome]:
-        """Feed a batch of observations (rows), returning one outcome each."""
+        """Feed a batch of observations (rows), returning one outcome each.
+
+        The batch is scored as one block; the outcomes equal those of a
+        :meth:`step` loop over its rows, bit for bit.
+        """
         X = as_points(observations, name="observations")
-        return [self.step(row) for row in X]
+        if X.shape[1] != self._dim:
+            raise ValueError(f"observations must have dimension {self._dim}")
+        return self._advance(X)
+
+    def _advance(self, X: np.ndarray) -> list[StepOutcome]:
+        """Score the validated ``(k, dim)`` rows ``X`` as one block."""
+        chain = np.concatenate((self._raw[-1][None, :], X)) if self._raw else X
+        values = self._scorer.push(_pairs(chain))
+        self._raw.extend(row.copy() for row in X[-(self.config.window + 1) :])
+        outcomes = [_WARMING_UP] * (X.shape[0] - len(values))
+        for discrepancy in values:
+            score = discrepancy - self.config.correction
+            statistic = self._cusum.update(score)
+            alarm = statistic >= self.config.threshold
+            if alarm and self._alarmed_at is None:
+                self._alarmed_at = self._cusum.n
+            outcomes.append(
+                StepOutcome(
+                    index=self._cusum.n,
+                    discrepancy=discrepancy,
+                    score=score,
+                    statistic=statistic,
+                    alarm=alarm,
+                )
+            )
+        return outcomes
 
     def reset(self) -> None:
         """Forget buffer, statistic, and alarm; keep reference and config."""
         self._raw.clear()
-        self._sliding = _SlidingMmd(self.reference, self.config.window)
+        self._scorer = _BlockScorer(self.reference, self.config.window)
         self._cusum = CusumStream(self.config.min_sample)
         self._alarmed_at = None
 
@@ -366,8 +414,8 @@ class KernelCusumDetector:
         """Serialise resumable state as JSON text.
 
         Floats are stored in hexadecimal, so a round trip restores them
-        bit for bit.  The reference sample itself is not stored; restore
-        requires the same reference and configuration.
+        bit for bit.  The reference sample itself is not stored, only its
+        digest; restore requires the same reference and configuration.
         """
         payload = {
             "format": CHECKPOINT_FORMAT,
@@ -377,6 +425,7 @@ class KernelCusumDetector:
             "threshold": self.config.threshold.hex(),
             "correction": self.config.correction.hex(),
             "dim": self._dim,
+            "reference": self.reference.digest,
             "raw_buffer": [[v.hex() for v in row] for row in self._raw],
             "alarmed_at": self._alarmed_at,
             "cusum": self._cusum.snapshot(),
@@ -389,10 +438,11 @@ class KernelCusumDetector:
     ) -> "KernelCusumDetector":
         """Rebuild a detector from :meth:`checkpoint` output.
 
-        The pair buffer, Gram cache, and cross sums are replayed from
-        the stored raw observations into the same ring layout the live
-        detector had, so subsequent outputs are bit-identical to an
-        uninterrupted run.
+        The buffered pairs are rescored from the stored raw observations
+        in one block, at the ring slots the live detector had, so
+        subsequent outputs are bit-identical to an uninterrupted run.
+        A checkpoint written against another reference (kernel or
+        pairs) is rejected.
         """
         try:
             data = json.loads(text)
@@ -420,6 +470,8 @@ class KernelCusumDetector:
             raise ValueError("checkpoint was written with a different configuration")
         if data["dim"] != reference.point_dim:
             raise ValueError("checkpoint dimension does not match the reference")
+        if data["reference"] != reference.digest:
+            raise ValueError("checkpoint was written against a different reference")
         det = cls(reference, config)
         raw = [
             np.asarray([float.fromhex(v) for v in row], dtype=float)
@@ -437,21 +489,13 @@ class KernelCusumDetector:
         if n_pairs == config.window and cusum.n < 1:
             raise ValueError("checkpoint inconsistent: full buffer but no scores")
         det._raw.extend(raw)
-        sliding = det._sliding
         if n_pairs > 0:
-            pairs = [np.concatenate([raw[i], raw[i + 1]]) for i in range(n_pairs)]
-            if n_pairs < config.window:
-                for pair in pairs:
-                    sliding.add(pair)
-            else:
-                # live layout: the fill-completing add produced score 1,
-                # so n - 1 + window pairs have been added in total and the
-                # oldest buffered pair sits at slot (n - 1) mod window
-                head = (cusum.n - 1) % config.window
-                for k, pair in enumerate(pairs):
-                    sliding.place((head + k) % config.window, pair)
-                sliding._count = config.window
-                sliding._head = head
+            # live layout: the fill-completing pair produced score 1, so
+            # n - 1 + window pairs have entered the ring in total and the
+            # oldest buffered pair sits at slot (n - 1) mod window
+            start = (cusum.n - 1) % config.window if n_pairs == config.window else 0
+            det._scorer = _BlockScorer(reference, config.window, start)
+            det._scorer.push(_pairs(np.array(raw)))
         det._cusum = cusum
         alarmed = data["alarmed_at"]
         det._alarmed_at = None if alarmed is None else int(alarmed)
@@ -515,12 +559,7 @@ def calibrate_correction(
             f"holdout too short: needs at least {window + 1} observations "
             f"for one full window"
         )
-    sliding = _SlidingMmd(reference, window)
-    values = []
-    for pair in lifted.pairs:
-        sliding.add(pair)
-        if sliding.full:
-            values.append(sliding.value())
+    values = _BlockScorer(reference, window).push(lifted.pairs)
     if quantile == 1.0:
         level = max(values)
     else:

@@ -349,12 +349,7 @@ def _statistic_series(context: HarnessContext, cfg: ExperimentConfig, trajectory
             correction=context.correction,
         ),
     )
-    series = []
-    for obs in trajectory:
-        out = det.step(obs)
-        if out.index is not None:
-            series.append(out.statistic)
-    return series
+    return [out.statistic for out in det.extend(trajectory) if out.index is not None]
 
 
 def _crossing_times(series, thresholds) -> list:

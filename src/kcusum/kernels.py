@@ -8,6 +8,7 @@ bounds assume, so the weight normalisation is enforced, not optional.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,13 +18,29 @@ __all__ = ["KernelSpec", "as_points", "compensated_sum", "make_pair"]
 
 _WEIGHT_TOL = 1e-12
 
+# Kernel values evaluated per chunk: bounds scratch memory (a few arrays
+# of 512 KiB) while keeping numpy's per-call overhead small per value.
+CHUNK_ENTRIES = 1 << 16
+
+# Largest table of coordinate differences (rows x columns x dimension)
+# that ``KernelSpec.gram`` forms in one broadcast call.
+_BROADCAST_LIMIT = 1 << 14
+
+
+def row_chunks(n_rows: int, n_cols: int) -> list:
+    """Slices cutting ``n_rows`` rows of an ``n_cols``-wide table into chunks
+    of about :data:`CHUNK_ENTRIES` values (at least one row each)."""
+    step = max(1, CHUNK_ENTRIES // n_cols)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
 
 def compensated_sum(values) -> float:
     """Sum floats with exact compensation (order-independent result).
 
     Thin wrapper around :func:`math.fsum` that accepts arrays of any
-    shape.  Used wherever a Gram-matrix total feeds a statistic, so the
-    result does not depend on summation order or array layout.
+    shape.  The result does not depend on summation order or array
+    layout; :meth:`KernelSpec.gram_sum` gives the same total for a Gram
+    matrix without holding it in memory.
     """
     return math.fsum(np.asarray(values, dtype=float).ravel())
 
@@ -44,7 +61,7 @@ def as_points(points, *, name: str = "points") -> np.ndarray:
         raise ValueError(f"{name} must contain at least one point")
     if arr.shape[1] == 0:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -156,9 +173,21 @@ class KernelSpec:
     def gram(self, a, b) -> np.ndarray:
         """Kernel matrix between two point sets, shape ``(len(a), len(b))``.
 
-        Squared distances are computed via the norm expansion
-        ``||x||^2 + ||y||^2 - 2 x.y`` and clipped at zero before the
-        exponential, so round-off cannot produce values above one.
+        Every entry depends only on its own two points, never on the
+        rest of the call: the squared distance is summed from
+        per-coordinate differences in coordinate order, then each
+        component's exponential is added in component order.  A row of
+        a many-row call therefore equals, bit for bit, the same row
+        computed alone, and so does its ``np.sum``; the detector relies
+        on this to score one observation or a whole block alike.
+        Differences, unlike the norm expansion ``|x|^2 + |y|^2 - 2 x.y``,
+        keep full precision on data far from the origin.
+
+        ``b`` is read through its transpose; a column-major ``b`` (such
+        as :attr:`ReferenceSet.pairs <kcusum.detector.ReferenceSet>`)
+        is read without a copy.  Work runs in row chunks of about
+        ``CHUNK_ENTRIES`` values, so scratch memory stays bounded
+        whatever the size of ``a``.
         """
         A = as_points(a, name="a")
         B = as_points(b, name="b")
@@ -166,17 +195,54 @@ class KernelSpec:
             raise ValueError(
                 f"point sets must share dimension; got {A.shape[1]} and {B.shape[1]}"
             )
-        sq = (
-            np.sum(A * A, axis=1)[:, None]
-            + np.sum(B * B, axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
-        np.clip(sq, 0.0, None, out=sq)
-        out = np.zeros_like(sq)
-        for w, s in zip(self.weights, self.bandwidths):
-            out += w * np.exp(sq / (-2.0 * s * s))
+        columns = np.ascontiguousarray(B.T)
+        out = np.empty((A.shape[0], B.shape[0]))
+        for rows in row_chunks(A.shape[0], B.shape[0]):
+            self._fill(A[rows], columns, out[rows])
         return out
 
+    def _fill(self, A: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
+        # Both branches add the same squared differences in the same
+        # order.  A small table takes all of them in one broadcast call,
+        # which saves numpy call overhead (a one-row call, as in a
+        # detector step); a larger one goes coordinate by coordinate,
+        # which keeps its scratch a single table and so in cache.
+        if A.shape[0] * columns.size <= _BROADCAST_LIMIT:
+            squares = np.subtract(A.T[:, :, None], columns[:, None, :])
+            squares *= squares
+            sq = squares[0]
+            for k in range(1, columns.shape[0]):
+                sq += squares[k]
+            tmp = np.empty_like(sq)
+        else:
+            sq = np.subtract(A[:, :1], columns[0])
+            sq *= sq
+            tmp = np.empty_like(sq)
+            for k in range(1, columns.shape[0]):
+                np.subtract(A[:, k : k + 1], columns[k], out=tmp)
+                tmp *= tmp
+                sq += tmp
+        for j, (w, s) in enumerate(zip(self.weights, self.bandwidths)):
+            np.divide(sq, -2.0 * s * s, out=tmp)
+            np.exp(tmp, out=tmp)
+            if j == 0:
+                np.multiply(tmp, w, out=out)
+            else:
+                tmp *= w
+                out += tmp
+
     def gram_sum(self, a, b) -> float:
-        """Compensated sum of all entries of ``gram(a, b)``."""
-        return compensated_sum(self.gram(a, b))
+        """Compensated sum of all entries of ``gram(a, b)``.
+
+        The matrix is evaluated one row chunk at a time and every chunk
+        feeds one exact :func:`math.fsum`, so the result has the bits of
+        :func:`compensated_sum` over the whole matrix without holding it.
+        """
+        A = as_points(a, name="a")
+        B = np.asfortranarray(as_points(b, name="b"))
+        return math.fsum(
+            itertools.chain.from_iterable(
+                self.gram(A[rows], B).ravel().tolist()
+                for rows in row_chunks(A.shape[0], B.shape[0])
+            )
+        )

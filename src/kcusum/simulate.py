@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -324,27 +325,33 @@ def stationary_distribution(chain: FiniteChain) -> np.ndarray:
     return pi
 
 
+def _cumulative_rows(matrix: np.ndarray) -> list:
+    """Row-wise cumulative sums of a transition matrix, as nested lists."""
+    return np.cumsum(matrix, axis=1).tolist()
+
+
 def _sample_indices(
     rng: np.random.Generator,
     length: int,
     init_dist: np.ndarray,
-    matrix_for_step,
+    cumulative_for_step,
 ) -> np.ndarray:
     """Index path: initial draw from ``init_dist``, then row transitions.
 
-    ``matrix_for_step(g)`` returns the transition matrix used for the
-    step *into* output index g (2-based here, since index 1 is the
-    initial draw).
+    ``cumulative_for_step(g)`` returns the cumulative rows
+    (:func:`_cumulative_rows`) of the transition matrix used for the step
+    *into* output index g (2-based here, since index 1 is the initial
+    draw).  Each step inverts one uniform draw on the current state's row.
     """
     top = len(init_dist) - 1
-    u = rng.random(length)
-    idx = np.empty(length, dtype=np.int64)
-    idx[0] = min(int(np.searchsorted(np.cumsum(init_dist), u[0], side="right")), top)
+    u = rng.random(length).tolist()
+    # clamp guards the (round-off) case u >= cumulative total
+    state = min(bisect_right(np.cumsum(init_dist).tolist(), u[0]), top)
+    path = [state]
     for g in range(2, length + 1):
-        row = matrix_for_step(g)[idx[g - 2]]
-        # clamp guards the (round-off) case u >= cumulative total
-        idx[g - 1] = min(int(np.searchsorted(np.cumsum(row), u[g - 1], side="right")), top)
-    return idx
+        state = min(bisect_right(cumulative_for_step(g)[state], u[g - 1]), top)
+        path.append(state)
+    return np.asarray(path, dtype=np.int64)
 
 
 def simulate_finite(
@@ -359,7 +366,8 @@ def simulate_finite(
         raise ValueError("length must be >= 1")
     rng = stream_rng(seed, stream)
     pi = stationary_distribution(chain)
-    idx = _sample_indices(rng, length, pi, lambda g: chain.matrix)
+    rows = _cumulative_rows(chain.matrix)
+    idx = _sample_indices(rng, length, pi, lambda g: rows)
     return chain.states[idx]
 
 
@@ -394,12 +402,12 @@ def simulate_finite_scenario(
     rng = stream_rng(seed, stream)
     pi = stationary_distribution(scenario.pre)
 
-    def matrix_for_step(g: int) -> np.ndarray:
-        return (
-            scenario.post.matrix if g > scenario.change_at else scenario.pre.matrix
-        )
-
-    idx = _sample_indices(rng, scenario.length, pi, matrix_for_step)
+    pre_rows = _cumulative_rows(scenario.pre.matrix)
+    post_rows = _cumulative_rows(scenario.post.matrix)
+    idx = _sample_indices(
+        rng, scenario.length, pi,
+        lambda g: post_rows if g > scenario.change_at else pre_rows,
+    )
     return scenario.pre.states[idx]
 
 

@@ -167,6 +167,37 @@ def test_extend_equals_step_loop():
     assert batch == single
 
 
+def chunked_reference(window=40):
+    """2000 reference pairs: one kernel chunk holds 32 rows, fewer than
+    ``window``, so a block of one window spans two chunks."""
+    rng = np.random.default_rng(26)
+    kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
+    reference = build_reference(kernel, 0.3 * rng.standard_normal((2001, 1)))
+    config = DetectorConfig(window=window, min_sample=3, threshold=0.05, correction=0.01)
+    return reference, config
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_extend_over_random_splits_equals_step_loop(chunked):
+    if chunked:
+        reference, config = chunked_reference()
+        rng = np.random.default_rng(27)
+        data = 0.3 * rng.standard_normal((150, 1)) + np.where(np.arange(150) < 90, 0.0, 0.5)[:, None]
+    else:
+        kernel, reference = make_reference()
+        config = DetectorConfig(window=4, min_sample=2, threshold=5.0, correction=0.1)
+        rng = np.random.default_rng(27)
+        data = rng.standard_normal((60, 2))
+    det = KernelCusumDetector(reference, config)
+    single = [det.step(row) for row in data]
+    for _ in range(5):
+        cuts = np.sort(rng.choice(np.arange(1, len(data)), size=6, replace=False))
+        det = KernelCusumDetector(reference, config)
+        batch = [out for part in np.split(data, cuts) for out in det.extend(part)]
+        assert batch == single
+    assert any(out.alarm for out in single)
+
+
 def test_alarm_latches_and_reset_clears():
     kernel, reference = make_reference(seed=5)
     # Tiny threshold and zero correction: shifted data alarms quickly.
@@ -220,6 +251,65 @@ def test_checkpoint_roundtrip_bit_identical(split):
     )
     assert resumed_outcomes == direct  # dataclass equality: bit-identical floats
     assert resumed.n == len(data) - config.window
+
+
+def test_checkpoint_at_every_split_across_chunks():
+    """Every split, from an empty buffer through the filling phase to a
+    wrapped ring, with a window wider than one kernel chunk."""
+    reference, config = chunked_reference()
+    rng = np.random.default_rng(28)
+    data = 0.3 * rng.standard_normal((100, 1))
+    direct = KernelCusumDetector(reference, config).extend(data)
+    for split in range(len(data) + 1):
+        det = KernelCusumDetector(reference, config)
+        outcomes = det.extend(data[:split]) if split else []
+        resumed = KernelCusumDetector.restore(reference, config, det.checkpoint())
+        if split < len(data):
+            outcomes += resumed.extend(data[split:])
+        assert outcomes == direct, split
+
+
+def test_restore_rejects_another_reference():
+    kernel, reference = make_reference(seed=13)
+    config = DetectorConfig(window=4, min_sample=2, threshold=7.0, correction=0.1)
+    rng = np.random.default_rng(29)
+    det = KernelCusumDetector(reference, config)
+    det.extend(rng.standard_normal((12, 2)))
+    blob = det.checkpoint()
+    _, same_shape = make_reference(seed=14)  # same dimension and size, other data
+    assert same_shape.pairs.shape == reference.pairs.shape
+    with pytest.raises(ValueError, match="different reference"):
+        KernelCusumDetector.restore(same_shape, config, blob)
+    other_kernel = ReferenceSet(kernel=KernelSpec.gaussian(2.0), pairs=reference.pairs)
+    with pytest.raises(ValueError, match="different reference"):
+        KernelCusumDetector.restore(other_kernel, config, blob)
+    rebuilt = ReferenceSet(kernel=KernelSpec.gaussian(1.0), pairs=reference.pairs.copy())
+    assert rebuilt.digest == reference.digest
+    KernelCusumDetector.restore(rebuilt, config, blob)
+
+
+@pytest.mark.parametrize("shift", [1e2, 1e4])
+def test_discrepancies_are_translation_invariant(shift):
+    """Shifting the reference, holdout and monitored data by one constant
+    leaves the calibration level and every discrepancy within 1e-9."""
+    rng = np.random.default_rng(32)
+    kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
+    ref_obs = 0.3 * rng.standard_normal((301, 2))
+    holdout = 0.3 * rng.standard_normal((150, 2))
+    monitored = 0.3 * rng.standard_normal((120, 2))
+    monitored[60:] *= 2.0
+
+    def run(offset):
+        reference = build_reference(kernel, ref_obs + offset)
+        cal = calibrate_correction(kernel, reference, holdout + offset, window=20)
+        config = DetectorConfig(window=20, min_sample=5, threshold=5.0, correction=cal.correction)
+        outs = KernelCusumDetector(reference, config).extend(monitored + offset)
+        return cal.holdout_level, np.array([o.discrepancy for o in outs if o.index is not None])
+
+    level, values = run(0.0)
+    shifted_level, shifted_values = run(shift)
+    assert abs(shifted_level - level) <= 1e-9
+    assert np.max(np.abs(shifted_values - values)) <= 1e-9
 
 
 def test_checkpoint_preserves_alarm_index():

@@ -151,6 +151,13 @@ def test_minimal_config_defaults():
         (MINIMAL.replace("mode = trace", "mode = trace\nthreads = 1"), "campaign.threads: unknown key"),
         (MINIMAL.replace("mode = trace", "mode = trace\nseed = -1"), "campaign.seed"),
         (MINIMAL.replace("mode = trace", "mode = trace\nreplications = 0"), "campaign.replications"),
+        (FINITE_BASE.replace("[scenario]", "[scenario]\nmatrix = 2,0;0,2"), "scenario.matrix"),
+        (FINITE_BASE.replace("[scenario]", "[scenario]\npre_variance = 0.1"), "scenario.pre_variance"),
+        (FINITE_BASE.replace("[scenario]", "[scenario]\npost_variance = 0.2"), "scenario.post_variance"),
+        (FINITE_BASE.replace("[scenario]", "[scenario]\npost_mean = 1"), "scenario.post_mean"),
+        (FINITE_BASE.replace("[scenario]", "[scenario]\nburn_in = 10"), "scenario.burn_in"),
+        (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nmatrix = 2,0;0,2"), "scenario.matrix"),
+        (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nburn_in = 10"), "scenario.burn_in"),
     ],
 )
 def test_config_errors_name_the_field(text, needle):

@@ -77,10 +77,42 @@ def test_gram_matches_eval_loop():
             assert math.isclose(g[i, j], k.eval(a[i], b[j]), rel_tol=0, abs_tol=1e-12)
 
 
+def test_gram_rows_do_not_depend_on_the_batch():
+    """Rows and row sums of one many-row call equal one-row calls, across
+    several row chunks (3000 columns give 21 rows per chunk)."""
+    rng = np.random.default_rng(30)
+    k = KernelSpec.mixture([0.1, 1.0, 10.0])
+    a, b = rng.standard_normal((70, 4)), rng.standard_normal((3000, 4))
+    g = k.gram(a, b)
+    sums = g.sum(axis=1)
+    for i in range(70):
+        row = k.gram(a[i : i + 1], b)[0]
+        assert np.array_equal(row, g[i])
+        assert np.sum(row) == sums[i]
+    assert np.array_equal(k.gram(a[5:18], b), g[5:18])
+    assert np.array_equal(k.gram(a, np.asfortranarray(b)), g)
+
+
+def test_gram_keeps_precision_far_from_the_origin():
+    """Far from the origin the squared distance must come from coordinate
+    differences: the norm expansion loses about 1e-7 here."""
+    rng = np.random.default_rng(31)
+    k = KernelSpec.gaussian(0.1)
+    a = 1e4 + 0.1 * rng.standard_normal((12, 8))
+    b = 1e4 + 0.1 * rng.standard_normal((15, 8))
+    g = k.gram(a, b)
+    for i in range(12):
+        for j in range(15):
+            assert math.isclose(g[i, j], k.eval(a[i], b[j]), rel_tol=0, abs_tol=1e-12)
+
+
 def test_gram_sum_equals_compensated_total():
     rng = np.random.default_rng(3)
     k = KernelSpec.gaussian(1.0)
     a, b = rng.standard_normal((6, 2)), rng.standard_normal((4, 2))
+    assert k.gram_sum(a, b) == compensated_sum(k.gram(a, b))
+    # summed one row chunk at a time (2000 columns give 32 rows per chunk)
+    a, b = rng.standard_normal((100, 2)), rng.standard_normal((2000, 2))
     assert k.gram_sum(a, b) == compensated_sum(k.gram(a, b))
 
 

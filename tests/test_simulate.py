@@ -365,6 +365,32 @@ def test_scenario_prefix_matches_pre_chain_run():
     assert not np.array_equal(with_change, without)
 
 
+def per_step_path(chain_for_step, pi, length, seed, stream):
+    """Index path drawn the direct way: cumulate the current row on every step."""
+    rng = stream_rng(seed, stream)
+    u = rng.random(length)
+    top = len(pi) - 1
+    idx = [min(int(np.searchsorted(np.cumsum(pi), u[0], side="right")), top)]
+    for g in range(2, length + 1):
+        row = chain_for_step(g).matrix[idx[-1]]
+        idx.append(min(int(np.searchsorted(np.cumsum(row), u[g - 1], side="right")), top))
+    return idx
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_finite_paths_match_per_step_cumulation(seed):
+    states = np.array([[0.0], [1.0], [2.0]])
+    pre = FiniteChain(states, np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.6, 0.1, 0.3]]))
+    post = FiniteChain(states, np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.2, 0.5, 0.3]]))
+    pi = stationary_distribution(pre)
+    want = per_step_path(lambda g: pre, pi, 500, seed, 3)
+    got = simulate_finite(pre, 500, seed=seed, stream=3)
+    assert np.array_equal(got, states[want])
+    scenario = FiniteScenario(pre=pre, post=post, change_at=200, length=500)
+    want = per_step_path(lambda g: post if g > 200 else pre, pi, 500, seed, 3)
+    assert np.array_equal(simulate_finite_scenario(scenario, seed=seed, stream=3), states[want])
+
+
 def test_finite_scenario_validation():
     pre, post = two_state_chain(), two_state_chain(TWO_STATE_ALT)
     with pytest.raises(ValueError):
