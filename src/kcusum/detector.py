@@ -8,18 +8,27 @@ in a CUSUM that ignores trailing sums shorter than ``min_sample`` steps.
 One block scorer serves every caller.  :meth:`KernelCusumDetector.step`
 hands it a block of one pair; :meth:`~KernelCusumDetector.extend`,
 :func:`calibrate_correction`, the campaigns (through ``extend``) and
-:meth:`~KernelCusumDetector.restore` hand it whole blocks.  Per chunk
-of a block it makes two kernel calls: the block against the reference
-(one row sum per pair) and the block against the pairs it follows (the
-band of within-window kernels).  Each Gram entry and each cross row sum
-is computed once, when its pair arrives, and written into a ring of
-``window`` slots; a window value is a plain sum over that ring.
+:meth:`~KernelCusumDetector.restore` hand it whole blocks.  When the
+reference repeats pairs, as a finite chain's does, a block of more than
+one pair is first grouped into its distinct pairs
+(:func:`~kcusum.kernels.distinct_rows`): each distinct pair gets one
+kernel row sum against the reference, which every copy of it reuses.  A
+finite chain with n states has at most n^2 distinct pairs, so its blocks
+cost that many reference rows whatever their length.  Data that does
+not repeat (a reference with continuous support) and single steps are
+not grouped.  The block then goes through in chunks of at most ``window``
+pairs, each evaluated against the pairs it follows (the band of
+within-window kernels).  Each Gram entry and each cross row sum is
+written into a ring of ``window`` slots when its pair arrives; a window
+value is a plain sum over that ring.  The reference self-term comes from
+:meth:`KernelSpec.gram_sum`, which groups repeated pairs the same way.
 
-Because :meth:`KernelSpec.gram` is batch-invariant, these numbers do not
-depend on how the stream was cut into blocks: ``extend`` equals a
-``step`` loop bit for bit, and a restore, which rescores the buffered
-pairs in one block at the slots the live detector used, continues an
-interrupted run bit for bit.
+Because :meth:`KernelSpec.gram` is batch-invariant and equal pairs have
+equal kernel rows, these numbers do not depend on how the stream was cut
+into blocks or on which pairs repeat: ``extend`` equals a ``step`` loop
+bit for bit, and a restore, which rescores the buffered pairs in one
+block at the slots the live detector used, continues an interrupted run
+bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points, row_chunks
+from .kernels import KernelSpec, as_points, distinct_rows, row_chunks
 from .mmd import LiftedTrajectory, lift
 
 __all__ = [
@@ -63,12 +72,17 @@ class ReferenceSet:
     against the reference copies nothing.  ``digest`` is a SHA-256 of
     the kernel's weights and bandwidths and of the pairs; checkpoints
     carry it, so a detector is never resumed against another reference.
+    ``repeats`` says whether some pair occurs more than once, as on a
+    finite chain: the detector groups the pairs of its blocks only then,
+    since data that never repeats would pay for grouping and gain
+    nothing.
     """
 
     kernel: KernelSpec
     pairs: np.ndarray
     self_mean: float = 0.0
     digest: str = field(default="", init=False, repr=False)
+    repeats: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pairs = as_points(self.pairs, name="pairs")
@@ -84,6 +98,7 @@ class ReferenceSet:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "self_mean", self.kernel.gram_sum(pairs, pairs) / (m * m))
         object.__setattr__(self, "digest", digest.hexdigest())
+        object.__setattr__(self, "repeats", distinct_rows(pairs)[0].shape[0] < m)
 
     @property
     def n_pairs(self) -> int:
@@ -239,7 +254,9 @@ class _BlockScorer:
     ``_cross`` each slot's kernel row sum against the reference; both are
     written once, when the later pair arrives, from the kernel calls of
     its block.  ``_tail`` keeps the last ``window - 1`` pairs, oldest
-    first, for the band of the next block.  A window value sums the two
+    first, for the band of the next block.  Kernel calls go through
+    ``KernelSpec._gram``: the reference was validated when it was built
+    and is not rescanned on every call.  A window value sums the two
     arrays whole, so it depends on the window's pairs and the ring's
     start slot, not on how the stream was cut into blocks.
     """
@@ -259,23 +276,38 @@ class _BlockScorer:
         """Add ``pairs`` in order; return the window value after each pair
         that leaves the window full."""
         r = self.window
-        kernel = self.reference.kernel
+        if pairs.shape[0] > 1 and self.reference.repeats:
+            distinct, inverse, _ = distinct_rows(pairs)
+            cross = self._cross_sums(distinct)[inverse]
+        else:
+            cross = self._cross_sums(pairs)
         values = []
-        for rows in row_chunks(pairs.shape[0], self.reference.n_pairs):
-            block = pairs[rows]
-            cross = kernel.gram(block, self.reference.pairs).sum(axis=1)
+        # chunks of at most ``window`` pairs: each pair needs the kernels
+        # against the ``window - 1`` pairs before it, so a longer chunk
+        # would evaluate more of its own band than it uses
+        for lo in range(0, pairs.shape[0], r):
+            block = pairs[lo : lo + r]
             seen = np.concatenate([self._tail, block])
-            band = kernel.gram(block, seen)
+            band = self.reference.kernel._gram(block, np.ascontiguousarray(seen.T))
             offset = self._tail.shape[0]
             for i in range(block.shape[0]):
                 # kernels of pair i against itself and the pairs before it
                 # that are still in the window, oldest first
                 end = offset + i + 1
-                self._place(band[i, end - min(self._held + 1, r) : end], cross[i])
+                self._place(band[i, end - min(self._held + 1, r) : end], cross[lo + i])
                 if self._held == r:
                     values.append(self._value())
             self._tail = seen[max(0, seen.shape[0] - (r - 1)) :]
         return values
+
+    def _cross_sums(self, pairs: np.ndarray) -> np.ndarray:
+        """Kernel row sum of each pair against the reference."""
+        kernel = self.reference.kernel
+        columns = self.reference.pairs.T
+        out = np.empty(pairs.shape[0])
+        for rows in row_chunks(pairs.shape[0], columns.shape[1]):
+            out[rows] = kernel._gram(pairs[rows], columns).sum(axis=1)
+        return out
 
     def _place(self, row: np.ndarray, cross: float) -> None:
         r = self.window

@@ -296,18 +296,20 @@ def run_trace(
             correction=context.correction,
         ),
     )
-    rows = []
-    for t, obs in enumerate(monitored, start=1):
-        out = det.step(obs)
-        rows.append(
-            TraceRow(
-                t=t,
-                state_norm=float(np.linalg.norm(obs)),
-                score=None if out.index is None else out.score,
-                statistic=None if out.index is None else out.statistic,
-                alarm=det.alarmed_at is not None,
-            )
+    outcomes = det.extend(monitored) if len(monitored) else []
+    # the alarm flag latches, so a row's flag says whether its statistic
+    # index has reached the first alarm of the whole run
+    first_alarm = math.inf if det.alarmed_at is None else det.alarmed_at
+    rows = [
+        TraceRow(
+            t=t,
+            state_norm=float(np.linalg.norm(obs)),
+            score=None if out.index is None else out.score,
+            statistic=None if out.index is None else out.statistic,
+            alarm=out.index is not None and out.index >= first_alarm,
         )
+        for t, (obs, out) in enumerate(zip(monitored, outcomes), start=1)
+    ]
     notes = list(context.notes)
     notes.append(f"threshold: {threshold!r}")
     if scn.change_at is not None:

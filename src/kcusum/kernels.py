@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "as_points", "compensated_sum", "make_pair"]
+__all__ = ["KernelSpec", "as_points", "compensated_sum", "distinct_rows", "make_pair"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -25,6 +25,11 @@ CHUNK_ENTRIES = 1 << 16
 # Largest table of coordinate differences (rows x columns x dimension)
 # that ``KernelSpec.gram`` forms in one broadcast call.
 _BROADCAST_LIMIT = 1 << 14
+
+# Veltkamp's splitter for binary64: ``_split`` cuts a float into two
+# halves of at most 26 significant bits each.
+_SPLITTER = float((1 << 27) + 1)
+_HALF = float(1 << 26)
 
 
 def row_chunks(n_rows: int, n_cols: int) -> list:
@@ -43,6 +48,32 @@ def compensated_sum(values) -> float:
     matrix without holding it in memory.
     """
     return math.fsum(np.asarray(values, dtype=float).ravel())
+
+
+def distinct_rows(points: np.ndarray) -> tuple:
+    """Group the rows of a 2-D float array by their bytes.
+
+    Returns ``(distinct, inverse, counts)`` with
+    ``distinct[inverse] == points`` and ``counts[k]`` the number of rows
+    equal to ``distinct[k]``.  Rows with equal bytes have equal kernel
+    rows, so evaluating the distinct rows and gathering changes no value
+    (``0.0`` and ``-0.0`` merely stay apart).  Comparing each row as one
+    opaque byte string is several times cheaper than
+    ``np.unique(axis=0)``.
+    """
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return rows[first], inverse, counts
+
+
+def _split(x: np.ndarray) -> tuple:
+    """Veltkamp split: ``x == hi + lo`` exactly, each half at most 26 bits."""
+    t = x * _SPLITTER
+    hi = t - (t - x)
+    return hi, x - hi
 
 
 def as_points(points, *, name: str = "points") -> np.ndarray:
@@ -195,9 +226,15 @@ class KernelSpec:
             raise ValueError(
                 f"point sets must share dimension; got {A.shape[1]} and {B.shape[1]}"
             )
-        columns = np.ascontiguousarray(B.T)
-        out = np.empty((A.shape[0], B.shape[0]))
-        for rows in row_chunks(A.shape[0], B.shape[0]):
+        return self._gram(A, np.ascontiguousarray(B.T))
+
+    def _gram(self, A: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """:meth:`gram` without validation: ``A`` is ``(n, d)`` finite rows,
+        ``columns`` the C-contiguous ``(d, m)`` transpose of finite rows.
+        For callers holding validated, frozen sets (the detector's
+        reference), so that a step does not rescan them."""
+        out = np.empty((A.shape[0], columns.shape[1]))
+        for rows in row_chunks(A.shape[0], columns.shape[1]):
             self._fill(A[rows], columns, out[rows])
         return out
 
@@ -237,12 +274,41 @@ class KernelSpec:
         The matrix is evaluated one row chunk at a time and every chunk
         feeds one exact :func:`math.fsum`, so the result has the bits of
         :func:`compensated_sum` over the whole matrix without holding it.
+
+        When a row repeats on either side (:func:`distinct_rows`), only
+        the distinct-by-distinct matrix is evaluated, and each value v
+        enters with its count product c (the times its row pair occurs
+        in the full matrix).  Both are split into halves of at most 26
+        bits, so the four partial products of ``v * c`` are exact
+        floats; their exact total is that of the full matrix, and
+        ``fsum`` rounds it correctly, to the same bits.
         """
         A = as_points(a, name="a")
-        B = np.asfortranarray(as_points(b, name="b"))
-        return math.fsum(
-            itertools.chain.from_iterable(
+        B = as_points(b, name="b")
+        A_distinct, _, a_counts = distinct_rows(A)
+        B_distinct, _, b_counts = distinct_rows(B)
+        if A_distinct.shape[0] == A.shape[0] and B_distinct.shape[0] == B.shape[0]:
+            B = np.asfortranarray(B)
+            chunks = (
                 self.gram(A[rows], B).ravel().tolist()
                 for rows in row_chunks(A.shape[0], B.shape[0])
             )
-        )
+        else:
+            B = np.asfortranarray(B_distinct)
+            chunks = (
+                self._weighted_terms(A_distinct[rows], a_counts[rows], B, b_counts)
+                for rows in row_chunks(A_distinct.shape[0], B.shape[0])
+            )
+        return math.fsum(itertools.chain.from_iterable(chunks))
+
+    def _weighted_terms(self, A, a_counts, B, b_counts):
+        """Exact partial products of ``gram(A, B)`` with its count products."""
+        # a count product is at most len(a) * len(b), below 2^52 unless
+        # both sets hold 2^26 rows, so both of its 26-bit halves are exact
+        counts = np.multiply.outer(a_counts, b_counts).astype(float)
+        counts_lo = np.fmod(counts, _HALF)
+        counts_hi = counts - counts_lo
+        hi, lo = _split(self.gram(A, B))
+        for v in (hi, lo):
+            for c in (counts_hi, counts_lo):
+                yield from (v * c).ravel().tolist()

@@ -12,6 +12,7 @@ from kcusum import (
     Calibration,
     CusumStream,
     DetectorConfig,
+    FiniteChain,
     KernelCusumDetector,
     KernelSpec,
     ReferenceSet,
@@ -19,7 +20,9 @@ from kcusum import (
     calibrate_correction,
     lift,
     mmd,
+    simulate_finite,
 )
+from kcusum import detector
 
 
 def cusum_oracle(scores, min_sample):
@@ -196,6 +199,84 @@ def test_extend_over_random_splits_equals_step_loop(chunked):
         batch = [out for part in np.split(data, cuts) for out in det.extend(part)]
         assert batch == single
     assert any(out.alarm for out in single)
+
+
+def two_state(seed, length, matrix=((0.9, 0.1), (0.2, 0.8))):
+    """Trajectory of the two-state chain on the points 0 and 1: its
+    lifted pairs take only four distinct values."""
+    chain = FiniteChain(states=np.array([[0.0], [1.0]]), matrix=np.array(matrix))
+    return simulate_finite(chain, length, seed)
+
+
+def two_state_setup():
+    kernel = KernelSpec.mixture([0.5, 2.0])
+    reference = build_reference(kernel, two_state(40, 1001))
+    config = DetectorConfig(window=20, min_sample=3, threshold=0.5, correction=0.3)
+    data = np.concatenate([two_state(42, 70), two_state(43, 80, ((0.5, 0.5), (0.5, 0.5)))])
+    return reference, config, data
+
+
+def test_two_state_extend_over_random_splits_equals_step_loop():
+    reference, config, data = two_state_setup()
+    det = KernelCusumDetector(reference, config)
+    single = [det.step(row) for row in data]
+    assert any(out.alarm for out in single)
+    rng = np.random.default_rng(44)
+    for _ in range(8):
+        cuts = np.sort(rng.choice(np.arange(1, len(data)), size=rng.integers(1, 8), replace=False))
+        det = KernelCusumDetector(reference, config)
+        batch = [out for part in np.split(data, cuts) for out in det.extend(part)]
+        assert batch == single
+
+
+def test_two_state_checkpoint_at_every_split():
+    """Restore rescores the buffer as one grouped block, also while the
+    buffer is still filling."""
+    reference, config, data = two_state_setup()
+    data = data[:90]
+    det = KernelCusumDetector(reference, config)
+    direct = [det.step(row) for row in data]
+    for split in range(len(data) + 1):
+        det = KernelCusumDetector(reference, config)
+        outcomes = det.extend(data[:split]) if split else []
+        resumed = KernelCusumDetector.restore(reference, config, det.checkpoint())
+        if split < len(data):
+            outcomes += resumed.extend(data[split:])
+        assert outcomes == direct, split
+
+
+def test_scoring_groups_repeated_pairs(monkeypatch):
+    """A block of two-state pairs is scored against the reference once
+    per distinct pair (at most four rows per call).  A single step is
+    not grouped, nor is a block scored against a reference that does
+    not repeat."""
+    reference, config, data = two_state_setup()
+    m = reference.n_pairs
+    rows_against_reference = []
+    original = KernelSpec._gram
+
+    def recording(self, A, columns):
+        if columns.shape[1] == m:
+            rows_against_reference.append(A.shape[0])
+        return original(self, A, columns)
+
+    monkeypatch.setattr(KernelSpec, "_gram", recording)
+    det = KernelCusumDetector(reference, config)
+    det.extend(data)
+    calibrate_correction(reference.kernel, reference, data[:60], window=20)
+    KernelCusumDetector.restore(reference, config, det.checkpoint())
+    rebuilt = ReferenceSet(kernel=reference.kernel, pairs=reference.pairs)
+    assert rebuilt.self_mean == reference.self_mean
+    assert rows_against_reference and max(rows_against_reference) <= 4
+
+    def no_grouping(points):
+        raise AssertionError("grouped a block that cannot repeat")
+
+    _, continuous = make_reference()
+    assert reference.repeats and not continuous.repeats
+    monkeypatch.setattr(detector, "distinct_rows", no_grouping)
+    det.step(data[0])
+    KernelCusumDetector(continuous, config).extend(np.random.default_rng(45).standard_normal((30, 2)))
 
 
 def test_alarm_latches_and_reset_clears():
@@ -471,6 +552,21 @@ def test_calibrated_scores_negative_on_holdout():
     det = KernelCusumDetector(reference, config)
     scores = [o.score for o in det.extend(holdout) if o.score is not None]
     assert scores and max(scores) < 0.0
+
+
+def test_calibration_on_a_finite_holdout():
+    """Grouped calibration gives the step loop's discrepancies, and the
+    values computed before pairs were grouped."""
+    reference, config, _ = two_state_setup()
+    assert reference.self_mean == float.fromhex("0x1.625b24ded6d8dp-1")
+    holdout = two_state(41, 600)
+    det = KernelCusumDetector(reference, config)
+    values = [det.step(row).discrepancy for row in holdout][config.window :]
+    for q, pinned in ((1.0, "0x1.7f368b421468ep-1"), (0.9, "0x1.004717790e571p-1")):
+        cal = calibrate_correction(reference.kernel, reference, holdout, 20, margin=0.0, quantile=q)
+        assert cal.n_scores == len(values) == 580
+        assert cal.holdout_level == float.fromhex(pinned)
+    assert max(values) == float.fromhex("0x1.7f368b421468ep-1")
 
 
 def test_calibration_validation():

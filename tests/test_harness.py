@@ -291,6 +291,70 @@ def test_run_trace_warm_up_notice():
     assert all(row.score is None for row in result.trace)
 
 
+def step_loop_trace(cfg, monitored):
+    """Trace rows from one ``step`` per observation, the alarm flag read
+    from the detector after each step."""
+    ctx = build_context(cfg, cfg.campaign.seed)
+    det = KernelCusumDetector(
+        ctx.reference,
+        DetectorConfig(
+            window=cfg.detector.window,
+            min_sample=cfg.detector.min_sample,
+            threshold=cfg.campaign.thresholds[-1],
+            correction=ctx.correction,
+        ),
+    )
+    rows = []
+    for t, obs in enumerate(monitored, start=1):
+        out = det.step(obs)
+        rows.append(
+            TraceRow(
+                t=t,
+                state_norm=float(np.linalg.norm(obs)),
+                score=None if out.index is None else out.score,
+                statistic=None if out.index is None else out.statistic,
+                alarm=det.alarmed_at is not None,
+            )
+        )
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {},  # alarms after the change
+        {"thresholds": "50"},  # never alarms
+        {"length": "9", "change_at": "none", "window": "8"},  # one statistic
+        {"length": "4", "change_at": "none", "window": "8"},  # shorter than a window
+    ],
+)
+def test_run_trace_rows_match_step_loop(edits):
+    cfg = parse_config_text(finite_config(**edits))
+    seed = cfg.campaign.seed
+    monitored = harness._monitored_trajectory(cfg, cfg.scenario.length, seed, harness.TRACE_STREAM)
+    result = run_trace(cfg)
+    assert result.trace == step_loop_trace(cfg, monitored)
+    if not edits:
+        assert any(row.alarm for row in result.trace) and not result.trace[0].alarm
+
+
+def test_run_trace_csv_with_nothing_left_to_monitor(tmp_path):
+    """A context built while the csv was longer: the monitored part of
+    the shortened file is empty, which gives no rows and a warm-up note."""
+    traj = tmp_path / "data.csv"
+    data = stream_rng(5, 0).standard_normal((120, 2))
+    save_trajectory(data, traj)
+    cfg = parse_config_text(
+        f"[scenario]\nkind = csv\npath = {traj}\n[detector]\nwindow = 4\n"
+        "reference = 30\nholdout = 20\nbandwidths = 1\n[campaign]\nmode = trace\n[output]\n"
+    )
+    ctx = build_context(cfg, cfg.campaign.seed)
+    save_trajectory(data[:50], traj)
+    result = run_trace(cfg, context=ctx)
+    assert result.trace == ()
+    assert any("warm-up notice" in note for note in result.notes)
+
+
 def test_run_trace_rejects_wrong_mode():
     cfg = parse_config_text(finite_config(mode="md"))
     with pytest.raises(ConfigError, match="expected trace"):

@@ -1,6 +1,7 @@
 """Kernel primitives: mixture evaluation, Gram tables, compensated sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcusum import KernelSpec, compensated_sum, make_pair
-from kcusum.kernels import as_points
+from kcusum.kernels import as_points, distinct_rows
 
 
 def naive_eval(bandwidths, weights, z1, z2):
@@ -114,6 +115,57 @@ def test_gram_sum_equals_compensated_total():
     # summed one row chunk at a time (2000 columns give 32 rows per chunk)
     a, b = rng.standard_normal((100, 2)), rng.standard_normal((2000, 2))
     assert k.gram_sum(a, b) == compensated_sum(k.gram(a, b))
+
+
+def repeated(rng, rows, max_count):
+    """The given rows, each repeated a random number of times, shuffled."""
+    counts = rng.integers(1, max_count + 1, size=len(rows))
+    return rng.permutation(np.repeat(np.asarray(rows), counts, axis=0))
+
+
+def test_gram_sum_with_repeated_rows_equals_compensated_total():
+    """Distinct rows weighted by their counts give the bits of the sum
+    over every entry.  Few distinct values make the total barely larger
+    than one product, so a rounded product would show; 0.0 and -0.0 are
+    grouped apart, and distant rows make some kernel values subnormal."""
+    rng = np.random.default_rng(33)
+    k = KernelSpec.mixture([0.1, 1.0, 10.0])
+    signed_zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]]
+    for trial in range(300):
+        a = rng.standard_normal((rng.integers(1, 4), 2))
+        b = rng.standard_normal((rng.integers(1, 4), 2))
+        if trial % 3 == 0:
+            a = np.concatenate([a, signed_zeros])
+            b = np.concatenate([b, [[38.0, 0.5]]])
+        a, b = repeated(rng, a, 60), repeated(rng, b, 60)
+        assert k.gram_sum(a, b) == compensated_sum(k.gram(a, b))
+    distinct, inverse, counts = distinct_rows(a)
+    assert np.array_equal(distinct[inverse], a)
+    assert counts.sum() == a.shape[0]
+    assert len(distinct) == len({row.tobytes() for row in a})
+
+
+def test_gram_sum_with_large_counts_is_correctly_rounded():
+    """Counts above 2^13 on both sides: count products exceed 26 bits,
+    so the split of the counts matters.  fsum over all entries is the
+    exact total correctly rounded, which is what a Fraction sum gives."""
+    rng = np.random.default_rng(34)
+    k = KernelSpec.mixture([0.1, 1.0, 10.0], [0.3, 0.3, 0.4])
+    big = 0
+    for _ in range(150):
+        a = repeated(rng, rng.standard_normal((rng.integers(1, 4), 1)), 1 << 15)
+        b = repeated(rng, rng.standard_normal((rng.integers(1, 4), 1)), 1 << 15)
+        a_rows, _, a_counts = distinct_rows(a)
+        b_rows, _, b_counts = distinct_rows(b)
+        big += a_counts.max() * b_counts.max() > 1 << 26
+        g = k.gram(a_rows, b_rows)
+        exact = sum(
+            Fraction(g[i, j]) * int(a_counts[i]) * int(b_counts[j])
+            for i in range(len(a_rows))
+            for j in range(len(b_rows))
+        )
+        assert k.gram_sum(a, b) == float(exact)
+    assert big > 50
 
 
 def test_compensated_sum_is_fsum():
