@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .config import ConfigError, load_config
-from .harness import build_context, run_experiment, write_bounds_txt
+from .harness import build_context, make_output_directory, run_experiment, write_bounds_txt
 
 __all__ = ["main", "build_parser"]
 
@@ -69,8 +69,7 @@ def main(argv=None) -> int:
             import os
 
             context = build_context(cfg, cfg.campaign.seed)
-            directory = args.out if args.out is not None else cfg.output.directory
-            os.makedirs(directory, exist_ok=True)
+            directory = make_output_directory(args.out if args.out is not None else cfg.output.directory)
             path = os.path.join(directory, "bounds.txt")
             write_bounds_txt(path, cfg, context)
             with open(path, "r", encoding="utf-8") as fh:

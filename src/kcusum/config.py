@@ -11,11 +11,13 @@ offending ``section.key``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import DoeblinParams
+from .kernels import KernelSpec
 from .simulate import ArScenario, FiniteChain, GaussianLaw, default_system_matrix
 
 __all__ = [
@@ -145,7 +147,12 @@ class ScenarioSection:
 
 @dataclass(frozen=True)
 class DetectorSection:
-    """Detector geometry, kernel, and correction policy."""
+    """Detector geometry, kernel, and correction policy.
+
+    The parser builds ``kernel`` from ``bandwidths`` and ``weights``: a
+    single Gaussian for one bandwidth without weights, else a mixture
+    (equal weights when none are given).
+    """
 
     window: int
     min_sample: int
@@ -159,6 +166,7 @@ class DetectorSection:
     holdout: int
     sigma_reference: float | None
     sigma_buffer: float | None
+    kernel: KernelSpec
 
     def fixed_correction(self) -> float | None:
         if self.correction in ("calibrate", "analytic"):
@@ -297,13 +305,18 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     if reference < 2:
         _fail("detector", "reference", "must be >= 2 observations")
     bandwidths = tuple(_parse_floats(sec.get("bandwidths", "0.1,1,10"), "detector", "bandwidths"))
-    if not bandwidths or any(b <= 0 for b in bandwidths):
-        _fail("detector", "bandwidths", "must be a non-empty list of positive reals")
+    if not bandwidths or not all(0 < b < math.inf for b in bandwidths):
+        _fail("detector", "bandwidths", "must be a non-empty list of positive finite reals")
     weights = None
     if sec.get("weights"):
         weights = tuple(_parse_floats(sec["weights"], "detector", "weights"))
         if len(weights) != len(bandwidths):
             _fail("detector", "weights", "must match bandwidths in length")
+    if len(bandwidths) == 1 and weights is None:
+        kernel = KernelSpec.gaussian(bandwidths[0])
+    else:
+        kernel = _build("detector", "bandwidths" if weights is None else "weights",
+                        lambda: KernelSpec.mixture(bandwidths, weights))
     correction = sec.get("correction", "calibrate").strip()
     if correction not in ("calibrate", "analytic"):
         try:
@@ -330,7 +343,7 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
         window=window, min_sample=min_sample, threshold=threshold, reference=reference,
         bandwidths=bandwidths, weights=weights, correction=correction, margin=margin,
         quantile=quantile, holdout=holdout,
-        sigma_reference=sigma_reference, sigma_buffer=sigma_buffer,
+        sigma_reference=sigma_reference, sigma_buffer=sigma_buffer, kernel=kernel,
     )
 
 
@@ -346,6 +359,8 @@ def _parse_campaign(parser: configparser.ConfigParser) -> CampaignSection:
     thresholds = tuple(_parse_floats(sec.get("thresholds", "5"), "campaign", "thresholds"))
     if not thresholds:
         _fail("campaign", "thresholds", "must list at least one threshold")
+    if not all(0 < b < math.inf for b in thresholds):
+        _fail("campaign", "thresholds", "must be positive and finite")
     if any(b2 <= b1 for b1, b2 in zip(thresholds, thresholds[1:])):
         _fail("campaign", "thresholds", "must be strictly increasing")
     horizon_factor = _get_int(sec, "campaign", "horizon_factor", 50)

@@ -18,17 +18,21 @@ cost that many reference rows whatever their length.  Data that does
 not repeat (a reference with continuous support) and single steps are
 not grouped.  The block then goes through in chunks of at most ``window``
 pairs, each evaluated against the pairs it follows (the band of
-within-window kernels).  Each Gram entry and each cross row sum is
-written into a ring of ``window`` slots when its pair arrives; a window
-value is a plain sum over that ring.  The reference self-term comes from
-:meth:`KernelSpec.gram_sum`, which groups repeated pairs the same way.
+within-window kernels).  Each pair's band row is summed once, in lag
+order, when it arrives; a window value then adds r of those lag sums and
+r cross row sums, O(r) work per position with no ``window x window``
+table to keep.  The reference self-term comes from
+:meth:`KernelSpec.self_sum <kcusum.kernels.KernelSpec.self_sum>`, which
+evaluates the upper triangle of the reference Gram matrix only.
 
+A window value reads only the pairs inside its window, in a fixed order.
 Because :meth:`KernelSpec.gram` is batch-invariant and equal pairs have
-equal kernel rows, these numbers do not depend on how the stream was cut
-into blocks or on which pairs repeat: ``extend`` equals a ``step`` loop
-bit for bit, and a restore, which rescores the buffered pairs in one
-block at the slots the live detector used, continues an interrupted run
-bit for bit.
+equal kernel rows, it is a function of the window alone: it depends
+neither on how the stream was cut into blocks, nor on which pairs
+repeat, nor on what came before the window.  So ``extend`` equals a
+``step`` loop bit for bit, and a restore, which rescores the buffered
+pairs in one block in a fresh scorer, continues an interrupted run bit
+for bit.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ class ReferenceSet:
 
     ``self_mean`` is the mean of the full reference-by-reference Gram
     matrix; it enters every windowed discrepancy, so it is computed once
-    here, with compensated summation over row chunks.
+    here, with compensated summation over the row chunks of the upper
+    triangle.
 
     ``pairs`` is stored column-major: that is the transposed layout in
     which :meth:`KernelSpec.gram` reads its right-hand set, so scoring
@@ -95,10 +100,11 @@ class ReferenceSet:
         for arr in (self.kernel.weights, self.kernel.bandwidths, pairs):
             digest.update(repr(arr.shape).encode())
             digest.update(arr.astype("<f8").tobytes())
+        distinct, _, counts = distinct_rows(pairs)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "self_mean", self.kernel.gram_sum(pairs, pairs) / (m * m))
+        object.__setattr__(self, "self_mean", self.kernel._self_sum(distinct, counts) / (m * m))
         object.__setattr__(self, "digest", digest.hexdigest())
-        object.__setattr__(self, "repeats", distinct_rows(pairs)[0].shape[0] < m)
+        object.__setattr__(self, "repeats", distinct.shape[0] < m)
 
     @property
     def n_pairs(self) -> int:
@@ -249,28 +255,39 @@ class CusumStream:
 class _BlockScorer:
     """Windowed discrepancy of a stream of lifted pairs, fed in blocks.
 
-    The k-th pair pushed sits in ring slot ``(start + k) % window``.
-    ``_gram`` holds the kernel between the pairs of every two slots and
-    ``_cross`` each slot's kernel row sum against the reference; both are
-    written once, when the later pair arrives, from the kernel calls of
-    its block.  ``_tail`` keeps the last ``window - 1`` pairs, oldest
+    A window of r pairs starting at pair s has the within-window term
+
+        within = sum over q = s .. s + r - 1 of  (2 * C_q[q - s] - k(q, q))
+
+    where ``C_q[l] = k(q, q) + k(q, q - 1) + ... + k(q, q - l)`` sums
+    pair q's kernels against itself and the l pairs before it.  When a
+    pair arrives, its band row is put in lag order and stored once as
+    ``D_q = 2 * C_q - k(q, q)`` (one ``np.cumsum``), together with its
+    kernel row sum against the reference.  ``within`` is then one
+    diagonal of the stacked D rows, and the cross term the sum of r
+    consecutive row sums, so a position costs O(r) however the block is
+    cut.  Both read only pairs inside the window, in a fixed order, so a
+    window value is a function of its window alone: it depends neither
+    on how the stream was cut into blocks nor on what came before.
+
+    ``_lags`` and ``_cross`` hold the rows of the newest pairs, with room
+    for a few windows, so the rows are shifted only when the room is
+    used up.  ``_tail`` keeps the last ``window - 1`` pairs, oldest
     first, for the band of the next block.  Kernel calls go through
     ``KernelSpec._gram``: the reference was validated when it was built
-    and is not rescanned on every call.  A window value sums the two
-    arrays whole, so it depends on the window's pairs and the ring's
-    start slot, not on how the stream was cut into blocks.
+    and is not rescanned on every call.
     """
 
-    __slots__ = ("reference", "window", "_gram", "_cross", "_tail", "_next", "_held")
+    __slots__ = ("reference", "window", "_lags", "_cross", "_held", "_tail")
 
-    def __init__(self, reference: ReferenceSet, window: int, start: int = 0):
+    def __init__(self, reference: ReferenceSet, window: int):
         self.reference = reference
-        self.window = int(window)
-        self._gram = np.zeros((self.window, self.window))
-        self._cross = np.zeros(self.window)
-        self._tail = np.empty((0, reference.pairs.shape[1]))
-        self._next = start
+        self.window = r = int(window)
+        # a block chunk adds at most r rows to the r - 1 it scores against
+        self._lags = np.empty((3 * r, r))
+        self._cross = np.empty(3 * r)
         self._held = 0
+        self._tail = np.empty((0, reference.pairs.shape[1]))
 
     def push(self, pairs: np.ndarray) -> list:
         """Add ``pairs`` in order; return the window value after each pair
@@ -287,16 +304,29 @@ class _BlockScorer:
         # would evaluate more of its own band than it uses
         for lo in range(0, pairs.shape[0], r):
             block = pairs[lo : lo + r]
+            c = block.shape[0]
             seen = np.concatenate([self._tail, block])
-            band = self.reference.kernel._gram(block, np.ascontiguousarray(seen.T))
-            offset = self._tail.shape[0]
-            for i in range(block.shape[0]):
-                # kernels of pair i against itself and the pairs before it
-                # that are still in the window, oldest first
-                end = offset + i + 1
-                self._place(band[i, end - min(self._held + 1, r) : end], cross[lo + i])
-                if self._held == r:
-                    values.append(self._value())
+            # columns newest first: pair i's lags 0, 1, ... start at column c - 1 - i
+            band = self.reference.kernel._gram(block, np.ascontiguousarray(seen[::-1].T))
+            held = self._held
+            if held + c > self._lags.shape[0]:
+                keep = slice(held - (r - 1), held)
+                self._lags[: r - 1] = self._lags[keep]
+                self._cross[: r - 1] = self._cross[keep]
+                held = r - 1
+            lags = _lag_rows(band, r)
+            rows = self._lags[held : held + c]
+            lags.cumsum(axis=1, out=rows)
+            rows *= 2.0
+            rows -= lags[:, :1]
+            self._cross[held : held + c] = cross[lo : lo + c]
+            self._held = held + c
+            # a row at index r - 1 or later has a full window behind it:
+            # before the first shift rows count pairs from the stream's
+            # start, and a shift keeps exactly r - 1 rows
+            first = max(held, r - 1)
+            if first < self._held:
+                values += self._values(first - (r - 1), self._held - first)
             self._tail = seen[max(0, seen.shape[0] - (r - 1)) :]
         return values
 
@@ -309,32 +339,50 @@ class _BlockScorer:
             out[rows] = kernel._gram(pairs[rows], columns).sum(axis=1)
         return out
 
-    def _place(self, row: np.ndarray, cross: float) -> None:
-        r = self.window
-        slot = self._next
-        first = slot + 1 - row.shape[0]
-        if first >= 0:
-            parts = ((slice(first, slot + 1), row),)
-        else:
-            parts = ((slice(r + first, r), row[:-first]), (slice(0, slot + 1), row[-first:]))
-        for cols, values in parts:
-            self._gram[slot, cols] = values
-            self._gram[cols, slot] = values
-        self._cross[slot] = cross
-        self._next = (slot + 1) % r
-        self._held = min(self._held + 1, r)
-
-    def _value(self) -> float:
+    def _values(self, start: int, count: int) -> list:
+        """Values of the ``count`` windows whose first rows are ``start``,
+        ``start + 1``, ....  Each sum runs over one contiguous run of r
+        values, so one position alone and a whole block add alike."""
         r = self.window
         m = self.reference.n_pairs
-        within = float(self._gram.sum())
-        cross = float(self._cross.sum())
-        squared = (
-            within / (r * r)
-            + self.reference.self_mean
-            - 2.0 * cross / (r * m)
+        flat = self._lags.ravel()
+        if count == 1:
+            # diagonal of rows start .. start + r - 1: D_{start + k}[k]
+            within = float(np.add.reduce(flat[start * r : (start + r) * r : r + 1]))
+            cross = float(np.add.reduce(self._cross[start : start + r]))
+            squared = within / (r * r) + self.reference.self_mean - 2.0 * cross / (r * m)
+            return [math.sqrt(max(squared, 0.0))]
+        diagonals = np.lib.stride_tricks.as_strided(
+            flat[start * r :], shape=(count, r), strides=(r * 8, (r + 1) * 8), writeable=False
         )
-        return math.sqrt(max(squared, 0.0))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            self._cross[start : start + count + r - 1], r
+        )
+        within = np.add.reduce(np.ascontiguousarray(diagonals), axis=1)
+        cross = np.add.reduce(np.ascontiguousarray(windows), axis=1)
+        squared = within / (r * r) + self.reference.self_mean - 2.0 * cross / (r * m)
+        return np.sqrt(np.maximum(squared, 0.0)).tolist()
+
+
+def _lag_rows(band: np.ndarray, r: int) -> np.ndarray:
+    """The ``(c, r)`` lags of a band whose columns run newest first.
+
+    Row i of ``band`` holds pair i of its chunk against the chunk and
+    the pairs before it, newest first, so its lags 0 .. r - 1 are the
+    columns from ``c - 1 - i`` on.  Rows are read as a skewed view of
+    the band's memory, which copies nothing.  Lags older than the
+    stream's first pair read padding or the next row's values; no full
+    window reads them.
+    """
+    c = band.shape[0]
+    if band.shape[1] < c + r - 1:
+        padded = np.zeros((c, c + r - 1))
+        padded[:, : band.shape[1]] = band
+        band = padded
+    if c == 1:
+        return band[:, :r]
+    width = band.shape[1] - 1
+    return band.ravel()[c - 1 : c - 1 + c * width].reshape(c, width)[:, :r]
 
 
 def _pairs(chain: np.ndarray) -> np.ndarray:
@@ -471,8 +519,9 @@ class KernelCusumDetector:
         """Rebuild a detector from :meth:`checkpoint` output.
 
         The buffered pairs are rescored from the stored raw observations
-        in one block, at the ring slots the live detector had, so
-        subsequent outputs are bit-identical to an uninterrupted run.
+        in one block by a fresh scorer.  A window value depends only on
+        the pairs in its window, so subsequent outputs are bit-identical
+        to an uninterrupted run.
         A checkpoint written against another reference (kernel or
         pairs) is rejected.
         """
@@ -522,11 +571,6 @@ class KernelCusumDetector:
             raise ValueError("checkpoint inconsistent: full buffer but no scores")
         det._raw.extend(raw)
         if n_pairs > 0:
-            # live layout: the fill-completing pair produced score 1, so
-            # n - 1 + window pairs have entered the ring in total and the
-            # oldest buffered pair sits at slot (n - 1) mod window
-            start = (cusum.n - 1) % config.window if n_pairs == config.window else 0
-            det._scorer = _BlockScorer(reference, config.window, start)
             det._scorer.push(_pairs(np.array(raw)))
         det._cusum = cusum
         alarmed = data["alarmed_at"]
@@ -573,7 +617,16 @@ def calibrate_correction(
     extreme excursion in the holdout instead of letting one cluster of
     windows dictate the whole correction; the resulting holdout scores
     are then negative at all but that fraction of positions.
+
+    ``kernel`` must have the weights and bandwidths of
+    ``reference.kernel``, which scores the windows; another kernel is
+    rejected rather than silently ignored.
     """
+    if not (
+        np.array_equal(kernel.weights, reference.kernel.weights)
+        and np.array_equal(kernel.bandwidths, reference.kernel.bandwidths)
+    ):
+        raise ValueError("kernel does not match the reference's kernel")
     if margin < 0.0:
         raise ValueError("margin must be non-negative")
     if not 0.0 < quantile <= 1.0:

@@ -79,6 +79,7 @@ __all__ = [
     "write_campaign_csv",
     "write_bounds_txt",
     "write_notes",
+    "make_output_directory",
     "run_experiment",
 ]
 
@@ -135,11 +136,23 @@ class HarnessContext:
     notes: tuple
 
 
-def _make_kernel(cfg: ExperimentConfig) -> KernelSpec:
-    det = cfg.detector
-    if len(det.bandwidths) == 1 and det.weights is None:
-        return KernelSpec.gaussian(det.bandwidths[0])
-    return KernelSpec.mixture(det.bandwidths, det.weights)
+def _csv_trajectory(cfg: ExperimentConfig) -> np.ndarray:
+    """The ``csv`` scenario's trajectory; a file that is missing or does
+    not parse is a ``scenario.path`` error."""
+    try:
+        return load_trajectory(cfg.scenario.path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"scenario.path: {exc}") from exc
+
+
+def make_output_directory(directory: str) -> str:
+    """Create ``directory`` if needed; a path that cannot be a directory
+    (an existing file, say) is an ``output.directory`` error."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.directory: cannot create {directory!r}: {exc}") from exc
+    return directory
 
 
 def _pre_change_trajectory(cfg: ExperimentConfig, length: int, seed: int, stream: int) -> np.ndarray:
@@ -176,11 +189,11 @@ def _monitored_trajectory(cfg: ExperimentConfig, length: int, seed: int, stream:
 def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
     """Construct kernel, reference set, and correction for one experiment."""
     det = cfg.detector
-    kernel = _make_kernel(cfg)
+    kernel = det.kernel
     notes = []
 
     if cfg.scenario.kind == "csv":
-        data = load_trajectory(cfg.scenario.path)
+        data = _csv_trajectory(cfg)
         need = det.reference + (det.holdout if det.correction == "calibrate" else 0)
         if data.shape[0] < need + det.window + 1:
             raise ConfigError(
@@ -279,7 +292,7 @@ def run_trace(
 
     scn = cfg.scenario
     if scn.kind == "csv":
-        data = load_trajectory(scn.path)
+        data = _csv_trajectory(cfg)
         skip = cfg.detector.reference + (
             cfg.detector.holdout if cfg.detector.correction == "calibrate" else 0
         )
@@ -631,8 +644,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Campaig
     """
     from . import svgplot  # deferred: keeps harness importable without plots
 
-    directory = out_dir if out_dir is not None else cfg.output.directory
-    os.makedirs(directory, exist_ok=True)
+    directory = make_output_directory(out_dir if out_dir is not None else cfg.output.directory)
     mode = cfg.campaign.mode
     context = build_context(cfg, cfg.campaign.seed)
     if mode == "trace":

@@ -296,19 +296,56 @@ class KernelSpec:
         else:
             B = np.asfortranarray(B_distinct)
             chunks = (
-                self._weighted_terms(A_distinct[rows], a_counts[rows], B, b_counts)
+                self._weighted_terms(
+                    self.gram(A_distinct[rows], B), np.multiply.outer(a_counts[rows], b_counts)
+                )
                 for rows in row_chunks(A_distinct.shape[0], B.shape[0])
             )
         return math.fsum(itertools.chain.from_iterable(chunks))
 
-    def _weighted_terms(self, A, a_counts, B, b_counts):
-        """Exact partial products of ``gram(A, B)`` with its count products."""
-        # a count product is at most len(a) * len(b), below 2^52 unless
-        # both sets hold 2^26 rows, so both of its 26-bit halves are exact
-        counts = np.multiply.outer(a_counts, b_counts).astype(float)
+    def self_sum(self, points) -> float:
+        """``gram_sum(points, points)``, from the upper triangle alone."""
+        distinct, _, counts = distinct_rows(as_points(points))
+        return self._self_sum(distinct, counts)
+
+    def _self_sum(self, points: np.ndarray, counts: np.ndarray) -> float:
+        """:meth:`gram_sum` of ``points`` with itself, row i repeated
+        ``counts[i]`` times (the output of :func:`distinct_rows`).
+
+        :meth:`gram` is symmetric bit for bit, since ``(x - y)**2`` equals
+        ``(y - x)**2`` and both orders add the same squares in the same
+        order.  So only the upper triangle is evaluated: a diagonal value
+        enters once and each value right of it twice, for itself and its
+        mirror image.  Doubling is exact, so ``fsum`` sees the exact total
+        of the full matrix and rounds it to the bits of :meth:`gram_sum`.
+        """
+        n = points.shape[0]
+        B = np.asfortranarray(points)
+        repeats = bool(counts.max() > 1)
+
+        def chunks():
+            for rows in row_chunks(n, n):
+                values = self.gram(points[rows], B[rows.start :])
+                # 1 on the diagonal, 2 right of it, 0 left of it
+                factors = np.triu(np.full(values.shape, 2.0), 1)
+                factors[np.arange(values.shape[0]), np.arange(values.shape[0])] = 1.0
+                if repeats:
+                    factors *= np.multiply.outer(counts[rows], counts[rows.start :])
+                    yield self._weighted_terms(values, factors)
+                else:
+                    yield (values * factors).ravel().tolist()
+
+        return math.fsum(itertools.chain.from_iterable(chunks()))
+
+    @staticmethod
+    def _weighted_terms(values, counts):
+        """Exact partial products of kernel ``values`` with integer ``counts``."""
+        # a count is at most twice len(a) * len(b), below 2^52 unless the
+        # sets hold 2^25 rows, so both of its 26-bit halves are exact
+        counts = counts.astype(float)
         counts_lo = np.fmod(counts, _HALF)
         counts_hi = counts - counts_lo
-        hi, lo = _split(self.gram(A, B))
+        hi, lo = _split(values)
         for v in (hi, lo):
             for c in (counts_hi, counts_lo):
                 yield from (v * c).ravel().tolist()

@@ -94,9 +94,9 @@ def mmd_squared(kernel: KernelSpec, a, b) -> float:
         )
     na = A.shape[0]
     nb = B.shape[0]
-    t_aa = kernel.gram_sum(A, A)
+    t_aa = kernel.self_sum(A)
     t_ab = kernel.gram_sum(A, B)
-    t_bb = kernel.gram_sum(B, B)
+    t_bb = kernel.self_sum(B)
     value = t_aa / (na * na) - 2.0 * t_ab / (na * nb) + t_bb / (nb * nb)
     return max(value, 0.0)
 

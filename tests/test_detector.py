@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,6 +246,81 @@ def test_two_state_checkpoint_at_every_split():
         assert outcomes == direct, split
 
 
+def ar_data(seed, length, dim=2):
+    """A stable AR(1) run: x_t = 0.6 x_(t-1) + 0.3 e_t."""
+    noise = 0.3 * np.random.default_rng(seed).standard_normal((length, dim))
+    out = np.empty_like(noise)
+    out[0] = noise[0]
+    for t in range(1, length):
+        out[t] = 0.6 * out[t - 1] + noise[t]
+    return out
+
+
+@pytest.mark.parametrize("window", [1, 4, 40])
+@pytest.mark.parametrize("chain", ["ar", "two-state"])
+def test_window_value_depends_only_on_the_window(window, chain):
+    """A long-running detector's discrepancy equals, bit for bit, that of
+    a fresh detector given only the last ``window + 1`` observations.
+    The AR reference holds 2000 pairs, so a kernel chunk has 32 rows and
+    window 40 spans two of them."""
+    if chain == "ar":
+        kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
+        reference = build_reference(kernel, ar_data(46, 2001, dim=1))
+        data = ar_data(47, 4 * window + 90, dim=1)
+    else:
+        reference = two_state_setup()[0]
+        data = two_state(48, 4 * window + 90)
+    config = DetectorConfig(window=window, min_sample=2, threshold=5.0, correction=0.1)
+    long_run = KernelCusumDetector(reference, config)
+    outcomes = [long_run.step(row) for row in data]
+    for t in range(window, len(data)):
+        fresh = KernelCusumDetector(reference, config).extend(data[t - window : t + 1])
+        assert fresh[-1].discrepancy == outcomes[t].discrepancy, t
+
+
+def exact_discrepancies(reference, data, window):
+    """Every window's discrepancy from exact rational sums.
+
+    Pairs of the two-state chain take four values, so each sum is a
+    count-weighted sum of the 4 x 4 float kernel values, taken exactly
+    as fractions; only the final square root is rounded."""
+    kernel = reference.kernel
+    values, ref_index = np.unique(reference.pairs, axis=0, return_inverse=True)
+    gram = [[Fraction(v) for v in row] for row in kernel.gram(values, values)]
+    kinds = range(len(values))
+    ref_counts = np.bincount(ref_index.ravel(), minlength=len(values))
+    m = reference.n_pairs
+    self_total = sum(int(ref_counts[a]) * int(ref_counts[b]) * gram[a][b] for a in kinds for b in kinds)
+    lookup = {tuple(v): a for a, v in enumerate(values)}
+    index = [lookup[tuple(p)] for p in lift(data).pairs]
+    out = []
+    for s in range(len(index) - window + 1):
+        counts = np.bincount(index[s : s + window], minlength=len(values))
+        within = sum(int(counts[a]) * int(counts[b]) * gram[a][b] for a in kinds for b in kinds)
+        cross = sum(int(counts[a]) * int(ref_counts[b]) * gram[a][b] for a in kinds for b in kinds)
+        squared = within / window**2 + self_total / m**2 - 2 * cross / (window * m)
+        out.append(math.sqrt(max(float(squared), 0.0)))
+    return out
+
+
+def test_two_state_discrepancies_match_exact_sums():
+    """On the two-state chain every discrepancy is within 1e-12 of exact
+    rational sums: the step loop of the setup's monitored run and the
+    calibration holdout of ``test_calibration_on_a_finite_holdout``."""
+    reference, config, data = two_state_setup()
+    det = KernelCusumDetector(reference, config)
+    got = [out.discrepancy for out in det.extend(data) if out.index is not None]
+    want = exact_discrepancies(reference, data, config.window)
+    assert len(got) == len(want) == len(data) - config.window
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+    holdout = two_state(41, 600)
+    cal = calibrate_correction(reference.kernel, reference, holdout, 20, margin=0.0, quantile=0.9)
+    want = exact_discrepancies(reference, holdout, 20)
+    got = [out.discrepancy for out in KernelCusumDetector(reference, config).extend(holdout)][20:]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+    assert abs(cal.holdout_level - float(np.quantile(want, 0.9))) <= 1e-12
+
+
 def test_scoring_groups_repeated_pairs(monkeypatch):
     """A block of two-state pairs is scored against the reference once
     per distinct pair (at most four rows per call).  A single step is
@@ -335,8 +411,8 @@ def test_checkpoint_roundtrip_bit_identical(split):
 
 
 def test_checkpoint_at_every_split_across_chunks():
-    """Every split, from an empty buffer through the filling phase to a
-    wrapped ring, with a window wider than one kernel chunk."""
+    """Every split, from an empty buffer through the filling phase to
+    full windows, with a window wider than one kernel chunk."""
     reference, config = chunked_reference()
     rng = np.random.default_rng(28)
     data = 0.3 * rng.standard_normal((100, 1))
@@ -555,14 +631,15 @@ def test_calibrated_scores_negative_on_holdout():
 
 
 def test_calibration_on_a_finite_holdout():
-    """Grouped calibration gives the step loop's discrepancies, and the
-    values computed before pairs were grouped."""
+    """Grouped calibration gives the step loop's discrepancies.  The
+    pinned levels are checked against exact sums in
+    ``test_two_state_discrepancies_match_exact_sums``."""
     reference, config, _ = two_state_setup()
     assert reference.self_mean == float.fromhex("0x1.625b24ded6d8dp-1")
     holdout = two_state(41, 600)
     det = KernelCusumDetector(reference, config)
     values = [det.step(row).discrepancy for row in holdout][config.window :]
-    for q, pinned in ((1.0, "0x1.7f368b421468ep-1"), (0.9, "0x1.004717790e571p-1")):
+    for q, pinned in ((1.0, "0x1.7f368b421468ep-1"), (0.9, "0x1.004717790e573p-1")):
         cal = calibrate_correction(reference.kernel, reference, holdout, 20, margin=0.0, quantile=q)
         assert cal.n_scores == len(values) == 580
         assert cal.holdout_level == float.fromhex(pinned)
@@ -585,3 +662,11 @@ def test_calibration_validation():
         calibrate_correction(kernel, reference, holdout[:5], window=10)
     with pytest.raises(ValueError, match="dimension"):
         calibrate_correction(kernel, reference, rng.standard_normal((30, 3)), window=5)
+    for other in (KernelSpec.gaussian(2.0), KernelSpec.mixture([1.0, 1.0], [0.25, 0.75])):
+        with pytest.raises(ValueError, match="kernel does not match"):
+            calibrate_correction(other, reference, holdout, window=5)
+    equal = KernelSpec.gaussian(1.0)
+    assert equal is not kernel
+    assert calibrate_correction(equal, reference, holdout, 5) == calibrate_correction(
+        kernel, reference, holdout, 5
+    )

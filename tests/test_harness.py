@@ -158,6 +158,15 @@ def test_minimal_config_defaults():
         (FINITE_BASE.replace("[scenario]", "[scenario]\nburn_in = 10"), "scenario.burn_in"),
         (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nmatrix = 2,0;0,2"), "scenario.matrix"),
         (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nburn_in = 10"), "scenario.burn_in"),
+        (MINIMAL.replace("[detector]", "[detector]\nbandwidths = inf"), "detector.bandwidths"),
+        (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1,nan"), "detector.bandwidths"),
+        (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1,2\nweights = 0.5,0.6"),
+         "detector.weights: weights must sum to 1"),
+        (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1,2\nweights = 1.5,-0.5"),
+         "detector.weights: weights must be strictly positive"),
+        (MINIMAL.replace("mode = trace", "mode = trace\nthresholds = -1"), "campaign.thresholds"),
+        (MINIMAL.replace("mode = trace", "mode = trace\nthresholds = 0"), "campaign.thresholds"),
+        (MINIMAL.replace("mode = trace", "mode = trace\nthresholds = 1,inf"), "campaign.thresholds"),
     ],
 )
 def test_config_errors_name_the_field(text, needle):
@@ -704,3 +713,59 @@ mode = trace
     lines = (out / "trace.csv").read_text().splitlines()
     assert len(lines) - 1 == 120 - 30 - 20  # monitored rows follow ref+holdout
     assert main(["md", "--config", cfg, "--out", str(out)]) == 1  # trace only
+
+
+def test_parsed_kernel_matches_the_detector_keys():
+    one = parse_config_text(MINIMAL.replace("[detector]", "[detector]\nbandwidths = 2"))
+    assert np.array_equal(one.detector.kernel.bandwidths, [2.0])
+    mixed = parse_config_text(
+        MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1,2\nweights = 0.25,0.75")
+    )
+    assert np.array_equal(mixed.detector.kernel.weights, [0.25, 0.75])
+    assert np.array_equal(parse_config_text(MINIMAL).detector.kernel.weights, [1 / 3] * 3)
+
+
+@pytest.mark.parametrize("command", ["trace", "bounds"])
+@pytest.mark.parametrize("where", ["out", "config"])
+def test_cli_output_directory_naming_a_file_exit_1(tmp_path, capsys, command, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    if where == "out":
+        cfg = write_config(tmp_path, FINITE_BASE)
+        code = main([command, "--config", cfg, "--out", str(taken)])
+    else:
+        cfg = write_config(tmp_path, FINITE_BASE.replace("directory = out", f"directory = {taken}"))
+        code = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "config error: output.directory" in captured.err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("problem", ["missing", "non-numeric"])
+def test_cli_csv_scenario_path_errors_exit_1(tmp_path, capsys, problem):
+    traj = tmp_path / "data.csv"
+    if problem == "non-numeric":
+        save_trajectory(stream_rng(4, 0).standard_normal((120, 2)), traj)
+        lines = traj.read_text().splitlines()
+        lines[7] = lines[7].rsplit(",", 1)[0] + ",oops"
+        traj.write_text("\n".join(lines) + "\n")
+    text = f"""
+[scenario]
+kind = csv
+path = {traj}
+[detector]
+window = 4
+reference = 30
+holdout = 20
+bandwidths = 1
+[campaign]
+mode = trace
+[output]
+"""
+    cfg = write_config(tmp_path, text)
+    for command in ("trace", "calibrate"):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "config error: scenario.path" in captured.err

@@ -168,6 +168,26 @@ def test_gram_sum_with_large_counts_is_correctly_rounded():
     assert big > 50
 
 
+def test_self_sum_from_the_upper_triangle_keeps_the_bits():
+    """``self_sum`` evaluates only the upper triangle and still gives the
+    bits of the full matrix's compensated sum: ``gram`` is symmetric bit
+    for bit, also far from the origin, on distinct rows, on repeated
+    rows (counts up to 2^14, so doubled count products pass 2^26) and
+    on a set of 2000 rows summed in 32-row chunks."""
+    rng = np.random.default_rng(35)
+    k = KernelSpec.mixture([0.1, 1.0, 10.0], [0.3, 0.3, 0.4])
+    for trial in range(60):
+        a = rng.standard_normal((rng.integers(1, 40), 2)) + (1e4 if trial % 2 else 0.0)
+        g = k.gram(a, a)
+        assert np.array_equal(g, g.T)
+        assert k.self_sum(a) == compensated_sum(g) == k.gram_sum(a, a)
+    for _ in range(40):
+        a = repeated(rng, rng.standard_normal((rng.integers(1, 5), 1)), 1 << 14)
+        assert k.self_sum(a) == k.gram_sum(a, a)
+    a = rng.standard_normal((2000, 3))
+    assert k.self_sum(a) == k.gram_sum(a, a)
+
+
 def test_compensated_sum_is_fsum():
     values = [1e16, 1.0, -1e16, 1.0] * 10
     assert compensated_sum(np.array(values)) == math.fsum(values)
