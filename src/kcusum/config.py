@@ -149,9 +149,10 @@ class ScenarioSection:
 class DetectorSection:
     """Detector geometry, kernel, and correction policy.
 
-    The parser builds ``kernel`` from ``bandwidths`` and ``weights``: a
-    single Gaussian for one bandwidth without weights, else a mixture
-    (equal weights when none are given).
+    ``kernel`` is derived from ``bandwidths`` and ``weights``: a single
+    Gaussian for one bandwidth without weights, else a mixture (equal
+    weights when none are given).  The parser builds it once to check
+    the two keys.
     """
 
     window: int
@@ -166,7 +167,10 @@ class DetectorSection:
     holdout: int
     sigma_reference: float | None
     sigma_buffer: float | None
-    kernel: KernelSpec
+
+    @property
+    def kernel(self) -> KernelSpec:
+        return _detector_kernel(self.bandwidths, self.weights)
 
     def fixed_correction(self) -> float | None:
         if self.correction in ("calibrate", "analytic"):
@@ -291,6 +295,12 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
     )
 
 
+def _detector_kernel(bandwidths: tuple, weights: tuple | None) -> KernelSpec:
+    if len(bandwidths) == 1 and weights is None:
+        return KernelSpec.gaussian(bandwidths[0])
+    return KernelSpec.mixture(bandwidths, weights)
+
+
 def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     _check_keys(parser, "detector", _DETECTOR_KEYS)
     sec = parser["detector"]
@@ -312,11 +322,8 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
         weights = tuple(_parse_floats(sec["weights"], "detector", "weights"))
         if len(weights) != len(bandwidths):
             _fail("detector", "weights", "must match bandwidths in length")
-    if len(bandwidths) == 1 and weights is None:
-        kernel = KernelSpec.gaussian(bandwidths[0])
-    else:
-        kernel = _build("detector", "bandwidths" if weights is None else "weights",
-                        lambda: KernelSpec.mixture(bandwidths, weights))
+    _build("detector", "bandwidths" if weights is None else "weights",
+           lambda: _detector_kernel(bandwidths, weights))
     correction = sec.get("correction", "calibrate").strip()
     if correction not in ("calibrate", "analytic"):
         try:
@@ -343,7 +350,7 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
         window=window, min_sample=min_sample, threshold=threshold, reference=reference,
         bandwidths=bandwidths, weights=weights, correction=correction, margin=margin,
         quantile=quantile, holdout=holdout,
-        sigma_reference=sigma_reference, sigma_buffer=sigma_buffer, kernel=kernel,
+        sigma_reference=sigma_reference, sigma_buffer=sigma_buffer,
     )
 
 

@@ -341,17 +341,21 @@ class _BlockScorer:
 
     def _values(self, start: int, count: int) -> list:
         """Values of the ``count`` windows whose first rows are ``start``,
-        ``start + 1``, ....  Each sum runs over one contiguous run of r
-        values, so one position alone and a whole block add alike."""
+        ``start + 1``, ....  Position j's within sum is the diagonal
+        ``D_{start + j + k}[k]``, k = 0 .. r - 1.  Every sum runs over a
+        contiguous copy of its r values, so one position alone and a
+        whole block add in the same order."""
         r = self.window
         m = self.reference.n_pairs
-        flat = self._lags.ravel()
         if count == 1:
-            # diagonal of rows start .. start + r - 1: D_{start + k}[k]
-            within = float(np.add.reduce(flat[start * r : (start + r) * r : r + 1]))
+            # the same sums in plain floats: array set-up and arithmetic
+            # would be most of a single step's cost
+            diagonal = self._lags.ravel()[start * r : (start + r) * r : r + 1]
+            within = float(np.add.reduce(np.ascontiguousarray(diagonal)))
             cross = float(np.add.reduce(self._cross[start : start + r]))
             squared = within / (r * r) + self.reference.self_mean - 2.0 * cross / (r * m)
             return [math.sqrt(max(squared, 0.0))]
+        flat = self._lags.ravel()
         diagonals = np.lib.stride_tricks.as_strided(
             flat[start * r :], shape=(count, r), strides=(r * 8, (r + 1) * 8), writeable=False
         )
@@ -370,9 +374,10 @@ def _lag_rows(band: np.ndarray, r: int) -> np.ndarray:
     Row i of ``band`` holds pair i of its chunk against the chunk and
     the pairs before it, newest first, so its lags 0 .. r - 1 are the
     columns from ``c - 1 - i`` on.  Rows are read as a skewed view of
-    the band's memory, which copies nothing.  Lags older than the
-    stream's first pair read padding or the next row's values; no full
-    window reads them.
+    the band's memory, which copies nothing.  A band narrower than
+    ``c + r - 1`` columns is padded with zeros to that width, so lags
+    older than the stream's first pair read zero padding; no full window
+    reads them.
     """
     c = band.shape[0]
     if band.shape[1] < c + r - 1:

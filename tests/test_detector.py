@@ -278,6 +278,20 @@ def test_window_value_depends_only_on_the_window(window, chain):
         assert fresh[-1].discrepancy == outcomes[t].discrepancy, t
 
 
+def test_one_position_and_a_block_sum_alike_beyond_the_numpy_buffer():
+    """A step sums its window's strided values as one contiguous copy, a
+    block as the rows of a contiguous copy; ``extend`` equals a ``step``
+    loop because both add in the same order.  Checked at widths beyond
+    numpy's 8192-element buffer, which no detector here reaches."""
+    rng = np.random.default_rng(49)
+    for width in (1, 40, 8191, 8193, 3 * 8192 + 5):
+        wide = rng.standard_normal((3, 2 * width)) * 10.0 ** rng.integers(-8, 8, (3, 2 * width))
+        rows = wide[:, ::2]
+        block = np.add.reduce(np.ascontiguousarray(rows), axis=1)
+        for j in range(3):
+            assert np.add.reduce(np.ascontiguousarray(rows[j])) == block[j], width
+
+
 def exact_discrepancies(reference, data, window):
     """Every window's discrepancy from exact rational sums.
 

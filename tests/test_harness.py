@@ -1,5 +1,6 @@
 """Config parsing, experiment harness, file outputs, CLI, and plots."""
 
+import dataclasses
 import math
 import os
 import xml.etree.ElementTree as ET
@@ -723,6 +724,11 @@ def test_parsed_kernel_matches_the_detector_keys():
     )
     assert np.array_equal(mixed.detector.kernel.weights, [0.25, 0.75])
     assert np.array_equal(parse_config_text(MINIMAL).detector.kernel.weights, [1 / 3] * 3)
+    # derived, not stored: it follows the two keys and cannot be set apart
+    moved = dataclasses.replace(mixed.detector, bandwidths=(3.0, 4.0))
+    assert np.array_equal(moved.kernel.bandwidths, [3.0, 4.0])
+    with pytest.raises(TypeError):
+        dataclasses.replace(mixed.detector, kernel=one.detector.kernel)
 
 
 @pytest.mark.parametrize("command", ["trace", "bounds"])
