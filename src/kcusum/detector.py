@@ -7,27 +7,33 @@ in a CUSUM that ignores trailing sums shorter than ``min_sample`` steps.
 
 One block scorer serves every caller.  :meth:`KernelCusumDetector.step`
 hands it a block of one pair; :meth:`~KernelCusumDetector.extend`,
-:func:`calibrate_correction`, the campaigns (through ``extend``) and
-:meth:`~KernelCusumDetector.restore` hand it whole blocks.  When the
-reference repeats pairs, as a finite chain's does, a block of more than
-one pair is first grouped into its distinct pairs
-(:func:`~kcusum.kernels.distinct_rows`): each distinct pair gets one
-kernel row sum against the reference, which every copy of it reuses.  A
-finite chain with n states has at most n^2 distinct pairs, so its blocks
-cost that many reference rows whatever their length.  Data that does
-not repeat (a reference with continuous support) and single steps are
-not grouped.  The block then goes through in chunks of at most ``window``
-pairs, each evaluated against the pairs it follows (the band of
-within-window kernels).  Each pair's band row is summed once, in lag
-order, when it arrives; a window value then adds r of those lag sums and
-r cross row sums, O(r) work per position with no ``window x window``
-table to keep.  The reference self-term comes from
-:meth:`KernelSpec.self_sum <kcusum.kernels.KernelSpec.self_sum>`, which
-evaluates the upper triangle of the reference Gram matrix only.
+:func:`calibrate_correction`, the campaigns and
+:meth:`~KernelCusumDetector.restore` hand it whole blocks.  A block goes
+through in chunks of at most ``window`` pairs.  Each pair needs its
+kernels against itself and the ``window - 1`` pairs before it (its band
+row) and its kernel row sum against the reference (its cross sum).  Each
+band row is summed once, in lag order, when its pair arrives; a window
+value then adds r of those lag sums and r cross sums, O(r) work per
+position with no ``window x window`` table to keep.  The reference
+self-term comes from :meth:`KernelSpec.self_sum
+<kcusum.kernels.KernelSpec.self_sum>`, which evaluates the upper
+triangle of the reference Gram matrix only.
+
+Where the band rows and cross sums come from depends on the reference.
+When it repeats pairs, as a finite chain's does (a chain with n states
+has at most n^2 distinct pairs), the stream's pairs are kept in an id
+table (:class:`_PairTable`): each distinct pair gets a small integer id,
+one cross sum and its kernel values against the other live ids, so the
+kernel is evaluated only for a pair not seen before, and a band row is
+a gather from the table.  The table holds at most ``2 * window`` ids,
+whatever the stream's length.  Data that does not repeat (a reference
+with continuous support) evaluates every band row and cross sum, since
+an id table would only add lookups.
 
 A window value reads only the pairs inside its window, in a fixed order.
-Because :meth:`KernelSpec.gram` is batch-invariant and equal pairs have
-equal kernel rows, it is a function of the window alone: it depends
+Because :meth:`KernelSpec.gram` is batch-invariant and symmetric bit for
+bit, a kernel value is the same whichever call, table or band produced
+it, so a window value is a function of the window alone: it depends
 neither on how the stream was cut into blocks, nor on which pairs
 repeat, nor on what came before the window.  So ``extend`` equals a
 ``step`` loop bit for bit, and a restore, which rescores the buffered
@@ -46,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, as_points, distinct_rows, row_chunks
-from .mmd import LiftedTrajectory, lift
+from .mmd import LiftedTrajectory, lift, lifted_pairs
 
 __all__ = [
     "ReferenceSet",
@@ -78,9 +84,9 @@ class ReferenceSet:
     the kernel's weights and bandwidths and of the pairs; checkpoints
     carry it, so a detector is never resumed against another reference.
     ``repeats`` says whether some pair occurs more than once, as on a
-    finite chain: the detector groups the pairs of its blocks only then,
-    since data that never repeats would pay for grouping and gain
-    nothing.
+    finite chain: the detector keeps the stream's pairs in an id table
+    only then, since data that never repeats would pay for the lookups
+    and gain nothing.
     """
 
     kernel: KernelSpec
@@ -270,15 +276,22 @@ class _BlockScorer:
     window value is a function of its window alone: it depends neither
     on how the stream was cut into blocks nor on what came before.
 
+    Against a reference that repeats pairs, band rows and cross sums
+    are gathered from an id table (:class:`_PairTable`), which evaluates
+    the kernel only for pairs it has not seen; its values have the bits
+    of a direct evaluation, because ``KernelSpec._gram`` is
+    batch-invariant and symmetric bit for bit.  Otherwise each chunk's
+    band is evaluated against the last ``window - 1`` pairs, kept
+    oldest first in ``_tail``, and each pair gets its own cross row.
+
     ``_lags`` and ``_cross`` hold the rows of the newest pairs, with room
     for a few windows, so the rows are shifted only when the room is
-    used up.  ``_tail`` keeps the last ``window - 1`` pairs, oldest
-    first, for the band of the next block.  Kernel calls go through
-    ``KernelSpec._gram``: the reference was validated when it was built
-    and is not rescanned on every call.
+    used up.  Kernel calls go through ``KernelSpec._gram``: the
+    reference was validated when it was built and is not rescanned on
+    every call.
     """
 
-    __slots__ = ("reference", "window", "_lags", "_cross", "_held", "_tail")
+    __slots__ = ("reference", "window", "_lags", "_cross", "_held", "_tail", "_table")
 
     def __init__(self, reference: ReferenceSet, window: int):
         self.reference = reference
@@ -288,16 +301,15 @@ class _BlockScorer:
         self._cross = np.empty(3 * r)
         self._held = 0
         self._tail = np.empty((0, reference.pairs.shape[1]))
+        self._table = _PairTable(reference, r) if reference.repeats else None
 
     def push(self, pairs: np.ndarray) -> list:
         """Add ``pairs`` in order; return the window value after each pair
         that leaves the window full."""
         r = self.window
-        if pairs.shape[0] > 1 and self.reference.repeats:
-            distinct, inverse, _ = distinct_rows(pairs)
-            cross = self._cross_sums(distinct)[inverse]
-        else:
-            cross = self._cross_sums(pairs)
+        table = self._table
+        if table is None:
+            cross = _cross_sums(self.reference, pairs)
         values = []
         # chunks of at most ``window`` pairs: each pair needs the kernels
         # against the ``window - 1`` pairs before it, so a longer chunk
@@ -305,9 +317,11 @@ class _BlockScorer:
         for lo in range(0, pairs.shape[0], r):
             block = pairs[lo : lo + r]
             c = block.shape[0]
-            seen = np.concatenate([self._tail, block])
-            # columns newest first: pair i's lags 0, 1, ... start at column c - 1 - i
-            band = self.reference.kernel._gram(block, np.ascontiguousarray(seen[::-1].T))
+            if table is None:
+                band = self._band(block)
+                block_cross = cross[lo : lo + c]
+            else:
+                band, block_cross = table.band(block)
             held = self._held
             if held + c > self._lags.shape[0]:
                 keep = slice(held - (r - 1), held)
@@ -319,7 +333,7 @@ class _BlockScorer:
             lags.cumsum(axis=1, out=rows)
             rows *= 2.0
             rows -= lags[:, :1]
-            self._cross[held : held + c] = cross[lo : lo + c]
+            self._cross[held : held + c] = block_cross
             self._held = held + c
             # a row at index r - 1 or later has a full window behind it:
             # before the first shift rows count pairs from the stream's
@@ -327,17 +341,16 @@ class _BlockScorer:
             first = max(held, r - 1)
             if first < self._held:
                 values += self._values(first - (r - 1), self._held - first)
-            self._tail = seen[max(0, seen.shape[0] - (r - 1)) :]
         return values
 
-    def _cross_sums(self, pairs: np.ndarray) -> np.ndarray:
-        """Kernel row sum of each pair against the reference."""
-        kernel = self.reference.kernel
-        columns = self.reference.pairs.T
-        out = np.empty(pairs.shape[0])
-        for rows in row_chunks(pairs.shape[0], columns.shape[1]):
-            out[rows] = kernel._gram(pairs[rows], columns).sum(axis=1)
-        return out
+    def _band(self, block: np.ndarray) -> np.ndarray:
+        """Kernels of ``block`` against itself and the (up to) ``window - 1``
+        pairs before it, columns newest first, so pair i's lags 0, 1, ...
+        start at column ``c - 1 - i``; the last ``window - 1`` pairs are
+        kept for the next block."""
+        seen = np.concatenate([self._tail, block])
+        self._tail = seen[max(0, seen.shape[0] - (self.window - 1)) :]
+        return self.reference.kernel._gram(block, np.ascontiguousarray(seen[::-1].T))
 
     def _values(self, start: int, count: int) -> list:
         """Values of the ``count`` windows whose first rows are ``start``,
@@ -390,9 +403,117 @@ def _lag_rows(band: np.ndarray, r: int) -> np.ndarray:
     return band.ravel()[c - 1 : c - 1 + c * width].reshape(c, width)[:, :r]
 
 
-def _pairs(chain: np.ndarray) -> np.ndarray:
-    """Consecutive pairs of a ``(k, d)`` run of observations, ``(k - 1, 2d)``."""
-    return np.concatenate((chain[:-1], chain[1:]), axis=1)
+def _cross_sums(reference: ReferenceSet, pairs: np.ndarray) -> np.ndarray:
+    """Kernel row sum of each pair against the reference."""
+    kernel = reference.kernel
+    columns = reference.pairs.T
+    out = np.empty(pairs.shape[0])
+    for rows in row_chunks(pairs.shape[0], columns.shape[1]):
+        out[rows] = kernel._gram(pairs[rows], columns).sum(axis=1)
+    return out
+
+
+class _PairTable:
+    """Small integer ids for the distinct lifted pairs of a stream, with
+    each id's cross sum and its kernel values against the other live ids.
+
+    A pair is looked up by its bytes.  Id 0 stands for the padding before
+    the stream's first pair: its kernel values are zero, as a band's
+    padding is.  A chunk's distinct pairs are found with
+    :func:`~kcusum.kernels.distinct_rows` before the lookup (a single
+    pair is looked up directly), and only pairs not in the table cost
+    kernel work: one cross row against the reference each, and one row
+    of kernel values against the live ids.  Those values are mirrored
+    into their column, which keeps their bits because
+    ``KernelSpec._gram`` is symmetric bit for bit; batch invariance
+    makes a gathered value equal the one a band would evaluate.
+
+    ``_tail`` holds the ids of the last ``window - 1`` pairs, oldest
+    first.  Before ids are added past ``2 * window``, the table is
+    rebuilt from the ids still in the tail or in the chunk at hand (at
+    most ``2 * window - 1`` with the chunk's new ones), keeping their
+    kernel values and cross sums.  So the table never holds more than
+    ``2 * window`` ids, and its memory, ``(2 * window + 1)^2`` kernel
+    values, does not depend on the stream's length.
+    """
+
+    __slots__ = ("reference", "window", "_ids", "_pairs", "_kernels", "_cross", "_count", "_tail")
+
+    def __init__(self, reference: ReferenceSet, window: int):
+        size = 2 * window + 1
+        self.reference = reference
+        self.window = window
+        self._ids: dict[bytes, int] = {}
+        self._pairs = np.empty((size, reference.pairs.shape[1]))
+        self._kernels = np.zeros((size, size))
+        self._cross = np.zeros(size)
+        self._count = 1  # ids in use, id 0 included
+        self._tail = np.zeros(window - 1, dtype=np.intp)
+
+    def band(self, block: np.ndarray) -> tuple:
+        """The band of a chunk of ``c <= window`` pairs that follows the
+        pairs seen so far, as :meth:`_BlockScorer._band` evaluates it but
+        always ``c + window - 1`` wide (id 0 fills the columns before the
+        stream's first pair), and the chunk's ``c`` cross sums."""
+        if block.shape[0] == 1:
+            ids = block_ids = self._ids_of(block, [block.tobytes()])
+        else:
+            distinct, inverse, _ = distinct_rows(block)
+            ids = self._ids_of(distinct, [row.tobytes() for row in distinct])
+            block_ids = ids[inverse]
+        sequence = np.concatenate((self._tail, block_ids))
+        self._tail = sequence[block_ids.shape[0] :]
+        # one row per distinct pair, against the sequence newest first;
+        # the chunk's copies of a pair share it
+        band = self._kernels[ids[:, None], sequence[::-1]]
+        if block.shape[0] > 1:
+            band = band[inverse]
+        return band, self._cross[block_ids]
+
+    def _ids_of(self, pairs: np.ndarray, keys: list) -> np.ndarray:
+        """Ids of the distinct ``pairs``, whose bytes are ``keys``; pairs
+        not in the table are admitted."""
+        found = [self._ids.get(key, 0) for key in keys]
+        ids = np.array(found, dtype=np.intp)
+        if 0 in found:
+            fresh = [key for key, i in zip(keys, found) if i == 0]
+            ids = self._admit(pairs[ids == 0], fresh, ids)
+        return ids
+
+    def _admit(self, pairs: np.ndarray, keys: list, ids: np.ndarray) -> np.ndarray:
+        """Give ``pairs`` (absent from the table) new ids; ``ids`` are the
+        chunk's ids so far, 0 where a pair is new.  Returns them with the
+        new ids filled in, renumbered if the table was rebuilt."""
+        if self._count - 1 + len(keys) > 2 * self.window:
+            ids = self._rebuild(ids)
+        new = np.arange(self._count, self._count + len(keys))
+        ids[ids == 0] = new
+        live = self._count + len(keys)
+        self._pairs[new] = pairs
+        self._cross[new] = _cross_sums(self.reference, pairs)
+        values = self.reference.kernel._gram(pairs, np.ascontiguousarray(self._pairs[1:live].T))
+        self._kernels[new, 1:live] = values
+        self._kernels[1:live, new] = values.T
+        self._ids.update(zip(keys, new.tolist()))
+        self._count = live
+        return ids
+
+    def _rebuild(self, ids: np.ndarray) -> np.ndarray:
+        """Keep only the ids in the tail or in ``ids``, renumbered from 1
+        in their old order; return ``ids`` renumbered."""
+        keep = np.unique(np.concatenate((self._tail, ids)))
+        keep = keep[keep > 0]
+        renumber = np.zeros(self._kernels.shape[0], dtype=np.intp)
+        renumber[keep] = np.arange(1, keep.size + 1)
+        live = slice(1, keep.size + 1)
+        self._kernels[live, live] = self._kernels[np.ix_(keep, keep)]
+        self._cross[live] = self._cross[keep]
+        self._pairs[live] = self._pairs[keep]
+        new_ids = renumber.tolist()
+        self._ids = {key: new_ids[i] for key, i in self._ids.items() if new_ids[i]}
+        self._count = keep.size + 1
+        self._tail = renumber[self._tail]
+        return renumber[ids]
 
 
 _WARMING_UP = StepOutcome(
@@ -439,7 +560,7 @@ class KernelCusumDetector:
         """Current buffer pairs, oldest first (may be shorter than window)."""
         if len(self._raw) < 2:
             return np.empty((0, 2 * self._dim))
-        return _pairs(np.array(self._raw))
+        return lifted_pairs(np.array(self._raw))
 
     def step(self, observation) -> StepOutcome:
         """Feed one observation, get the updated detector state."""
@@ -466,7 +587,7 @@ class KernelCusumDetector:
     def _advance(self, X: np.ndarray) -> list[StepOutcome]:
         """Score the validated ``(k, dim)`` rows ``X`` as one block."""
         chain = np.concatenate((self._raw[-1][None, :], X)) if self._raw else X
-        values = self._scorer.push(_pairs(chain))
+        values = self._scorer.push(lifted_pairs(chain))
         self._raw.extend(row.copy() for row in X[-(self.config.window + 1) :])
         outcomes = [_WARMING_UP] * (X.shape[0] - len(values))
         for discrepancy in values:
@@ -576,7 +697,7 @@ class KernelCusumDetector:
             raise ValueError("checkpoint inconsistent: full buffer but no scores")
         det._raw.extend(raw)
         if n_pairs > 0:
-            det._scorer.push(_pairs(np.array(raw)))
+            det._scorer.push(lifted_pairs(np.array(raw)))
         det._cusum = cusum
         alarmed = data["alarmed_at"]
         det._alarmed_at = None if alarmed is None else int(alarmed)

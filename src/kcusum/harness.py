@@ -44,14 +44,16 @@ import numpy as np
 from .bounds import DoeblinParams, bound_report, buffer_doeblin, mtbfa_lower_bound, md_upper_bound
 from .config import ConfigError, ExperimentConfig
 from .detector import (
+    CusumStream,
     DetectorConfig,
     KernelCusumDetector,
     ReferenceSet,
+    _BlockScorer,
     build_reference,
     calibrate_correction,
 )
 from .kernels import KernelSpec
-from .mmd import consistency_bound
+from .mmd import consistency_bound, lifted_pairs
 from .simulate import (
     FiniteScenario,
     doeblin_of_finite,
@@ -349,22 +351,18 @@ def run_trace(
 
 
 def _statistic_series(context: HarnessContext, cfg: ExperimentConfig, trajectory) -> list:
-    """Run the detector over a whole trajectory, returning the CUSUM series.
+    """The CUSUM series of a whole trajectory.
 
-    Crossing times for the whole threshold grid are read from the series
-    afterwards, so the detector's own threshold only needs to be valid;
-    the largest campaign threshold is used.
+    Its lifted pairs go through one block scorer, and each window value,
+    less the correction, through one CUSUM: the arithmetic of
+    :meth:`KernelCusumDetector.extend`, without an outcome object per
+    observation.  Crossing times for the whole threshold grid are read
+    from the series afterwards.
     """
-    det = KernelCusumDetector(
-        context.reference,
-        DetectorConfig(
-            window=cfg.detector.window,
-            min_sample=cfg.detector.min_sample,
-            threshold=cfg.campaign.thresholds[-1],
-            correction=context.correction,
-        ),
-    )
-    return [out.statistic for out in det.extend(trajectory) if out.index is not None]
+    scorer = _BlockScorer(context.reference, cfg.detector.window)
+    cusum = CusumStream(cfg.detector.min_sample)
+    correction = context.correction
+    return [cusum.update(value - correction) for value in scorer.push(lifted_pairs(trajectory))]
 
 
 def _crossing_times(series, thresholds) -> list:

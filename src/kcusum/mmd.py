@@ -58,13 +58,19 @@ class LiftedTrajectory:
         return int(self.pairs.shape[1] // 2)
 
 
+def lifted_pairs(chain: np.ndarray) -> np.ndarray:
+    """Consecutive pairs of a ``(k, d)`` float array, shape ``(k - 1, 2d)``.
+
+    No validation: for callers whose rows are already checked."""
+    return np.concatenate((chain[:-1], chain[1:]), axis=1)
+
+
 def lift(trajectory) -> LiftedTrajectory:
     """Turn a ``(T, d)`` trajectory into its ``(T-1, 2d)`` pair sequence."""
     X = as_points(trajectory, name="trajectory")
     if X.shape[0] < 2:
         raise ValueError("trajectory must contain at least two observations")
-    pairs = np.hstack([X[:-1], X[1:]])
-    return LiftedTrajectory(pairs=pairs, source_length=X.shape[0])
+    return LiftedTrajectory(pairs=lifted_pairs(X), source_length=X.shape[0])
 
 
 def _pair_block(x, name: str) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -325,33 +324,44 @@ def stationary_distribution(chain: FiniteChain) -> np.ndarray:
     return pi
 
 
-def _cumulative_rows(matrix: np.ndarray) -> list:
-    """Row-wise cumulative sums of a transition matrix, as nested lists."""
-    return np.cumsum(matrix, axis=1).tolist()
-
-
 def _sample_indices(
     rng: np.random.Generator,
     length: int,
     init_dist: np.ndarray,
-    cumulative_for_step,
+    pre: np.ndarray,
+    post: np.ndarray,
+    change_at: int,
 ) -> np.ndarray:
     """Index path: initial draw from ``init_dist``, then row transitions.
 
-    ``cumulative_for_step(g)`` returns the cumulative rows
-    (:func:`_cumulative_rows`) of the transition matrix used for the step
-    *into* output index g (2-based here, since index 1 is the initial
-    draw).  Each step inverts one uniform draw on the current state's row.
+    The step *into* output index g (1-based; index 1 is the initial draw)
+    uses the transition matrix ``post`` when ``g > change_at`` and ``pre``
+    otherwise.  Each step inverts one uniform draw on the current state's
+    cumulative row.  Every draw is inverted against every row of its
+    matrix at once, so the loop only looks the next state up.
     """
     top = len(init_dist) - 1
-    u = rng.random(length).tolist()
+    u = rng.random(length)
     # clamp guards the (round-off) case u >= cumulative total
-    state = min(bisect_right(np.cumsum(init_dist).tolist(), u[0]), top)
+    state = min(int(np.searchsorted(np.cumsum(init_dist), u[0], side="right")), top)
+    # draw j moves into index j + 1, so draws from ``change_at`` on use post
+    split = min(change_at, length)
+    moves = (_next_states(pre, u[1:split], top), _next_states(post, u[split:], top))
+    flat = np.concatenate(moves).ravel().tolist()
+    n = top + 1
     path = [state]
-    for g in range(2, length + 1):
-        state = min(bisect_right(cumulative_for_step(g)[state], u[g - 1]), top)
+    for base in range(0, len(flat), n):
+        state = flat[base + state]
         path.append(state)
     return np.asarray(path, dtype=np.int64)
+
+
+def _next_states(matrix: np.ndarray, u: np.ndarray, top: int) -> np.ndarray:
+    """``(len(u), n)`` table: the state that draw ``u[j]`` moves to from
+    each of the n states, clamped to ``top``."""
+    cumulative = np.cumsum(matrix, axis=1)
+    moves = np.stack([np.searchsorted(row, u, side="right") for row in cumulative], axis=1)
+    return np.minimum(moves, top)
 
 
 def simulate_finite(
@@ -366,8 +376,7 @@ def simulate_finite(
         raise ValueError("length must be >= 1")
     rng = stream_rng(seed, stream)
     pi = stationary_distribution(chain)
-    rows = _cumulative_rows(chain.matrix)
-    idx = _sample_indices(rng, length, pi, lambda g: rows)
+    idx = _sample_indices(rng, length, pi, chain.matrix, chain.matrix, length)
     return chain.states[idx]
 
 
@@ -401,12 +410,9 @@ def simulate_finite_scenario(
     """Trajectory for a :class:`FiniteScenario`, shape ``(length, dim)``."""
     rng = stream_rng(seed, stream)
     pi = stationary_distribution(scenario.pre)
-
-    pre_rows = _cumulative_rows(scenario.pre.matrix)
-    post_rows = _cumulative_rows(scenario.post.matrix)
     idx = _sample_indices(
         rng, scenario.length, pi,
-        lambda g: post_rows if g > scenario.change_at else pre_rows,
+        scenario.pre.matrix, scenario.post.matrix, scenario.change_at,
     )
     return scenario.pre.states[idx]
 

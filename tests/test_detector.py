@@ -1,5 +1,6 @@
 """Detector: CUSUM recursion oracle, checkpointing, calibration."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from kcusum import (
     CusumStream,
     DetectorConfig,
     FiniteChain,
+    FiniteScenario,
     KernelCusumDetector,
     KernelSpec,
     ReferenceSet,
@@ -22,6 +24,7 @@ from kcusum import (
     lift,
     mmd,
     simulate_finite,
+    simulate_finite_scenario,
 )
 from kcusum import detector
 
@@ -367,6 +370,106 @@ def test_scoring_groups_repeated_pairs(monkeypatch):
     monkeypatch.setattr(detector, "distinct_rows", no_grouping)
     det.step(data[0])
     KernelCusumDetector(continuous, config).extend(np.random.default_rng(45).standard_normal((30, 2)))
+
+
+def counting_gram(monkeypatch):
+    """Patch ``KernelSpec._gram`` to record each call's left-hand rows."""
+    calls = []
+    original = KernelSpec._gram
+
+    def recording(self, A, columns):
+        calls.append((A.copy(), columns.shape[1]))
+        return original(self, A, columns)
+
+    monkeypatch.setattr(KernelSpec, "_gram", recording)
+    return calls
+
+
+def test_two_state_steps_evaluate_no_kernel_once_every_pair_was_seen(monkeypatch):
+    reference, config, data = two_state_setup()
+    det = KernelCusumDetector(reference, config)
+    det.extend(data[:40])
+    assert len(detector.distinct_rows(lift(data[:40]).pairs)[0]) == 4
+    calls = counting_gram(monkeypatch)
+    outcomes = [det.step(row) for row in two_state(47, 1000)]
+    assert calls == []
+    assert all(out.index is not None for out in outcomes)
+
+
+def test_new_pairs_cost_one_cross_row_once(monkeypatch):
+    """A 3-state reference without the transitions 0->2, 1->0 and 2->1;
+    after the change the monitored chain makes all nine.  Each pair
+    costs one row against the reference when it first appears, in a
+    step loop and in blocks alike, and never again."""
+    states = np.array([[0.0], [1.0], [3.0]])
+    pre = FiniteChain(states, np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]))
+    post = FiniteChain(states, np.full((3, 3), 1.0 / 3.0))
+    reference = build_reference(KernelSpec.mixture([0.5, 2.0]), simulate_finite(pre, 801, 60))
+    assert reference.repeats and len(detector.distinct_rows(reference.pairs)[0]) == 6
+    config = DetectorConfig(window=15, min_sample=3, threshold=5.0, correction=0.1)
+    data = simulate_finite_scenario(FiniteScenario(pre, post, change_at=100, length=400), 61)
+    seen = detector.distinct_rows(lift(data).pairs)[0]
+    assert len(seen) == 9
+    m = reference.n_pairs
+    calls = counting_gram(monkeypatch)
+    det = KernelCusumDetector(reference, config)
+    single = [det.step(row) for row in data]
+    cross_rows = [row for rows, width in calls if width == m for row in rows]
+    assert len(cross_rows) == 9
+    assert len(detector.distinct_rows(np.array(cross_rows))[0]) == 9
+    calls.clear()
+    det = KernelCusumDetector(reference, config)
+    batch = [out for part in np.split(data, [7, 150, 151, 260]) for out in det.extend(part)]
+    assert batch == single
+    assert sum(rows.shape[0] for rows, width in calls if width == m) == 9
+
+
+def duplicated_reference():
+    """300 AR pairs and copies of three of them: a reference that
+    repeats, for data that does not."""
+    pairs = lift(ar_data(50, 301)).pairs
+    kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
+    return ReferenceSet(kernel=kernel, pairs=np.concatenate([pairs, pairs[[5, 77, 123]]]))
+
+
+def table_run(reference, config, data):
+    """Step loop over ``data``, checking the id table's bound after each
+    step; then ``extend`` and restores at several splits must agree."""
+    det = KernelCusumDetector(reference, config)
+    table = det._scorer._table
+    bound = 2 * config.window
+    single = []
+    for row in data:
+        single.append(det.step(row))
+        assert table._count - 1 <= bound
+        assert len(table._ids) == table._count - 1
+    assert table._kernels.shape == (bound + 1, bound + 1)
+    assert KernelCusumDetector(reference, config).extend(data) == single
+    for split in (1, 9, 11, 37, 150):
+        det = KernelCusumDetector(reference, config)
+        outcomes = det.extend(data[:split])
+        resumed = KernelCusumDetector.restore(reference, config, det.checkpoint())
+        assert outcomes + resumed.extend(data[split:]) == single, split
+    return single
+
+
+def test_pair_table_stays_within_its_bound_on_continuous_data():
+    """Monitored on 20 windows of continuous pairs, every pair is new to
+    the table; it never holds more than ``2 * window`` ids.  The
+    discrepancies keep the digest they had before the table existed.
+    A stretch that recurs 1.5 windows later brings back pairs the table
+    still holds into blocks that make it rebuild."""
+    reference = duplicated_reference()
+    assert reference.repeats
+    window = 10
+    config = DetectorConfig(window=window, min_sample=3, threshold=5.0, correction=0.1)
+    data = ar_data(51, 20 * window + 1)
+    single = table_run(reference, config, data)
+    values = [out.discrepancy for out in single if out.index is not None]
+    assert len(values) == 20 * window - window + 1
+    digest = hashlib.sha256("".join(v.hex() for v in values).encode()).hexdigest()
+    assert digest == "d306a23d45dede08044b6ea3591768a225022fa95176c4eb3c4a06575b934120"
+    table_run(reference, config, np.concatenate([data[:100], data[85:93], data[100:]]))
 
 
 def test_alarm_latches_and_reset_clears():

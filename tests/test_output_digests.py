@@ -1,0 +1,104 @@
+"""Pinned SHA-256 digests of the files two small campaigns write.
+
+Scoring changes in this package are meant to keep every output bit for
+bit, so these digests must not move.  A change that moves bits on
+purpose (another summation order, say) re-pins them and says so in
+``CHANGES.md``.  The digests were taken with numpy 2.4 on x86-64; a
+numpy or libm whose ``exp`` rounds differently in the last bit can move
+them too.
+"""
+
+import hashlib
+
+import pytest
+
+from kcusum import parse_config_text, run_experiment
+
+FINITE_MD = """
+[scenario]
+kind = finite
+states = 0;1
+change_at = 60
+pre_matrix = 0.9,0.1;0.2,0.8
+post_matrix = 0.8,0.2;0.2,0.8
+
+[detector]
+window = 20
+min_sample = 10
+threshold = 5.0
+reference = 401
+holdout = 800
+bandwidths = 1
+correction = calibrate
+quantile = 0.5
+margin = 0.005
+
+[campaign]
+mode = md
+replications = 3
+thresholds = 10,15,20
+horizon_factor = 40
+seed = 5
+
+[output]
+directory = out
+formats = csv
+"""
+
+AR_MTBFA = """
+[scenario]
+kind = ar-variance
+change_at = none
+
+[detector]
+window = 10
+min_sample = 10
+threshold = 5.0
+reference = 101
+holdout = 400
+bandwidths = 0.1,1,10
+correction = calibrate
+quantile = 0.25
+margin = 0.01
+
+[campaign]
+mode = mtbfa
+replications = 3
+thresholds = 1,2,4
+horizon_factor = 50
+seed = 5
+
+[output]
+directory = out
+formats = csv
+"""
+
+PINNED = {
+    "finite-md": (
+        FINITE_MD,
+        {
+            "campaign.csv": "6c97aee0a4326e6d653ae01dcd6f3686d404d42de573b652e6194ec47c675a38",
+            "notes.txt": "c5cd49f7db411292f6c2ee26b3863249b4d7c80afc896178e042a978409c72e9",
+            "bounds.txt": "afab2a66f6ede0a0f808f9e440e871f8137570a92d773e5f4f32ee597c51e5ff",
+        },
+    ),
+    "ar-mtbfa": (
+        AR_MTBFA,
+        {
+            "campaign.csv": "0a9dd268eef1e1ae6973c0677517679d62b7ffece158fa9281e4b2738cef2d06",
+            "notes.txt": "85e77ad5b07029a77226d700a6191e4fb63e6c468612d1f2ced6abdfff9c3012",
+            "bounds.txt": "45935c3ef3af24a5d7a3380faa351496e40a616955414efffeb6bc62d9c5c615",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_campaign_outputs_keep_their_digests(tmp_path, name):
+    text, digests = PINNED[name]
+    run_experiment(parse_config_text(text), out_dir=str(tmp_path))
+    got = {
+        filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
+        for filename in digests
+    }
+    assert got == digests

@@ -391,6 +391,19 @@ def test_finite_paths_match_per_step_cumulation(seed):
     assert np.array_equal(simulate_finite_scenario(scenario, seed=seed, stream=3), states[want])
 
 
+@pytest.mark.parametrize("change_at,length", [(1, 50), (49, 50), (50, 50), (80, 50), (1, 1)])
+def test_finite_paths_at_the_edges_of_the_change(change_at, length):
+    """A change into the second observation, into the last, at the last
+    and past the end; and a path of one observation."""
+    states = np.array([[0.0], [1.0], [2.0]])
+    pre = FiniteChain(states, np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.6, 0.1, 0.3]]))
+    post = FiniteChain(states, np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.2, 0.5, 0.3]]))
+    pi = stationary_distribution(pre)
+    want = per_step_path(lambda g: post if g > change_at else pre, pi, length, 5, 3)
+    scenario = FiniteScenario(pre=pre, post=post, change_at=change_at, length=length)
+    assert np.array_equal(simulate_finite_scenario(scenario, seed=5, stream=3), states[want])
+
+
 def test_finite_scenario_validation():
     pre, post = two_state_chain(), two_state_chain(TWO_STATE_ALT)
     with pytest.raises(ValueError):
