@@ -37,7 +37,7 @@ def main() -> None:
     quiet = ArScenario(matrix=matrix, pre_noise=quiet_noise, length=2001)
     reference = build_reference(kernel, simulate_ar(quiet, seed=SEED, stream=0))
     holdout = simulate_ar(quiet, seed=SEED, stream=1)
-    calibration = calibrate_correction(kernel, reference, holdout, WINDOW,
+    calibration = calibrate_correction(reference, holdout, WINDOW,
                                        margin=0.01, quantile=0.9)
     print(f"reference: {reference.n_pairs} lifted pairs")
     print(f"holdout discrepancy level {calibration.holdout_level:.5f} at "

@@ -120,16 +120,14 @@ class ScenarioSection:
     """What process to monitor and when (if ever) it changes.
 
     The parser builds the simulator inputs once: ``ar`` for the AR kinds,
-    ``chains`` (pre, post) for the finite kind; the other is None.
+    ``chains`` (pre, post) for the finite kind; the other is None.  The
+    AR keys ``burn_in``, ``pre_variance``, ``post_variance`` and
+    ``post_mean`` live only in ``ar``.
     """
 
     kind: str
     length: int
     change_at: int | None
-    burn_in: int
-    pre_variance: float
-    post_variance: float
-    post_mean: float
     path: str | None
     ar: ArScenario | None = None
     chains: tuple[FiniteChain, FiniteChain] | None = None
@@ -153,6 +151,9 @@ class DetectorSection:
     Gaussian for one bandwidth without weights, else a mixture (equal
     weights when none are given).  The parser builds it once to check
     the two keys.
+
+    ``threshold`` is parsed and checked but no code path reads it: alarm
+    levels come from ``campaign.thresholds``.
     """
 
     window: int
@@ -197,9 +198,6 @@ class OutputSection:
 class BoundsSection:
     certificate: DoeblinParams | None
     gamma: float | None
-
-    def doeblin(self) -> DoeblinParams | None:
-        return self.certificate
 
 
 @dataclass(frozen=True)
@@ -289,9 +287,7 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
         _fail("scenario", "path", "required for csv scenarios")
 
     return ScenarioSection(
-        kind=kind, length=length, change_at=change_at, burn_in=burn_in,
-        pre_variance=pre_variance, post_variance=post_variance, post_mean=post_mean,
-        path=path, ar=ar, chains=chains,
+        kind=kind, length=length, change_at=change_at, path=path, ar=ar, chains=chains,
     )
 
 

@@ -724,7 +724,6 @@ class Calibration:
 
 
 def calibrate_correction(
-    kernel: KernelSpec,
     reference: ReferenceSet,
     holdout,
     window: int,
@@ -744,15 +743,9 @@ def calibrate_correction(
     windows dictate the whole correction; the resulting holdout scores
     are then negative at all but that fraction of positions.
 
-    ``kernel`` must have the weights and bandwidths of
-    ``reference.kernel``, which scores the windows; another kernel is
-    rejected rather than silently ignored.
+    The windows are scored with ``reference.kernel``, the kernel the
+    detector monitoring against ``reference`` uses.
     """
-    if not (
-        np.array_equal(kernel.weights, reference.kernel.weights)
-        and np.array_equal(kernel.bandwidths, reference.kernel.bandwidths)
-    ):
-        raise ValueError("kernel does not match the reference's kernel")
     if margin < 0.0:
         raise ValueError("margin must be non-negative")
     if not 0.0 < quantile <= 1.0:

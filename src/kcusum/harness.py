@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import DoeblinParams, bound_report, buffer_doeblin, mtbfa_lower_bound, md_upper_bound
+from .bounds import bound_report, buffer_doeblin, mtbfa_lower_bound, md_upper_bound
 from .config import ConfigError, ExperimentConfig
 from .detector import (
     CusumStream,
@@ -52,7 +52,6 @@ from .detector import (
     build_reference,
     calibrate_correction,
 )
-from .kernels import KernelSpec
 from .mmd import consistency_bound, lifted_pairs
 from .simulate import (
     FiniteScenario,
@@ -130,21 +129,17 @@ class CampaignResult:
 
 @dataclass(frozen=True)
 class HarnessContext:
-    """Frozen per-experiment objects shared by every replication."""
+    """Frozen per-experiment objects shared by every replication.
 
-    kernel: KernelSpec
+    The kernel is ``reference.kernel``.  ``monitored`` holds the rows of
+    a ``csv`` scenario after its reference and holdout parts; it is None
+    for synthesised scenarios, whose monitored data is simulated per run.
+    """
+
     reference: ReferenceSet
     correction: float
     notes: tuple
-
-
-def _csv_trajectory(cfg: ExperimentConfig) -> np.ndarray:
-    """The ``csv`` scenario's trajectory; a file that is missing or does
-    not parse is a ``scenario.path`` error."""
-    try:
-        return load_trajectory(cfg.scenario.path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"scenario.path: {exc}") from exc
+    monitored: np.ndarray | None = None
 
 
 def make_output_directory(directory: str) -> str:
@@ -157,45 +152,43 @@ def make_output_directory(directory: str) -> str:
     return directory
 
 
-def _pre_change_trajectory(cfg: ExperimentConfig, length: int, seed: int, stream: int) -> np.ndarray:
-    """A no-change trajectory of the pre-change law, for reference/holdout."""
+def _trajectory(
+    cfg: ExperimentConfig, length: int, seed: int, stream: int, pre_change: bool = False
+) -> np.ndarray:
+    """One synthesised trajectory honouring ``scenario.change_at``; with
+    ``pre_change`` the change is dropped, which gives the pre-change law
+    that reference and holdout data come from."""
     scn = cfg.scenario
-    if scn.kind in ("ar-variance", "ar-mean"):
-        base = scn.ar_scenario()
-        quiet = replace(base, post_noise=None, change_at=None, length=length)
-        return simulate_ar(quiet, seed, stream)
-    if scn.kind == "finite":
-        pre, _ = scn.finite_chains()
-        return simulate_finite(pre, length, seed, stream)
-    raise ConfigError(f"scenario.kind: {scn.kind!r} cannot synthesise pre-change data")
-
-
-def _monitored_trajectory(cfg: ExperimentConfig, length: int, seed: int, stream: int) -> np.ndarray:
-    """One monitored trajectory honouring scenario.change_at."""
-    scn = cfg.scenario
-    if scn.kind in ("ar-variance", "ar-mean"):
-        base = scn.ar_scenario()
-        return simulate_ar(replace(base, length=length), seed, stream)
     if scn.kind == "finite":
         pre, post = scn.finite_chains()
-        if scn.change_at is None:
+        if pre_change or scn.change_at is None:
             return simulate_finite(pre, length, seed, stream)
         return simulate_finite_scenario(
             FiniteScenario(pre=pre, post=post, change_at=scn.change_at, length=length),
             seed,
             stream,
         )
-    raise ConfigError(f"scenario.kind: {scn.kind!r} cannot synthesise monitored data")
+    quiet = {"post_noise": None, "change_at": None} if pre_change else {}
+    return simulate_ar(replace(scn.ar_scenario(), length=length, **quiet), seed, stream)
 
 
 def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
-    """Construct kernel, reference set, and correction for one experiment."""
+    """Construct the reference set and correction for one experiment.
+
+    A ``csv`` scenario's file is read here, once, and split into its
+    reference, holdout (only when calibrating) and monitored parts;
+    a file that is missing, does not parse or leaves less than one
+    window to monitor is a ``scenario.path`` error.
+    """
     det = cfg.detector
-    kernel = det.kernel
     notes = []
 
+    monitored = holdout_obs = None
     if cfg.scenario.kind == "csv":
-        data = _csv_trajectory(cfg)
+        try:
+            data = load_trajectory(cfg.scenario.path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"scenario.path: {exc}") from exc
         need = det.reference + (det.holdout if det.correction == "calibrate" else 0)
         if data.shape[0] < need + det.window + 1:
             raise ConfigError(
@@ -203,14 +196,14 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
                 f"{need + det.window} for reference/holdout plus one window"
             )
         ref_obs = data[: det.reference]
-        holdout_obs = data[det.reference : det.reference + det.holdout]
+        holdout_obs = data[det.reference : need]
+        monitored = data[need:]
     else:
-        ref_obs = _pre_change_trajectory(cfg, det.reference, seed, REFERENCE_STREAM)
-        holdout_obs = None
+        ref_obs = _trajectory(cfg, det.reference, seed, REFERENCE_STREAM, pre_change=True)
         if det.correction == "calibrate":
-            holdout_obs = _pre_change_trajectory(cfg, det.holdout, seed, HOLDOUT_STREAM)
+            holdout_obs = _trajectory(cfg, det.holdout, seed, HOLDOUT_STREAM, pre_change=True)
 
-    reference = build_reference(kernel, ref_obs)
+    reference = build_reference(det.kernel, ref_obs)
     notes.append(f"reference: {reference.n_pairs} pairs from {det.reference} observations")
 
     fixed = det.fixed_correction()
@@ -228,8 +221,7 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
         )
     else:
         cal = calibrate_correction(
-            kernel, reference, holdout_obs, det.window,
-            margin=det.margin, quantile=det.quantile,
+            reference, holdout_obs, det.window, margin=det.margin, quantile=det.quantile
         )
         correction = cal.correction
         notes.append(
@@ -238,7 +230,7 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
             f"over {cal.n_scores} positions, margin {cal.margin!r})"
         )
     return HarnessContext(
-        kernel=kernel, reference=reference, correction=correction, notes=tuple(notes)
+        reference=reference, correction=correction, notes=tuple(notes), monitored=monitored
     )
 
 
@@ -252,7 +244,7 @@ def _theory_inputs(cfg: ExperimentConfig, context: HarnessContext):
     ``window + 1`` raw states.
     """
     scn = cfg.scenario
-    given = cfg.bounds.doeblin()
+    given = cfg.bounds.certificate
     pre_raw = post_raw = None
     gamma = cfg.bounds.gamma
     if given is not None:
@@ -263,7 +255,7 @@ def _theory_inputs(cfg: ExperimentConfig, context: HarnessContext):
         post_raw = doeblin_of_finite(post)
     if scn.kind == "finite" and gamma is None:
         pre, post = scn.finite_chains()
-        gamma = exact_mmd_finite(context.kernel, pre, post)
+        gamma = exact_mmd_finite(context.reference.kernel, pre, post)
     if pre_raw is None:
         return None, None, gamma
     window = cfg.detector.window
@@ -281,26 +273,24 @@ def run_trace(
 ) -> CampaignResult:
     """Monitor one trajectory and log every raw step.
 
-    Raw steps before the first statistic get empty score/statistic
-    columns; when the whole run is shorter than one window the result
-    carries an explicit warm-up notice.
+    The alarm level is the largest of ``campaign.thresholds``.  A ``csv``
+    scenario monitors ``context.monitored``; the others simulate
+    ``scenario.length`` observations on the trace stream.  Raw steps
+    before the first statistic get empty score/statistic columns; when
+    the whole run is shorter than one window the result carries an
+    explicit warm-up notice.
     """
     if cfg.campaign.mode != "trace":
         raise ConfigError(f"campaign.mode: expected trace, got {cfg.campaign.mode!r}")
     seed = cfg.campaign.seed if seed is None else seed
     if context is None:
         context = build_context(cfg, seed)
-    threshold = cfg.campaign.thresholds[-1] if cfg.campaign.thresholds else cfg.detector.threshold
+    threshold = cfg.campaign.thresholds[-1]
 
     scn = cfg.scenario
-    if scn.kind == "csv":
-        data = _csv_trajectory(cfg)
-        skip = cfg.detector.reference + (
-            cfg.detector.holdout if cfg.detector.correction == "calibrate" else 0
-        )
-        monitored = data[skip:]
-    else:
-        monitored = _monitored_trajectory(cfg, scn.length, seed, TRACE_STREAM)
+    monitored = context.monitored
+    if monitored is None:
+        monitored = _trajectory(cfg, scn.length, seed, TRACE_STREAM)
 
     det = KernelCusumDetector(
         context.reference,
@@ -311,7 +301,7 @@ def run_trace(
             correction=context.correction,
         ),
     )
-    outcomes = det.extend(monitored) if len(monitored) else []
+    outcomes = det.extend(monitored)
     # the alarm flag latches, so a row's flag says whether its statistic
     # index has reached the first alarm of the whole run
     first_alarm = math.inf if det.alarmed_at is None else det.alarmed_at
@@ -384,9 +374,7 @@ def _crossing_times(series, thresholds) -> list:
 
 def _replication_hits(cfg: ExperimentConfig, context: HarnessContext, length: int, i: int) -> list:
     """Crossing times of replication ``i`` on a ``length``-step trajectory."""
-    trajectory = _monitored_trajectory(
-        cfg, length, cfg.campaign.seed, REPLICATION_STREAM_BASE + i
-    )
+    trajectory = _trajectory(cfg, length, cfg.campaign.seed, REPLICATION_STREAM_BASE + i)
     return _crossing_times(
         _statistic_series(context, cfg, trajectory), cfg.campaign.thresholds
     )
@@ -399,6 +387,28 @@ def _horizons(cfg: ExperimentConfig) -> list:
         math.ceil(camp.horizon_factor * (b + cfg.detector.min_sample))
         for b in camp.thresholds
     ]
+
+
+def _tally(all_hits, j: int, horizon: int, tau_stat: int) -> tuple:
+    """(values, excluded, truncated) of threshold ``j`` over all replications.
+
+    An alarm at or before statistic ``tau_stat`` is excluded as a false
+    alarm; a run with no alarm within ``horizon`` statistics after
+    ``tau_stat`` counts at the horizon as truncated; any other run counts
+    its alarm time less ``tau_stat`` (MTBFA passes 0).
+    """
+    values = []
+    excluded = truncated = 0
+    for hits in all_hits:
+        n_alarm = hits[j]
+        if n_alarm is not None and n_alarm <= tau_stat:
+            excluded += 1
+        elif n_alarm is None or n_alarm - tau_stat > horizon:
+            truncated += 1
+            values.append(float(horizon))
+        else:
+            values.append(float(n_alarm - tau_stat))
+    return values, excluded, truncated
 
 
 def _mean_sem(values) -> tuple:
@@ -433,15 +443,7 @@ def run_mtbfa_campaign(
     rows = []
     notes = list(context.notes)
     for j, (b, horizon) in enumerate(zip(camp.thresholds, horizons)):
-        times = []
-        truncated = 0
-        for hits in all_hits:
-            n_alarm = hits[j]
-            if n_alarm is None or n_alarm > horizon:
-                truncated += 1
-                times.append(float(horizon))
-            else:
-                times.append(float(n_alarm))
+        times, _, truncated = _tally(all_hits, j, horizon, 0)
         mean, sem = _mean_sem(times)
         theory = None
         if pre_block is not None:
@@ -496,18 +498,7 @@ def run_md_campaign(
     notes = list(context.notes)
     aborted = False
     for j, (b, horizon) in enumerate(zip(camp.thresholds, horizons)):
-        delays = []
-        excluded = truncated = 0
-        for hits in all_hits:
-            n_alarm = hits[j]
-            if n_alarm is not None and n_alarm <= tau_stat:
-                excluded += 1
-                continue
-            if n_alarm is None or n_alarm - tau_stat > horizon:
-                truncated += 1
-                delays.append(float(horizon))
-            else:
-                delays.append(float(n_alarm - tau_stat))
+        delays, excluded, truncated = _tally(all_hits, j, horizon, tau_stat)
         if not delays:
             notes.append(
                 f"b={b!r}: every replication false-alarmed before the change; "
@@ -647,16 +638,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Campaig
     context = build_context(cfg, cfg.campaign.seed)
     if mode == "trace":
         result = run_trace(cfg, context=context)
-    elif mode == "mtbfa":
-        result = run_mtbfa_campaign(cfg, context=context)
-    else:
-        result = run_md_campaign(cfg, context=context)
-    if mode == "trace":
         csv_path = os.path.join(directory, "trace.csv")
         write_trace_csv(csv_path, result)
         if "svg" in cfg.output.formats:
             svgplot.trace_panels(csv_path, directory, change_at=result.change_at)
     else:
+        run = run_mtbfa_campaign if mode == "mtbfa" else run_md_campaign
+        result = run(cfg, context=context)
         csv_path = os.path.join(directory, "campaign.csv")
         write_campaign_csv(csv_path, result)
         if "svg" in cfg.output.formats:

@@ -286,8 +286,7 @@ def _score_sign_and_crossing(matrix, post_noise, window, kernel, seed,
         ArScenario(matrix=matrix, pre_noise=pre, length=3001, burn_in=500),
         seed=seed, stream=1)
     floor = calibrate_correction(
-        kernel, reference, holdout, window,
-        margin=margin, quantile=quantile).correction
+        reference, holdout, window, margin=margin, quantile=quantile).correction
 
     scenario = ArScenario(matrix=matrix, pre_noise=pre, post_noise=post_noise,
                           change_at=tau, length=length, burn_in=500)
@@ -296,8 +295,7 @@ def _score_sign_and_crossing(matrix, post_noise, window, kernel, seed,
     for s in range(100):
         run = simulate_ar(scenario, seed=seed, stream=16 + s)
         own = calibrate_correction(
-            kernel, reference, run[:tau], window,
-            margin=margin, quantile=quantile).correction
+            reference, run[:tau], window, margin=margin, quantile=quantile).correction
         detector = KernelCusumDetector(
             reference,
             DetectorConfig(window=window, min_sample=10, threshold=threshold,
@@ -375,8 +373,7 @@ def test_criterion_7_campaign_times_respect_theory_bounds():
     reference_a = build_reference(
         kernel, simulate_finite(chain_p, 501, seed=707, stream=0))
     holdout_a = simulate_finite(chain_p, 1001, seed=707, stream=1)
-    cal_a = calibrate_correction(kernel, reference_a, holdout_a, window_a,
-                                 margin=0.01)
+    cal_a = calibrate_correction(reference_a, holdout_a, window_a, margin=0.01)
     block_a = buffer_doeblin(doeblin_of_finite(chain_p), window_a)
     horizon = 900
     crossings = {b: [] for b in thresholds}
@@ -404,7 +401,7 @@ def test_criterion_7_campaign_times_respect_theory_bounds():
     reference_b = build_reference(
         kernel, simulate_finite(chain_p, 501, seed=808, stream=0))
     holdout_b = simulate_finite(chain_p, 1001, seed=808, stream=1)
-    cal_b = calibrate_correction(kernel, reference_b, holdout_b, window_b,
+    cal_b = calibrate_correction(reference_b, holdout_b, window_b,
                                  margin=0.005, quantile=0.5)
     gamma = exact_mmd_finite(kernel, chain_p, chain_q)
     drift = gamma - 2.0 * cal_b.correction
@@ -466,8 +463,7 @@ def test_criterion_8_same_marginal_different_transitions_detected():
     reference = build_reference(
         kernel, simulate_finite(chain_fwd, 501, seed=909, stream=0))
     holdout = simulate_finite(chain_fwd, 1001, seed=909, stream=1)
-    calibration = calibrate_correction(kernel, reference, holdout, window,
-                                       margin=0.01)
+    calibration = calibrate_correction(reference, holdout, window, margin=0.01)
     drift = gamma - 2.0 * calibration.correction
     assert drift > 0.0
 

@@ -331,7 +331,7 @@ def test_two_state_discrepancies_match_exact_sums():
     assert len(got) == len(want) == len(data) - config.window
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
     holdout = two_state(41, 600)
-    cal = calibrate_correction(reference.kernel, reference, holdout, 20, margin=0.0, quantile=0.9)
+    cal = calibrate_correction(reference, holdout, 20, margin=0.0, quantile=0.9)
     want = exact_discrepancies(reference, holdout, 20)
     got = [out.discrepancy for out in KernelCusumDetector(reference, config).extend(holdout)][20:]
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
@@ -356,7 +356,7 @@ def test_scoring_groups_repeated_pairs(monkeypatch):
     monkeypatch.setattr(KernelSpec, "_gram", recording)
     det = KernelCusumDetector(reference, config)
     det.extend(data)
-    calibrate_correction(reference.kernel, reference, data[:60], window=20)
+    calibrate_correction(reference, data[:60], window=20)
     KernelCusumDetector.restore(reference, config, det.checkpoint())
     rebuilt = ReferenceSet(kernel=reference.kernel, pairs=reference.pairs)
     assert rebuilt.self_mean == reference.self_mean
@@ -575,7 +575,7 @@ def test_discrepancies_are_translation_invariant(shift):
 
     def run(offset):
         reference = build_reference(kernel, ref_obs + offset)
-        cal = calibrate_correction(kernel, reference, holdout + offset, window=20)
+        cal = calibrate_correction(reference, holdout + offset, window=20)
         config = DetectorConfig(window=20, min_sample=5, threshold=5.0, correction=cal.correction)
         outs = KernelCusumDetector(reference, config).extend(monitored + offset)
         return cal.holdout_level, np.array([o.discrepancy for o in outs if o.index is not None])
@@ -712,7 +712,7 @@ def test_calibration_matches_brute_force_max():
     holdout = rng.standard_normal((60, 2))
     window = 7
     oracle = calibration_oracle(kernel, reference, holdout, window)
-    cal = calibrate_correction(kernel, reference, holdout, window, margin=0.02)
+    cal = calibrate_correction(reference, holdout, window, margin=0.02)
     assert isinstance(cal, Calibration)
     assert cal.n_scores == len(oracle)
     assert math.isclose(cal.holdout_level, max(oracle), rel_tol=0, abs_tol=1e-12)
@@ -726,7 +726,7 @@ def test_calibration_matches_brute_force_quantile():
     holdout = rng.standard_normal((80, 2))
     window, q = 5, 0.9
     oracle = calibration_oracle(kernel, reference, holdout, window)
-    cal = calibrate_correction(kernel, reference, holdout, window, margin=0.0, quantile=q)
+    cal = calibrate_correction(reference, holdout, window, margin=0.0, quantile=q)
     want = float(np.quantile(np.asarray(oracle), q))
     assert math.isclose(cal.holdout_level, want, rel_tol=0, abs_tol=1e-12)
     assert cal.holdout_level <= max(oracle)
@@ -737,10 +737,10 @@ def test_calibrated_scores_negative_on_holdout():
     """The property the correction is chosen for: replaying the holdout
     through a detector with the calibrated correction yields no positive
     score (max quantile, any positive margin)."""
-    kernel, reference = make_reference(seed=22, m_obs=51)
+    _, reference = make_reference(seed=22, m_obs=51)
     rng = np.random.default_rng(23)
     holdout = rng.standard_normal((70, 2))
-    cal = calibrate_correction(kernel, reference, holdout, window=6, margin=1e-6)
+    cal = calibrate_correction(reference, holdout, window=6, margin=1e-6)
     config = DetectorConfig(window=6, min_sample=2, threshold=5.0, correction=cal.correction)
     det = KernelCusumDetector(reference, config)
     scores = [o.score for o in det.extend(holdout) if o.score is not None]
@@ -757,33 +757,25 @@ def test_calibration_on_a_finite_holdout():
     det = KernelCusumDetector(reference, config)
     values = [det.step(row).discrepancy for row in holdout][config.window :]
     for q, pinned in ((1.0, "0x1.7f368b421468ep-1"), (0.9, "0x1.004717790e573p-1")):
-        cal = calibrate_correction(reference.kernel, reference, holdout, 20, margin=0.0, quantile=q)
+        cal = calibrate_correction(reference, holdout, 20, margin=0.0, quantile=q)
         assert cal.n_scores == len(values) == 580
         assert cal.holdout_level == float.fromhex(pinned)
     assert max(values) == float.fromhex("0x1.7f368b421468ep-1")
 
 
 def test_calibration_validation():
-    kernel, reference = make_reference(seed=24)
+    _, reference = make_reference(seed=24)
     rng = np.random.default_rng(25)
     holdout = rng.standard_normal((30, 2))
     with pytest.raises(ValueError):
-        calibrate_correction(kernel, reference, holdout, window=5, margin=-0.1)
+        calibrate_correction(reference, holdout, window=5, margin=-0.1)
     with pytest.raises(ValueError):
-        calibrate_correction(kernel, reference, holdout, window=5, quantile=0.0)
+        calibrate_correction(reference, holdout, window=5, quantile=0.0)
     with pytest.raises(ValueError):
-        calibrate_correction(kernel, reference, holdout, window=5, quantile=1.5)
+        calibrate_correction(reference, holdout, window=5, quantile=1.5)
     with pytest.raises(ValueError):
-        calibrate_correction(kernel, reference, holdout, window=0)
+        calibrate_correction(reference, holdout, window=0)
     with pytest.raises(ValueError, match="too short"):
-        calibrate_correction(kernel, reference, holdout[:5], window=10)
+        calibrate_correction(reference, holdout[:5], window=10)
     with pytest.raises(ValueError, match="dimension"):
-        calibrate_correction(kernel, reference, rng.standard_normal((30, 3)), window=5)
-    for other in (KernelSpec.gaussian(2.0), KernelSpec.mixture([1.0, 1.0], [0.25, 0.75])):
-        with pytest.raises(ValueError, match="kernel does not match"):
-            calibrate_correction(other, reference, holdout, window=5)
-    equal = KernelSpec.gaussian(1.0)
-    assert equal is not kernel
-    assert calibrate_correction(equal, reference, holdout, 5) == calibrate_correction(
-        kernel, reference, holdout, 5
-    )
+        calibrate_correction(reference, rng.standard_normal((30, 3)), window=5)

@@ -103,15 +103,20 @@ def finite_config(**edits):
 def test_minimal_config_defaults():
     cfg = parse_config_text(MINIMAL)
     s, d, c, o = cfg.scenario, cfg.detector, cfg.campaign, cfg.output
-    assert (s.kind, s.length, s.change_at, s.burn_in) == ("ar-variance", 2000, None, 500)
-    assert (s.pre_variance, s.post_variance, s.post_mean) == (0.1, 0.2, 0.05)
+    assert (s.kind, s.length, s.change_at, s.ar.burn_in) == ("ar-variance", 2000, None, 500)
+    assert np.array_equal(s.ar.pre_noise.cov, 0.1 * np.eye(4))
+    post = parse_config_text(MINIMAL.replace("ar-variance", "ar-variance\nchange_at = 9"))
+    assert np.array_equal(post.scenario.ar.post_noise.cov, 0.2 * np.eye(4))
+    post = parse_config_text(MINIMAL.replace("ar-variance", "ar-mean\nchange_at = 9"))
+    assert np.array_equal(post.scenario.ar.post_noise.mean, np.full(4, 0.05))
+    assert np.array_equal(post.scenario.ar.post_noise.cov, 0.1 * np.eye(4))
     assert (d.window, d.min_sample, d.threshold, d.reference) == (50, 10, 5.0, 500)
     assert d.bandwidths == (0.1, 1.0, 10.0) and d.weights is None
     assert (d.correction, d.margin, d.quantile, d.holdout) == ("calibrate", 0.01, 1.0, 1000)
     assert (c.mode, c.replications, c.thresholds) == ("trace", 200, (5.0,))
     assert (c.horizon_factor, c.seed) == (50, 0)
     assert (o.directory, o.formats) == ("out", ("csv", "svg"))
-    assert cfg.bounds.doeblin() is None and cfg.bounds.gamma is None
+    assert cfg.bounds.certificate is None and cfg.bounds.gamma is None
     scenario = cfg.scenario.ar_scenario()
     assert scenario.dim == 4 and scenario.change_at is None
 
@@ -221,7 +226,7 @@ def test_finite_section_builders():
 
 def test_bounds_section_roundtrip():
     cfg = parse_config_text(MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 2\ngamma = 0.5")
-    params = cfg.bounds.doeblin()
+    params = cfg.bounds.certificate
     assert (params.lam, params.lag) == (0.3, 2)
     assert cfg.bounds.gamma == 0.5
 
@@ -264,7 +269,6 @@ def test_context_calibrated_correction_is_reconstructible():
         ctx.reference.pairs, np.hstack([ref_obs[:-1], ref_obs[1:]])
     )
     cal = calibrate_correction(
-        ctx.kernel,
         ctx.reference,
         holdout,
         cfg.detector.window,
@@ -341,16 +345,15 @@ def step_loop_trace(cfg, monitored):
 def test_run_trace_rows_match_step_loop(edits):
     cfg = parse_config_text(finite_config(**edits))
     seed = cfg.campaign.seed
-    monitored = harness._monitored_trajectory(cfg, cfg.scenario.length, seed, harness.TRACE_STREAM)
+    monitored = harness._trajectory(cfg, cfg.scenario.length, seed, harness.TRACE_STREAM)
     result = run_trace(cfg)
     assert result.trace == step_loop_trace(cfg, monitored)
     if not edits:
         assert any(row.alarm for row in result.trace) and not result.trace[0].alarm
 
 
-def test_run_trace_csv_with_nothing_left_to_monitor(tmp_path):
-    """A context built while the csv was longer: the monitored part of
-    the shortened file is empty, which gives no rows and a warm-up note."""
+def csv_trace_config(tmp_path):
+    """A csv trace config on 120 rows: 30 reference, 20 holdout, 70 monitored."""
     traj = tmp_path / "data.csv"
     data = stream_rng(5, 0).standard_normal((120, 2))
     save_trajectory(data, traj)
@@ -358,11 +361,35 @@ def test_run_trace_csv_with_nothing_left_to_monitor(tmp_path):
         f"[scenario]\nkind = csv\npath = {traj}\n[detector]\nwindow = 4\n"
         "reference = 30\nholdout = 20\nbandwidths = 1\n[campaign]\nmode = trace\n[output]\n"
     )
+    return cfg, traj, data
+
+
+def test_csv_trace_reads_its_file_once(tmp_path, monkeypatch):
+    cfg, _, _ = csv_trace_config(tmp_path)
+    calls = []
+    original = harness.load_trajectory
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(harness, "load_trajectory", counting)
+    result = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert len(calls) == 1
+    assert len(result.trace) == 70
+
+
+def test_run_trace_csv_monitors_the_rows_read_by_build_context(tmp_path):
+    """The context holds the monitored rows, so rewriting the file after
+    ``build_context`` (here to fewer rows than one window needs) changes
+    nothing."""
+    cfg, traj, data = csv_trace_config(tmp_path)
     ctx = build_context(cfg, cfg.campaign.seed)
+    before = run_trace(cfg, context=ctx)
     save_trajectory(data[:50], traj)
-    result = run_trace(cfg, context=ctx)
-    assert result.trace == ()
-    assert any("warm-up notice" in note for note in result.notes)
+    after = run_trace(cfg, context=ctx)
+    assert after == before
+    assert len(after.trace) == 70 and after.trace[-1].statistic is not None
 
 
 def test_run_trace_rejects_wrong_mode():

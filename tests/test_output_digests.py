@@ -1,4 +1,5 @@
-"""Pinned SHA-256 digests of the files two small campaigns write.
+"""Pinned SHA-256 digests of the files two small campaigns and a csv
+trace write.
 
 Scoring changes in this package are meant to keep every output bit for
 bit, so these digests must not move.  A change that moves bits on
@@ -12,7 +13,7 @@ import hashlib
 
 import pytest
 
-from kcusum import parse_config_text, run_experiment
+from kcusum import parse_config_text, run_experiment, save_trajectory, stream_rng
 
 FINITE_MD = """
 [scenario]
@@ -73,6 +74,33 @@ directory = out
 formats = csv
 """
 
+CSV_TRACE = """
+[scenario]
+kind = csv
+path = {path}
+
+[detector]
+window = 10
+reference = 60
+holdout = 40
+bandwidths = 0.5,2
+correction = calibrate
+quantile = 0.9
+
+[campaign]
+mode = trace
+thresholds = 1,3
+
+[output]
+formats = csv
+"""
+
+CSV_TRACE_DIGESTS = {
+    "trace.csv": "0aed7a629233b1b228b8f3a67b872e5014a571f4d90007325a466c9af58ef602",
+    "notes.txt": "ccfe173c9c96ac28c52a3b8be1785208d5593e112cff52c0276a605ef78b8936",
+    "bounds.txt": "ed4e08e48e8b81097e8218670ebc305642071acef47fb877c3679fbcc55f8ca4",
+}
+
 PINNED = {
     "finite-md": (
         FINITE_MD,
@@ -93,12 +121,27 @@ PINNED = {
 }
 
 
+def digests_of(directory, filenames) -> dict:
+    return {
+        filename: hashlib.sha256((directory / filename).read_bytes()).hexdigest()
+        for filename in filenames
+    }
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_campaign_outputs_keep_their_digests(tmp_path, name):
     text, digests = PINNED[name]
     run_experiment(parse_config_text(text), out_dir=str(tmp_path))
-    got = {
-        filename: hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
-        for filename in digests
-    }
-    assert got == digests
+    assert digests_of(tmp_path, digests) == digests
+
+
+def test_csv_trace_outputs_keep_their_digests(tmp_path):
+    """200 rows whose last 60 have twice the scale: 60 reference, 40
+    holdout and 100 monitored rows, with an alarm after the change."""
+    data = stream_rng(11, 0).standard_normal((200, 2))
+    data[140:] *= 2.0
+    path = tmp_path / "data.csv"
+    save_trajectory(data, path)
+    out = tmp_path / "out"
+    run_experiment(parse_config_text(CSV_TRACE.format(path=path)), out_dir=str(out))
+    assert digests_of(out, CSV_TRACE_DIGESTS) == CSV_TRACE_DIGESTS
