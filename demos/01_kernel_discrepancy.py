@@ -15,7 +15,6 @@ from kcusum import (
     KernelSpec,
     exact_mmd_finite,
     lift,
-    make_pair,
     mmd,
     mmd_squared,
     simulate_finite,
@@ -35,11 +34,11 @@ def main() -> None:
     print()
     print("=== 2. Lifting a trajectory to transition pairs ===")
     path = np.array([[0.0], [1.0], [0.0], [0.0], [1.0]])
-    lifted = lift(path)
+    pairs = lift(path)
     print(f"trajectory of {path.shape[0]} observations -> "
-          f"{lifted.n_pairs} pairs of dimension {lifted.pairs.shape[1]}")
-    print(f"first pair {lifted.pairs[0]} equals "
-          f"make_pair(path[0], path[1]) = {make_pair(path[0], path[1])}")
+          f"{pairs.shape[0]} pairs of dimension {pairs.shape[1]}")
+    print(f"first pair {pairs[0]} is path[0] = {path[0]} followed by "
+          f"path[1] = {path[1]}")
     print("the detector compares *pair* distributions, so it can react to a")
     print("change in the dynamics even when the marginal law is unchanged.")
 

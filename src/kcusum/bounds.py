@@ -38,7 +38,8 @@ class DoeblinParams:
     Parameters
     ----------
     lam : float
-        Minorisation mass, in (0, 1).  Larger means faster mixing.
+        Minorisation mass, in (0, 1), with ``1 - lam < 1`` in floating
+        point.  Larger means faster mixing.
     lag : int
         Power of the kernel at which the minorisation holds, >= 1.
     """
@@ -49,6 +50,9 @@ class DoeblinParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.lam < 1.0):
             raise ValueError(f"lam must lie in (0, 1); got {self.lam!r}")
+        if 1.0 - self.lam == 1.0:
+            # the envelope 4 (1 - lam)^(t/lag - 1) would not decay at all
+            raise ValueError(f"lam is too small to separate 1 - lam from 1; got {self.lam!r}")
         if int(self.lag) != self.lag or self.lag < 1:
             raise ValueError(f"lag must be an integer >= 1; got {self.lag!r}")
         object.__setattr__(self, "lag", int(self.lag))
@@ -71,10 +75,13 @@ def sigma_from_doeblin(params: DoeblinParams) -> float:
 
     Geometric series value 4 / ((1 - lam) * (1 - (1 - lam)^(1/lag))).
     It dominates every partial sum of :func:`rho_envelope` from t = 1,
-    which is all the deviation bounds need.
+    which is all the deviation bounds need.  The divisor
+    ``1 - (1 - lam)^(1/lag)`` is evaluated as ``-expm1(log1p(-lam) / lag)``:
+    the plain form rounds to 0 once ``lam / lag`` falls below about
+    1e-16, as it does for a small ``lam`` lifted by :func:`buffer_doeblin`.
     """
     one_minus = 1.0 - params.lam
-    return 4.0 / (one_minus * (1.0 - one_minus ** (1.0 / params.lag)))
+    return 4.0 / (one_minus * -math.expm1(math.log1p(-params.lam) / params.lag))
 
 
 def buffer_doeblin(params: DoeblinParams, window: int) -> DoeblinParams:

@@ -147,9 +147,9 @@ class ScenarioSection:
 class DetectorSection:
     """Detector geometry, kernel, and correction policy.
 
-    ``kernel`` is derived from ``bandwidths`` and ``weights``: a single
-    Gaussian for one bandwidth without weights, else a mixture (equal
-    weights when none are given).  The parser builds it once to check
+    ``kernel`` is derived from ``bandwidths`` and ``weights``: a mixture
+    over the bandwidths, with equal weights when none are given (one
+    bandwidth gives a single Gaussian).  The parser builds it to check
     the two keys.
 
     ``threshold`` is parsed and checked but no code path reads it: alarm
@@ -171,7 +171,7 @@ class DetectorSection:
 
     @property
     def kernel(self) -> KernelSpec:
-        return _detector_kernel(self.bandwidths, self.weights)
+        return KernelSpec.mixture(self.bandwidths, self.weights)
 
     def fixed_correction(self) -> float | None:
         if self.correction in ("calibrate", "analytic"):
@@ -291,12 +291,6 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
     )
 
 
-def _detector_kernel(bandwidths: tuple, weights: tuple | None) -> KernelSpec:
-    if len(bandwidths) == 1 and weights is None:
-        return KernelSpec.gaussian(bandwidths[0])
-    return KernelSpec.mixture(bandwidths, weights)
-
-
 def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     _check_keys(parser, "detector", _DETECTOR_KEYS)
     sec = parser["detector"]
@@ -318,8 +312,9 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
         weights = tuple(_parse_floats(sec["weights"], "detector", "weights"))
         if len(weights) != len(bandwidths):
             _fail("detector", "weights", "must match bandwidths in length")
-    _build("detector", "bandwidths" if weights is None else "weights",
-           lambda: _detector_kernel(bandwidths, weights))
+    _build("detector", "bandwidths", lambda: KernelSpec.mixture(bandwidths))
+    if weights is not None:
+        _build("detector", "weights", lambda: KernelSpec.mixture(bandwidths, weights))
     correction = sec.get("correction", "calibrate").strip()
     if correction not in ("calibrate", "analytic"):
         try:

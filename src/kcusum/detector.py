@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, as_points, distinct_rows, row_chunks
-from .mmd import LiftedTrajectory, lift, lifted_pairs
+from .mmd import lift, lifted_pairs
 
 __all__ = [
     "ReferenceSet",
@@ -91,7 +91,7 @@ class ReferenceSet:
 
     kernel: KernelSpec
     pairs: np.ndarray
-    self_mean: float = 0.0
+    self_mean: float = field(init=False)
     digest: str = field(default="", init=False, repr=False)
     repeats: bool = field(default=False, init=False, repr=False)
 
@@ -124,11 +124,11 @@ class ReferenceSet:
 def build_reference(kernel: KernelSpec, history) -> ReferenceSet:
     """Reference from a raw pre-change trajectory (``(T, d)``, T >= 2).
 
-    The trajectory is lifted to its ``T - 1`` consecutive pairs.  To use
-    already-lifted pairs, construct :class:`ReferenceSet` directly.
+    The trajectory is lifted to its ``T - 1`` consecutive pairs by
+    :func:`~kcusum.mmd.lift`.  To use already-lifted pairs, construct
+    :class:`ReferenceSet` directly.
     """
-    lifted = history if isinstance(history, LiftedTrajectory) else lift(history)
-    return ReferenceSet(kernel=kernel, pairs=lifted.pairs)
+    return ReferenceSet(kernel=kernel, pairs=lift(history))
 
 
 @dataclass(frozen=True)
@@ -732,16 +732,19 @@ def calibrate_correction(
 ) -> Calibration:
     """Pick the correction from held-out pre-change data.
 
-    Slides a ``window``-pair buffer across the holdout trajectory,
-    records the discrepancy against ``reference`` at every position, and
-    returns the ``quantile`` of those values plus ``margin``.  With the
-    default ``quantile=1.0`` the correction sits above every windowed
-    discrepancy on the holdout, so each score the detector would have
-    produced there is strictly negative, which is the behaviour wanted
-    before a change.  A quantile slightly below 1 tolerates a brief
-    extreme excursion in the holdout instead of letting one cluster of
-    windows dictate the whole correction; the resulting holdout scores
-    are then negative at all but that fraction of positions.
+    ``holdout`` is a raw ``(T, d)`` pre-change trajectory with the
+    reference's point dimension d and at least ``window + 1``
+    observations; its ``T - 1`` consecutive pairs are scored.  Slides a
+    ``window``-pair buffer across them, records the discrepancy against
+    ``reference`` at every position, and returns the ``quantile`` of
+    those values plus ``margin``.  With the default ``quantile=1.0``
+    the correction sits above every windowed discrepancy on the holdout,
+    so each score the detector would have produced there is strictly
+    negative, which is the behaviour wanted before a change.  A quantile
+    slightly below 1 tolerates a brief extreme excursion in the holdout
+    instead of letting one cluster of windows dictate the whole
+    correction; the resulting holdout scores are then negative at all
+    but that fraction of positions.
 
     The windows are scored with ``reference.kernel``, the kernel the
     detector monitoring against ``reference`` uses.
@@ -753,17 +756,15 @@ def calibrate_correction(
     if int(window) != window or window < 1:
         raise ValueError("window must be an integer >= 1")
     window = int(window)
-    lifted = holdout if isinstance(holdout, LiftedTrajectory) else lift(
-        as_points(holdout, name="holdout")
-    )
-    if lifted.pairs.shape[1] != reference.pairs.shape[1]:
+    X = as_points(holdout, name="holdout")
+    if X.shape[1] != reference.point_dim:
         raise ValueError("holdout dimension does not match the reference")
-    if lifted.n_pairs < window:
+    if X.shape[0] < window + 1:
         raise ValueError(
             f"holdout too short: needs at least {window + 1} observations "
             f"for one full window"
         )
-    values = _BlockScorer(reference, window).push(lifted.pairs)
+    values = _BlockScorer(reference, window).push(lifted_pairs(X))
     if quantile == 1.0:
         level = max(values)
     else:

@@ -41,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import bound_report, buffer_doeblin, mtbfa_lower_bound, md_upper_bound
-from .config import ConfigError, ExperimentConfig
+from .bounds import DoeblinParams, bound_report, buffer_doeblin, md_upper_bound, mtbfa_lower_bound
+from .config import ConfigError, ExperimentConfig, _build
 from .detector import (
     CusumStream,
     DetectorConfig,
@@ -134,12 +134,17 @@ class HarnessContext:
     The kernel is ``reference.kernel``.  ``monitored`` holds the rows of
     a ``csv`` scenario after its reference and holdout parts; it is None
     for synthesised scenarios, whose monitored data is simulated per run.
+    ``pre_block``, ``post_block`` and ``gamma`` are the inputs of the
+    closed-form bounds (see :func:`_theory_inputs`), None when unknown.
     """
 
     reference: ReferenceSet
     correction: float
     notes: tuple
     monitored: np.ndarray | None = None
+    pre_block: DoeblinParams | None = None
+    post_block: DoeblinParams | None = None
+    gamma: float | None = None
 
 
 def make_output_directory(directory: str) -> str:
@@ -178,9 +183,13 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
     A ``csv`` scenario's file is read here, once, and split into its
     reference, holdout (only when calibrating) and monitored parts;
     a file that is missing, does not parse or leaves less than one
-    window to monitor is a ``scenario.path`` error.
+    window to monitor is a ``scenario.path`` error.  The bounds' inputs
+    are derived first, so a chain without a usable certificate fails
+    before any data is drawn.
     """
     det = cfg.detector
+    kernel = det.kernel
+    pre_block, post_block, gamma = _theory_inputs(cfg, kernel)
     notes = []
 
     monitored = holdout_obs = None
@@ -203,7 +212,7 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
         if det.correction == "calibrate":
             holdout_obs = _trajectory(cfg, det.holdout, seed, HOLDOUT_STREAM, pre_change=True)
 
-    reference = build_reference(det.kernel, ref_obs)
+    reference = build_reference(kernel, ref_obs)
     notes.append(f"reference: {reference.n_pairs} pairs from {det.reference} observations")
 
     fixed = det.fixed_correction()
@@ -230,18 +239,20 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
             f"over {cal.n_scores} positions, margin {cal.margin!r})"
         )
     return HarnessContext(
-        reference=reference, correction=correction, notes=tuple(notes), monitored=monitored
+        reference=reference, correction=correction, notes=tuple(notes), monitored=monitored,
+        pre_block=pre_block, post_block=post_block, gamma=gamma,
     )
 
 
-def _theory_inputs(cfg: ExperimentConfig, context: HarnessContext):
+def _theory_inputs(cfg: ExperimentConfig, kernel):
     """(pre_block, post_block, gamma) for theory columns, or Nones.
 
     Observation-level Doeblin parameters come from the ``[bounds]``
-    section when given, else are derived exactly for finite chains.  The
-    score sequence is a function of the sliding block of ``window``
-    pairs, so certificates are lifted with :func:`buffer_doeblin` over
-    ``window + 1`` raw states.
+    section when given, else are derived exactly for finite chains (a
+    chain without a usable certificate is a ``scenario.pre_matrix`` or
+    ``scenario.post_matrix`` error).  The score sequence is a function
+    of the sliding block of ``window`` pairs, so certificates are lifted
+    with :func:`buffer_doeblin` over ``window + 1`` raw states.
     """
     scn = cfg.scenario
     given = cfg.bounds.certificate
@@ -251,11 +262,11 @@ def _theory_inputs(cfg: ExperimentConfig, context: HarnessContext):
         pre_raw = post_raw = given
     elif scn.kind == "finite":
         pre, post = scn.finite_chains()
-        pre_raw = doeblin_of_finite(pre)
-        post_raw = doeblin_of_finite(post)
+        pre_raw = _build("scenario", "pre_matrix", lambda: doeblin_of_finite(pre))
+        post_raw = _build("scenario", "post_matrix", lambda: doeblin_of_finite(post))
     if scn.kind == "finite" and gamma is None:
         pre, post = scn.finite_chains()
-        gamma = exact_mmd_finite(context.reference.kernel, pre, post)
+        gamma = exact_mmd_finite(kernel, pre, post)
     if pre_raw is None:
         return None, None, gamma
     window = cfg.detector.window
@@ -439,15 +450,14 @@ def run_mtbfa_campaign(
     length = horizons[-1] + det.window
     all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
 
-    pre_block, _, _ = _theory_inputs(cfg, context)
     rows = []
     notes = list(context.notes)
     for j, (b, horizon) in enumerate(zip(camp.thresholds, horizons)):
         times, _, truncated = _tally(all_hits, j, horizon, 0)
         mean, sem = _mean_sem(times)
         theory = None
-        if pre_block is not None:
-            theory = mtbfa_lower_bound(b, det.min_sample, pre_block).value
+        if context.pre_block is not None:
+            theory = mtbfa_lower_bound(b, det.min_sample, context.pre_block).value
         unreliable = truncated > camp.replications / 2
         rows.append(
             CampaignRow(
@@ -493,7 +503,7 @@ def run_md_campaign(
     length = tau + horizons[-1] + det.window
     all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
 
-    _, post_block, gamma = _theory_inputs(cfg, context)
+    post_block, gamma = context.post_block, context.gamma
     rows = []
     notes = list(context.notes)
     aborted = False
@@ -578,7 +588,7 @@ def write_campaign_csv(path: str, result: CampaignResult) -> None:
 
 def write_bounds_txt(path: str, cfg: ExperimentConfig, context: HarnessContext) -> None:
     """Write closed-form guarantee values for every configured threshold."""
-    pre_block, post_block, gamma = _theory_inputs(cfg, context)
+    pre_block, post_block, gamma = context.pre_block, context.post_block, context.gamma
     lines = [
         "closed-form guarantees",
         f"window: {cfg.detector.window}",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "as_points", "compensated_sum", "distinct_rows", "make_pair"]
+__all__ = ["KernelSpec", "as_points", "compensated_sum", "distinct_rows"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -97,26 +97,6 @@ def as_points(points, *, name: str = "points") -> np.ndarray:
     return arr
 
 
-def make_pair(first, second) -> np.ndarray:
-    """Concatenate two d-vectors into a single 2d-vector.
-
-    This is the lifting used to treat one chain transition as a single
-    point; distances between lifted points are plain Euclidean distances
-    on the concatenation.
-    """
-    a = np.asarray(first, dtype=float)
-    b = np.asarray(second, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("pair components must be 1-D vectors")
-    if a.shape != b.shape:
-        raise ValueError(
-            f"pair components must have equal dimension; got {a.shape[0]} and {b.shape[0]}"
-        )
-    if a.shape[0] == 0:
-        raise ValueError("pair components must have dimension >= 1")
-    return np.concatenate([a, b])
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Finite Gaussian mixture kernel.
@@ -152,6 +132,10 @@ class KernelSpec:
             raise ValueError("weights must be strictly positive")
         if np.any(s <= 0.0):
             raise ValueError("bandwidths must be strictly positive")
+        # every exponent divides by 2 sigma^2; 0 or inf there gives nan
+        # or a kernel equal to 1 everywhere
+        if not all(0.0 < 2.0 * b * b < math.inf for b in s.tolist()):
+            raise ValueError("bandwidths must keep 2 * sigma^2 positive and finite")
         total = math.fsum(w)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(

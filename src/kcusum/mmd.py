@@ -17,45 +17,12 @@ import numpy as np
 from .kernels import KernelSpec, as_points
 
 __all__ = [
-    "LiftedTrajectory",
     "lift",
     "mmd_squared",
     "mmd",
     "ConsistencyBound",
     "consistency_bound",
 ]
-
-
-@dataclass(frozen=True)
-class LiftedTrajectory:
-    """Pair-lifted view of a trajectory.
-
-    ``pairs[i] = concat(x_{i+1}, x_{i+2})`` (0-based storage of the
-    1-based trajectory), so a trajectory of length T yields T - 1 pairs.
-    """
-
-    pairs: np.ndarray
-    source_length: int
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.pairs, dtype=float)
-        if p.ndim != 2 or p.shape[0] == 0:
-            raise ValueError("pairs must be a non-empty (n, 2d) array")
-        if p.shape[1] % 2 != 0 or p.shape[1] == 0:
-            raise ValueError("pair vectors must have even positive dimension")
-        if self.source_length != p.shape[0] + 1:
-            raise ValueError("source_length must be one more than the pair count")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "pairs", p)
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.pairs.shape[0])
-
-    @property
-    def point_dim(self) -> int:
-        return int(self.pairs.shape[1] // 2)
 
 
 def lifted_pairs(chain: np.ndarray) -> np.ndarray:
@@ -65,17 +32,17 @@ def lifted_pairs(chain: np.ndarray) -> np.ndarray:
     return np.concatenate((chain[:-1], chain[1:]), axis=1)
 
 
-def lift(trajectory) -> LiftedTrajectory:
-    """Turn a ``(T, d)`` trajectory into its ``(T-1, 2d)`` pair sequence."""
+def lift(trajectory) -> np.ndarray:
+    """Turn a ``(T, d)`` trajectory into its ``(T-1, 2d)`` pair array.
+
+    Row i is ``concat(x_i, x_{i+1})`` (0-based).  The trajectory is
+    validated with :func:`~kcusum.kernels.as_points` and needs at least
+    two observations.
+    """
     X = as_points(trajectory, name="trajectory")
     if X.shape[0] < 2:
         raise ValueError("trajectory must contain at least two observations")
-    return LiftedTrajectory(pairs=lifted_pairs(X), source_length=X.shape[0])
-
-
-def _pair_block(x, name: str) -> np.ndarray:
-    arr = x.pairs if isinstance(x, LiftedTrajectory) else as_points(x, name=name)
-    return np.asarray(arr, dtype=float)
+    return lifted_pairs(X)
 
 
 def mmd_squared(kernel: KernelSpec, a, b) -> float:
@@ -89,11 +56,11 @@ def mmd_squared(kernel: KernelSpec, a, b) -> float:
     clamped below at zero: it is a squared seminorm of a signed measure,
     so negative values can only arise from round-off.
 
-    ``a`` and ``b`` may be ``(n, k)`` arrays or :class:`LiftedTrajectory`
-    instances (their pair blocks are used).
+    ``a`` and ``b`` are ``(n, k)`` point sets of equal ``k``; to compare
+    trajectories by their transitions, pass ``lift(x)`` and ``lift(y)``.
     """
-    A = _pair_block(a, "a")
-    B = _pair_block(b, "b")
+    A = as_points(a, name="a")
+    B = as_points(b, name="b")
     if A.shape[1] != B.shape[1]:
         raise ValueError(
             f"samples must share dimension; got {A.shape[1]} and {B.shape[1]}"

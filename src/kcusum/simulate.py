@@ -104,13 +104,8 @@ class GaussianLaw:
     def dim(self) -> int:
         return int(self.mean.shape[0])
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` vectors, consuming exactly ``n * dim`` normals."""
-        z = rng.standard_normal((n, self.dim))
-        return self.mean + z @ self._factor.T  # type: ignore[attr-defined]
-
     def transform(self, z: np.ndarray) -> np.ndarray:
-        """Map standard-normal rows to this law (same draw count as sample)."""
+        """Map standard-normal rows to this law."""
         return self.mean + z @ self._factor.T  # type: ignore[attr-defined]
 
 

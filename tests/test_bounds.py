@@ -24,7 +24,8 @@ from kcusum import (
 
 def test_doeblin_params_validation():
     DoeblinParams(lam=0.5, lag=3)
-    for lam, lag in ((0.0, 1), (1.0, 1), (1.2, 1), (-0.1, 1), (0.5, 0), (0.5, 2.5)):
+    bad = ((0.0, 1), (1.0, 1), (1.2, 1), (-0.1, 1), (0.5, 0), (0.5, 2.5), (1e-20, 1))
+    for lam, lag in bad:
         with pytest.raises(ValueError):
             DoeblinParams(lam=lam, lag=lag)
 
@@ -46,6 +47,12 @@ def test_sigma_frozen_value():
     # 4 / ((1 - 0.3) * (1 - 0.7)) = 4 / 0.21
     got = sigma_from_doeblin(DoeblinParams(lam=0.3, lag=1))
     assert math.isclose(got, 19.047619047619047, rel_tol=0, abs_tol=1e-12)
+
+
+def test_sigma_of_a_tiny_buffered_certificate():
+    # (1 - lam)^(1/lag) rounds to 1 here; the sum is about 4 lag / lam
+    p = buffer_doeblin(DoeblinParams(lam=1e-15, lag=1), 50)
+    assert math.isclose(sigma_from_doeblin(p), 4.0 * 51 / 1e-15, rel_tol=1e-9)
 
 
 @settings(max_examples=150, deadline=None)

@@ -136,7 +136,7 @@ def test_detector_clock_and_scores_cohere():
         assert out.index == n
         # Cached-row discrepancy must equal a fresh evaluation on the
         # buffer the detector claims to hold.
-        window_pairs = lift(data[i - config.window : i + 1]).pairs
+        window_pairs = lift(data[i - config.window : i + 1])
         assert np.array_equal(det.buffer_pairs(), window_pairs)
         fresh = mmd(kernel, window_pairs, reference.pairs)
         assert math.isclose(out.discrepancy, fresh, rel_tol=0, abs_tol=1e-12)
@@ -309,7 +309,7 @@ def exact_discrepancies(reference, data, window):
     m = reference.n_pairs
     self_total = sum(int(ref_counts[a]) * int(ref_counts[b]) * gram[a][b] for a in kinds for b in kinds)
     lookup = {tuple(v): a for a, v in enumerate(values)}
-    index = [lookup[tuple(p)] for p in lift(data).pairs]
+    index = [lookup[tuple(p)] for p in lift(data)]
     out = []
     for s in range(len(index) - window + 1):
         counts = np.bincount(index[s : s + window], minlength=len(values))
@@ -389,7 +389,7 @@ def test_two_state_steps_evaluate_no_kernel_once_every_pair_was_seen(monkeypatch
     reference, config, data = two_state_setup()
     det = KernelCusumDetector(reference, config)
     det.extend(data[:40])
-    assert len(detector.distinct_rows(lift(data[:40]).pairs)[0]) == 4
+    assert len(detector.distinct_rows(lift(data[:40]))[0]) == 4
     calls = counting_gram(monkeypatch)
     outcomes = [det.step(row) for row in two_state(47, 1000)]
     assert calls == []
@@ -408,7 +408,7 @@ def test_new_pairs_cost_one_cross_row_once(monkeypatch):
     assert reference.repeats and len(detector.distinct_rows(reference.pairs)[0]) == 6
     config = DetectorConfig(window=15, min_sample=3, threshold=5.0, correction=0.1)
     data = simulate_finite_scenario(FiniteScenario(pre, post, change_at=100, length=400), 61)
-    seen = detector.distinct_rows(lift(data).pairs)[0]
+    seen = detector.distinct_rows(lift(data))[0]
     assert len(seen) == 9
     m = reference.n_pairs
     calls = counting_gram(monkeypatch)
@@ -427,7 +427,7 @@ def test_new_pairs_cost_one_cross_row_once(monkeypatch):
 def duplicated_reference():
     """300 AR pairs and copies of three of them: a reference that
     repeats, for data that does not."""
-    pairs = lift(ar_data(50, 301)).pairs
+    pairs = lift(ar_data(50, 301))
     kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
     return ReferenceSet(kernel=kernel, pairs=np.concatenate([pairs, pairs[[5, 77, 123]]]))
 
@@ -667,13 +667,15 @@ def test_reference_set_basics():
     x = rng.standard_normal((9, 2))
     ref = build_reference(kernel, x)
     assert ref.n_pairs == 8 and ref.point_dim == 2
-    assert np.array_equal(ref.pairs, lift(x).pairs)
+    assert np.array_equal(ref.pairs, lift(x))
     grand = kernel.gram_sum(ref.pairs, ref.pairs) / 64.0
     assert math.isclose(ref.self_mean, grand, rel_tol=0, abs_tol=1e-15)
     with pytest.raises(ValueError):
         ref.pairs[0, 0] = 99.0  # frozen storage
     with pytest.raises(ValueError):
         ReferenceSet(kernel=kernel, pairs=np.zeros((4, 3)))  # odd dimension
+    with pytest.raises(TypeError):
+        ReferenceSet(kernel=kernel, pairs=ref.pairs, self_mean=1.0)  # derived, not set
 
 
 def test_detector_config_validation():
@@ -699,7 +701,7 @@ def test_detector_config_validation():
 
 def calibration_oracle(kernel, reference, holdout, window):
     """Brute force: every full window of holdout pairs, scored fresh."""
-    pairs = lift(holdout).pairs
+    pairs = lift(holdout)
     return [
         mmd(kernel, pairs[i : i + window], reference.pairs)
         for i in range(pairs.shape[0] - window + 1)

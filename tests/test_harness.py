@@ -149,6 +149,7 @@ def test_minimal_config_defaults():
         (MINIMAL + "\n[bounds]\nlam = 0.3", "given together"),
         (MINIMAL + "\n[bounds]\nlam = 2\nlag = 1", "bounds.lam"),
         (MINIMAL + "\n[bounds]\nlam = 1.0\nlag = 1", "bounds.lam"),
+        (MINIMAL + "\n[bounds]\nlam = 1e-20\nlag = 1", "bounds.lam"),
         (MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 1\nnorm_f = 2", "bounds.norm_f: unknown key"),
         (finite_config(pre_matrix="1,0;0,1"), "scenario.pre_matrix"),
         (finite_config(post_matrix="0,1;1,0"), "scenario.post_matrix"),
@@ -166,6 +167,10 @@ def test_minimal_config_defaults():
         (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nburn_in = 10"), "scenario.burn_in"),
         (MINIMAL.replace("[detector]", "[detector]\nbandwidths = inf"), "detector.bandwidths"),
         (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1,nan"), "detector.bandwidths"),
+        (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1e-200"), "detector.bandwidths"),
+        (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1e200"), "detector.bandwidths"),
+        (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1e200,1\nweights = 0.5,0.5"),
+         "detector.bandwidths"),
         (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1,2\nweights = 0.5,0.6"),
          "detector.weights: weights must sum to 1"),
         (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1,2\nweights = 1.5,-0.5"),
@@ -704,6 +709,53 @@ def test_cli_bounds_config_error_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "config error: bounds.lam" in captured.err
+
+
+@pytest.mark.parametrize(
+    "key,matrix",
+    [
+        ("pre_matrix", "0.5,0.5;0.5,0.5"),  # identical rows: couples in one step
+        ("post_matrix", "0.5,0.5;0.5,0.5"),
+        ("pre_matrix", "1,1e-18;1e-18,1"),  # 1 - lam rounds to 1
+    ],
+)
+def test_cli_md_degenerate_chain_exit_1_before_replications(
+    tmp_path, capsys, monkeypatch, key, matrix
+):
+    calls = []
+    original = harness._replication_hits
+    monkeypatch.setattr(
+        harness, "_replication_hits", lambda *args: calls.append(args) or original(*args)
+    )
+    cfg = write_config(tmp_path, finite_config(mode="md", **{key: matrix}))
+    code = main(["md", "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"config error: scenario.{key}" in captured.err
+    assert calls == []
+
+
+def test_cli_degenerate_chain_exit_1_in_every_subcommand(tmp_path, capsys):
+    text = finite_config(pre_matrix="0.5,0.5;0.5,0.5", change_at="none",
+                         correction="calibrate", replications="2")
+    cfg = write_config(tmp_path, text)
+    for command in ("trace", "mtbfa", "bounds", "calibrate"):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1, command
+        assert "config error: scenario.pre_matrix" in captured.err
+    # a [bounds] certificate takes precedence over the chains' own
+    cfg = write_config(tmp_path, text + "\n[bounds]\nlam = 0.5\nlag = 1\n")
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_bounds_tiny_certificate_stays_finite(tmp_path, capsys):
+    # lam = 1e-15 passes; over a 50-pair window (1 - lam)^(1/51) rounds
+    # to 1, and the buffered decay sum must not divide by it
+    text = finite_config(window="50", holdout="60")
+    cfg = write_config(tmp_path, text + "\n[bounds]\nlam = 1e-15\nlag = 1\n")
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "lam=1e-15 lag=51" in (tmp_path / "out" / "bounds.txt").read_text()
 
 
 def test_cli_seed_and_replications_overrides(tmp_path):

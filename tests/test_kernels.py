@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcusum import KernelSpec, compensated_sum, make_pair
+from kcusum import KernelSpec, compensated_sum
 from kcusum.kernels import as_points, distinct_rows
 
 
@@ -192,16 +192,6 @@ def test_compensated_sum_is_fsum():
     values = [1e16, 1.0, -1e16, 1.0] * 10
     assert compensated_sum(np.array(values)) == math.fsum(values)
     assert compensated_sum(np.array(values).reshape(5, 8)) == math.fsum(values)
-
-
-def test_make_pair_concatenates():
-    pair = make_pair(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert pair.tolist() == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_make_pair_rejects_mismatched_dims():
-    with pytest.raises(ValueError):
-        make_pair(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 def test_as_points_validation():

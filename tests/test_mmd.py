@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kcusum import (
     KernelSpec,
-    LiftedTrajectory,
     consistency_bound,
     lift,
     mmd,
@@ -66,26 +65,15 @@ def test_mmd_is_square_root():
 
 def test_lift_produces_adjacent_pairs():
     x = np.arange(10.0).reshape(5, 2)
-    lifted = lift(x)
-    assert isinstance(lifted, LiftedTrajectory)
-    assert lifted.pairs.shape == (4, 4)
-    assert lifted.source_length == 5
+    pairs = lift(x)
+    assert pairs.shape == (4, 4)
     for i in range(4):
-        assert lifted.pairs[i].tolist() == [*x[i], *x[i + 1]]
+        assert pairs[i].tolist() == [*x[i], *x[i + 1]]
 
 
 def test_lift_requires_two_observations():
     with pytest.raises(ValueError):
         lift(np.zeros((1, 3)))
-
-
-def test_mmd_accepts_lifted_trajectories():
-    rng = np.random.default_rng(14)
-    kernel = KernelSpec.gaussian(1.0)
-    x, y = rng.standard_normal((20, 2)), rng.standard_normal((25, 2))
-    direct = mmd_squared(kernel, lift(x).pairs, lift(y).pairs)
-    wrapped = mmd_squared(kernel, lift(x), lift(y))
-    assert direct == wrapped
 
 
 def test_consistency_bound_frozen_arithmetic():
