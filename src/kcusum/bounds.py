@@ -41,7 +41,9 @@ class DoeblinParams:
         Minorisation mass, in (0, 1), with ``1 - lam < 1`` in floating
         point.  Larger means faster mixing.
     lag : int
-        Power of the kernel at which the minorisation holds, >= 1.
+        Power of the kernel at which the minorisation holds, in
+        [1, 2**53): the bounds divide by it as a float, and every
+        integer below 2**53 converts exactly.
     """
 
     lam: float
@@ -53,8 +55,8 @@ class DoeblinParams:
         if 1.0 - self.lam == 1.0:
             # the envelope 4 (1 - lam)^(t/lag - 1) would not decay at all
             raise ValueError(f"lam is too small to separate 1 - lam from 1; got {self.lam!r}")
-        if int(self.lag) != self.lag or self.lag < 1:
-            raise ValueError(f"lag must be an integer >= 1; got {self.lag!r}")
+        if int(self.lag) != self.lag or not 1 <= self.lag < 2**53:
+            raise ValueError(f"lag must be an integer in [1, 2**53); got {self.lag!r}")
         object.__setattr__(self, "lag", int(self.lag))
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import DoeblinParams
+from .bounds import DoeblinParams, buffer_doeblin
 from .kernels import KernelSpec
 from .simulate import ArScenario, FiniteChain, GaussianLaw, default_system_matrix
 
@@ -152,8 +152,10 @@ class DetectorSection:
     bandwidth gives a single Gaussian).  The parser builds it to check
     the two keys.
 
-    ``threshold`` is parsed and checked but no code path reads it: alarm
-    levels come from ``campaign.thresholds``.
+    ``threshold`` is checked to be positive, as the detector's own
+    threshold must be, but no code path reads it: alarm levels come from
+    ``campaign.thresholds``.  The key stays accepted because existing
+    configs, the benchmark's among them, write it.
     """
 
     window: int
@@ -252,8 +254,6 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
     matrix = default_system_matrix()
     if "matrix" in sec:
         matrix = _parse_matrix(sec["matrix"], "scenario", "matrix")
-        if matrix.shape[0] != matrix.shape[1]:
-            _fail("scenario", "matrix", "must be square")
 
     ar = chains = None
     if kind in ("ar-variance", "ar-mean"):
@@ -301,27 +301,27 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     if min_sample < 1:
         _fail("detector", "min_sample", "must be >= 1")
     threshold = _get_float(sec, "detector", "threshold", 5.0)
+    if threshold <= 0:
+        _fail("detector", "threshold", "must be positive")
     reference = _get_int(sec, "detector", "reference", 500)
     if reference < 2:
         _fail("detector", "reference", "must be >= 2 observations")
     bandwidths = tuple(_parse_floats(sec.get("bandwidths", "0.1,1,10"), "detector", "bandwidths"))
-    if not bandwidths or not all(0 < b < math.inf for b in bandwidths):
-        _fail("detector", "bandwidths", "must be a non-empty list of positive finite reals")
     weights = None
     if sec.get("weights"):
         weights = tuple(_parse_floats(sec["weights"], "detector", "weights"))
-        if len(weights) != len(bandwidths):
-            _fail("detector", "weights", "must match bandwidths in length")
     _build("detector", "bandwidths", lambda: KernelSpec.mixture(bandwidths))
     if weights is not None:
         _build("detector", "weights", lambda: KernelSpec.mixture(bandwidths, weights))
     correction = sec.get("correction", "calibrate").strip()
     if correction not in ("calibrate", "analytic"):
         try:
-            float(correction)
+            fixed = float(correction)
         except ValueError:
             _fail("detector", "correction",
                   f"must be 'calibrate', 'analytic', or a number; got {correction!r}")
+        if not 0 <= fixed < math.inf:
+            _fail("detector", "correction", f"must be non-negative and finite; got {correction!r}")
     margin = _get_float(sec, "detector", "margin", 0.01)
     if margin < 0:
         _fail("detector", "margin", "must be >= 0")
@@ -399,9 +399,9 @@ def _parse_bounds(parser: configparser.ConfigParser) -> BoundsSection:
     if "lam" in sec:
         lam = _get_float(sec, "bounds", "lam")
         lag = _get_int(sec, "bounds", "lag")
-        if lag < 1:
-            _fail("bounds", "lag", "must be >= 1")
-        certificate = _build("bounds", "lam", lambda: DoeblinParams(lam=lam, lag=lag))
+        # lam first, at a lag that always passes, so each key names its own fault
+        certificate = _build("bounds", "lam", lambda: DoeblinParams(lam=lam, lag=1))
+        certificate = _build("bounds", "lag", lambda: replace(certificate, lag=lag))
     if "gamma" in sec:
         gamma = _get_float(sec, "bounds", "gamma")
         if gamma < 0:
@@ -438,10 +438,16 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
     )
     if cfg.campaign.mode == "md" and cfg.scenario.change_at is None:
         _fail("campaign", "mode", "md campaigns need scenario.change_at set")
+    if cfg.campaign.mode == "md" and cfg.scenario.change_at <= cfg.detector.window:
+        _fail("scenario", "change_at",
+              "must exceed detector.window in md campaigns, so pre-change statistics exist")
     if cfg.campaign.mode == "mtbfa" and cfg.scenario.change_at is not None:
         _fail("campaign", "mode", "mtbfa campaigns need scenario.change_at = none")
     if cfg.scenario.kind == "csv" and cfg.campaign.mode != "trace":
         _fail("campaign", "mode", "csv scenarios support trace mode only")
+    if cfg.bounds.certificate is not None:
+        # the bounds read the certificate lifted over the window, whose lag is larger
+        _build("bounds", "lag", lambda: buffer_doeblin(cfg.bounds.certificate, cfg.detector.window))
     return cfg
 
 

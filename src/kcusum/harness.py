@@ -43,15 +43,7 @@ import numpy as np
 
 from .bounds import DoeblinParams, bound_report, buffer_doeblin, md_upper_bound, mtbfa_lower_bound
 from .config import ConfigError, ExperimentConfig, _build
-from .detector import (
-    CusumStream,
-    DetectorConfig,
-    KernelCusumDetector,
-    ReferenceSet,
-    _BlockScorer,
-    build_reference,
-    calibrate_correction,
-)
+from .detector import CusumStream, ReferenceSet, _BlockScorer, build_reference, calibrate_correction
 from .mmd import consistency_bound, lifted_pairs
 from .simulate import (
     FiniteScenario,
@@ -284,12 +276,14 @@ def run_trace(
 ) -> CampaignResult:
     """Monitor one trajectory and log every raw step.
 
-    The alarm level is the largest of ``campaign.thresholds``.  A ``csv``
-    scenario monitors ``context.monitored``; the others simulate
-    ``scenario.length`` observations on the trace stream.  Raw steps
-    before the first statistic get empty score/statistic columns; when
-    the whole run is shorter than one window the result carries an
-    explicit warm-up notice.
+    The trajectory is scored by :func:`_cusum_series`, as a campaign
+    replication is, and the alarm is the first statistic reaching the
+    largest of ``campaign.thresholds``; from there on every row's alarm
+    flag is set.  A ``csv`` scenario monitors ``context.monitored``; the
+    others simulate ``scenario.length`` observations on the trace stream.
+    Raw steps before the first statistic get empty score/statistic
+    columns; when the whole run is shorter than one window the result
+    carries an explicit warm-up notice.
     """
     if cfg.campaign.mode != "trace":
         raise ConfigError(f"campaign.mode: expected trace, got {cfg.campaign.mode!r}")
@@ -297,49 +291,39 @@ def run_trace(
     if context is None:
         context = build_context(cfg, seed)
     threshold = cfg.campaign.thresholds[-1]
+    window = cfg.detector.window
 
     scn = cfg.scenario
     monitored = context.monitored
     if monitored is None:
         monitored = _trajectory(cfg, scn.length, seed, TRACE_STREAM)
 
-    det = KernelCusumDetector(
-        context.reference,
-        DetectorConfig(
-            window=cfg.detector.window,
-            min_sample=cfg.detector.min_sample,
-            threshold=threshold,
-            correction=context.correction,
-        ),
-    )
-    outcomes = det.extend(monitored)
-    # the alarm flag latches, so a row's flag says whether its statistic
-    # index has reached the first alarm of the whole run
-    first_alarm = math.inf if det.alarmed_at is None else det.alarmed_at
+    scores, statistics = _cusum_series(context, cfg, monitored)
+    (alarm_at,) = _crossing_times(statistics, (threshold,))
+    blank = [None] * (len(monitored) - len(scores))
     rows = [
         TraceRow(
             t=t,
             state_norm=float(np.linalg.norm(obs)),
-            score=None if out.index is None else out.score,
-            statistic=None if out.index is None else out.statistic,
-            alarm=out.index is not None and out.index >= first_alarm,
+            score=score,
+            statistic=statistic,
+            alarm=alarm_at is not None and t - window >= alarm_at,
         )
-        for t, (obs, out) in enumerate(zip(monitored, outcomes), start=1)
+        for t, (obs, score, statistic) in enumerate(
+            zip(monitored, blank + scores, blank + statistics), start=1
+        )
     ]
     notes = list(context.notes)
     notes.append(f"threshold: {threshold!r}")
     if scn.change_at is not None:
         notes.append(f"change_at: raw step {scn.change_at}")
-    if det.n == 0:
+    if not statistics:
         notes.append(
             f"warm-up notice: run of {len(monitored)} observations is shorter than "
-            f"window + 1 = {cfg.detector.window + 1}; no statistics were produced"
+            f"window + 1 = {window + 1}; no statistics were produced"
         )
-    if det.alarmed_at is not None:
-        notes.append(
-            f"alarm: statistic index {det.alarmed_at} "
-            f"(raw step {det.alarmed_at + cfg.detector.window})"
-        )
+    if alarm_at is not None:
+        notes.append(f"alarm: statistic index {alarm_at} (raw step {alarm_at + window})")
     else:
         notes.append("alarm: never fired")
     return CampaignResult(
@@ -351,19 +335,19 @@ def run_trace(
     )
 
 
-def _statistic_series(context: HarnessContext, cfg: ExperimentConfig, trajectory) -> list:
-    """The CUSUM series of a whole trajectory.
+def _cusum_series(context: HarnessContext, cfg: ExperimentConfig, trajectory) -> tuple:
+    """(scores, statistics) of a whole trajectory, one entry per statistic.
 
     Its lifted pairs go through one block scorer, and each window value,
     less the correction, through one CUSUM: the arithmetic of
     :meth:`KernelCusumDetector.extend`, without an outcome object per
-    observation.  Crossing times for the whole threshold grid are read
-    from the series afterwards.
+    observation.  Traces log both lists; campaigns read crossing times
+    for the whole threshold grid from the statistics.
     """
     scorer = _BlockScorer(context.reference, cfg.detector.window)
     cusum = CusumStream(cfg.detector.min_sample)
-    correction = context.correction
-    return [cusum.update(value - correction) for value in scorer.push(lifted_pairs(trajectory))]
+    scores = [value - context.correction for value in scorer.push(lifted_pairs(trajectory))]
+    return scores, [cusum.update(score) for score in scores]
 
 
 def _crossing_times(series, thresholds) -> list:
@@ -386,9 +370,8 @@ def _crossing_times(series, thresholds) -> list:
 def _replication_hits(cfg: ExperimentConfig, context: HarnessContext, length: int, i: int) -> list:
     """Crossing times of replication ``i`` on a ``length``-step trajectory."""
     trajectory = _trajectory(cfg, length, cfg.campaign.seed, REPLICATION_STREAM_BASE + i)
-    return _crossing_times(
-        _statistic_series(context, cfg, trajectory), cfg.campaign.thresholds
-    )
+    _, statistics = _cusum_series(context, cfg, trajectory)
+    return _crossing_times(statistics, cfg.campaign.thresholds)
 
 
 def _horizons(cfg: ExperimentConfig) -> list:
@@ -493,12 +476,7 @@ def run_md_campaign(
     tau = cfg.scenario.change_at
     if context is None:
         context = build_context(cfg, camp.seed)
-    tau_stat = tau - det.window
-    if tau_stat < 1:
-        raise ConfigError(
-            "scenario.change_at: must exceed detector.window so pre-change "
-            "statistics exist"
-        )
+    tau_stat = tau - det.window  # >= 1: the parser checks change_at > window for md
     horizons = _horizons(cfg)
     length = tau + horizons[-1] + det.window
     all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]

@@ -513,7 +513,10 @@ def load_trajectory(path) -> np.ndarray:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
                 raise ValueError(f"{path}:{lineno}: expected {d + 1} columns")
-            rows.append([float(v) for v in row[1:]])
+            values = [float(v) for v in row[1:]]
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: cells must be finite")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no observations")
     return np.asarray(rows, dtype=float)

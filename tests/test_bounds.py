@@ -24,7 +24,9 @@ from kcusum import (
 
 def test_doeblin_params_validation():
     DoeblinParams(lam=0.5, lag=3)
-    bad = ((0.0, 1), (1.0, 1), (1.2, 1), (-0.1, 1), (0.5, 0), (0.5, 2.5), (1e-20, 1))
+    DoeblinParams(lam=0.5, lag=2**53 - 1)
+    bad = ((0.0, 1), (1.0, 1), (1.2, 1), (-0.1, 1), (0.5, 0), (0.5, 2.5), (1e-20, 1),
+           (0.5, 2**53))
     for lam, lag in bad:
         with pytest.raises(ValueError):
             DoeblinParams(lam=lam, lag=lag)

@@ -178,6 +178,17 @@ def test_minimal_config_defaults():
         (MINIMAL.replace("mode = trace", "mode = trace\nthresholds = -1"), "campaign.thresholds"),
         (MINIMAL.replace("mode = trace", "mode = trace\nthresholds = 0"), "campaign.thresholds"),
         (MINIMAL.replace("mode = trace", "mode = trace\nthresholds = 1,inf"), "campaign.thresholds"),
+        (finite_config(correction="-1"), "detector.correction"),
+        (finite_config(correction="nan"), "detector.correction"),
+        (finite_config(correction="inf"), "detector.correction"),
+        (MINIMAL.replace("[detector]", "[detector]\nthreshold = -3"), "detector.threshold"),
+        (MINIMAL.replace("[detector]", "[detector]\nthreshold = 0"), "detector.threshold"),
+        (MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 0", "bounds.lag"),
+        (MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 1" + "0" * 400, "bounds.lag"),
+        # the bounds lift the lag over the 50-pair default window
+        (MINIMAL + f"\n[bounds]\nlam = 0.3\nlag = {2**53 - 50}", "bounds.lag"),
+        (finite_config(mode="md", change_at="5"), "scenario.change_at"),
+        (finite_config(mode="md", change_at="4"), "scenario.change_at"),
     ],
 )
 def test_config_errors_name_the_field(text, needle):
@@ -440,7 +451,7 @@ def test_mtbfa_rejects_wrong_mode():
 
 
 def _full_series(context, cfg, trajectory):
-    """Every statistic of the whole trajectory, from one ``extend`` call."""
+    """Every score and statistic of the whole trajectory, from one ``extend`` call."""
     det = KernelCusumDetector(
         context.reference,
         DetectorConfig(
@@ -448,7 +459,8 @@ def _full_series(context, cfg, trajectory):
             threshold=cfg.campaign.thresholds[-1], correction=context.correction,
         ),
     )
-    return [out.statistic for out in det.extend(trajectory) if out.index is not None]
+    outcomes = [out for out in det.extend(trajectory) if out.index is not None]
+    return [out.score for out in outcomes], [out.statistic for out in outcomes]
 
 
 @pytest.mark.parametrize(
@@ -467,7 +479,7 @@ def test_campaign_rows_match_full_trajectory_recomputation(monkeypatch, edits, r
     ctx = build_context(cfg, cfg.campaign.seed)
     stepped = run(cfg, context=ctx)
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_statistic_series", _full_series)
+        patch.setattr(harness, "_cusum_series", _full_series)
         recomputed = run(cfg, context=ctx)
     assert stepped.rows == recomputed.rows and stepped.notes == recomputed.notes
     if cfg.campaign.mode == "mtbfa":
@@ -507,9 +519,25 @@ def test_md_measures_delays_after_change():
 
 
 def test_md_requires_change_beyond_window():
-    cfg = parse_config_text(finite_config(mode="md", change_at="4"))
     with pytest.raises(ConfigError, match="change_at"):
-        run_md_campaign(cfg)
+        parse_config_text(finite_config(mode="md", change_at="4"))
+
+
+def test_cli_md_change_within_window_fails_before_any_data(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = harness.build_context
+    monkeypatch.setattr(
+        harness, "build_context", lambda *args: calls.append(args) or original(*args)
+    )
+    cfg = write_config(tmp_path, finite_config(change_at="5"))  # window = 5
+    code = main(["md", "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "config error: scenario.change_at" in captured.err
+    assert calls == []
+    # a trace has no pre-change statistics to need
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 # -- file outputs --------------------------------------------------------------------
@@ -749,6 +777,63 @@ def test_cli_degenerate_chain_exit_1_in_every_subcommand(tmp_path, capsys):
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+CSV_NAN = """
+[scenario]
+kind = csv
+path = @CSV@
+[detector]
+window = 4
+reference = 30
+holdout = 20
+bandwidths = 1
+[campaign]
+mode = trace
+[output]
+"""
+CALIBRATED = finite_config(correction="calibrate")
+EVERY = ("trace", "md", "bounds", "calibrate")
+
+
+@pytest.mark.parametrize(
+    "text,commands,key",
+    [
+        (finite_config(correction="-1"), EVERY, "detector.correction"),
+        (finite_config(correction="nan"), EVERY, "detector.correction"),
+        (finite_config(correction="inf"), EVERY, "detector.correction"),
+        (CALIBRATED.replace("[detector]", "[detector]\nthreshold = -3"), EVERY,
+         "detector.threshold"),
+        (CALIBRATED + "\n[bounds]\nlam = 0.5\nlag = 1" + "0" * 400 + "\n", EVERY, "bounds.lag"),
+        (finite_config(correction="calibrate", change_at="5"), ("md",), "scenario.change_at"),
+        (finite_config(correction="calibrate", pre_matrix="0.5,0.5;0.5,0.5"), EVERY,
+         "scenario.pre_matrix"),
+        (finite_config(correction="calibrate", post_matrix="0.5,0.5;0.5,0.5"), EVERY,
+         "scenario.post_matrix"),
+        (finite_config(correction="calibrate", pre_matrix="1,1e-18;1e-18,1"), EVERY,
+         "scenario.pre_matrix"),
+        (CSV_NAN, ("trace", "bounds", "calibrate"), "scenario.path"),
+    ],
+    ids=[
+        "correction=-1", "correction=nan", "correction=inf", "threshold=-3", "huge-lag",
+        "md-change-within-window", "identical-pre-rows", "identical-post-rows",
+        "tiny-minorisation", "csv-nan-cell",
+    ],
+)
+def test_cli_bad_input_matrix_exit_1(tmp_path, capsys, text, commands, key):
+    """Each bad input exits 1 from every subcommand it applies to, with a
+    ``section.key`` message; an exception escaping ``main`` fails the test."""
+    traj = tmp_path / "data.csv"
+    save_trajectory(stream_rng(4, 0).standard_normal((120, 2)), traj)
+    lines = traj.read_text().splitlines()
+    lines[100] = lines[100].rsplit(",", 1)[0] + ",nan"  # a monitored row
+    traj.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, text.replace("@CSV@", str(traj)))
+    for command in commands:
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1, command
+        assert f"config error: {key}" in captured.err, (command, captured.err)
+
+
 def test_cli_bounds_tiny_certificate_stays_finite(tmp_path, capsys):
     # lam = 1e-15 passes; over a 50-pair window (1 - lam)^(1/51) rounds
     # to 1, and the buffered decay sum must not divide by it
@@ -827,13 +912,23 @@ def test_cli_output_directory_naming_a_file_exit_1(tmp_path, capsys, command, wh
     assert taken.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("problem", ["missing", "non-numeric"])
-def test_cli_csv_scenario_path_errors_exit_1(tmp_path, capsys, problem):
+@pytest.mark.parametrize(
+    "problem,line",
+    [
+        ("missing", None),
+        ("non-numeric", 7),
+        ("nan", 7),  # a reference row
+        ("nan", 100),  # a monitored row
+        ("inf", 100),
+    ],
+)
+def test_cli_csv_scenario_path_errors_exit_1(tmp_path, capsys, problem, line):
     traj = tmp_path / "data.csv"
-    if problem == "non-numeric":
+    if problem != "missing":
         save_trajectory(stream_rng(4, 0).standard_normal((120, 2)), traj)
         lines = traj.read_text().splitlines()
-        lines[7] = lines[7].rsplit(",", 1)[0] + ",oops"
+        cell = "oops" if problem == "non-numeric" else problem
+        lines[line] = lines[line].rsplit(",", 1)[0] + "," + cell
         traj.write_text("\n".join(lines) + "\n")
     text = f"""
 [scenario]
@@ -854,3 +949,5 @@ mode = trace
         captured = capsys.readouterr()
         assert code == 1
         assert "config error: scenario.path" in captured.err
+        if problem in ("nan", "inf"):
+            assert f"{traj}:{line + 1}: cells must be finite" in captured.err
