@@ -5,16 +5,23 @@ The detector keeps the last ``window + 1`` raw observations as
 sample by kernel mean discrepancy, and accumulates the corrected scores
 in a CUSUM that ignores trailing sums shorter than ``min_sample`` steps.
 
-One block scorer serves every caller.  :meth:`KernelCusumDetector.step`
-hands it a block of one pair; :meth:`~KernelCusumDetector.extend`,
-:func:`calibrate_correction`, the campaigns and
-:meth:`~KernelCusumDetector.restore` hand it whole blocks.  A block goes
-through in chunks of at most ``window`` pairs.  Each pair needs its
-kernels against itself and the ``window - 1`` pairs before it (its band
-row) and its kernel row sum against the reference (its cross sum).  Each
-band row is summed once, in lag order, when its pair arrives; a window
-value then adds r of those lag sums and r cross sums, O(r) work per
-position with no ``window x window`` table to keep.  The reference
+One block scorer and one CUSUM serve every caller.
+:meth:`KernelCusumDetector.step` hands the scorer a block of one pair;
+:meth:`~KernelCusumDetector.extend`, :func:`calibrate_correction`, the
+campaigns and traces and :meth:`~KernelCusumDetector.restore` hand it
+whole blocks.  The corrected scores of a step, an ``extend`` block, a
+trace or a campaign replication go to one :meth:`CusumStream.extend`
+call, which keeps the newest ``min_sample + 1`` prefix sums in a
+fixed-length window; a block of any length, one score included, takes
+the same arithmetic path.  (A restore reads the CUSUM from its
+checkpoint instead.)
+
+A scorer block goes through in chunks of at most ``window`` pairs.
+Each pair needs its kernels against itself and the ``window - 1`` pairs
+before it (its band row) and its kernel row sum against the reference
+(its cross sum).  Each band row is summed once, in lag order, when its
+pair arrives; a window value then adds r of those lag sums and r cross
+sums, O(r) work per position with no ``window x window`` table to keep.  The reference
 self-term comes from :meth:`KernelSpec.self_sum
 <kcusum.kernels.KernelSpec.self_sum>`, which evaluates the upper
 triangle of the reference Gram matrix only.
@@ -179,15 +186,6 @@ class StepOutcome:
     alarm: bool
 
 
-def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
-    t = total + x
-    if abs(total) >= abs(x):
-        comp += (total - t) + x
-    else:
-        comp += (x - t) + total
-    return t, comp
-
-
 class CusumStream:
     """Streaming maximum of trailing sums at least ``min_sample`` long.
 
@@ -195,66 +193,98 @@ class CusumStream:
 
         max over 1 <= k <= n - min_sample of  (s_k + ... + s_n)
 
-    (-inf while no admissible k exists).  Maintained in O(1) per step:
-    the trailing sum equals C_n minus the smallest eligible prefix, and
-    prefixes become eligible min_sample steps after they are recorded.
-    Prefix sums use compensated accumulation, so they match exact
-    summation to within one rounding of the true value and the statistic
-    cannot drift over long streams.
+    (-inf while no admissible k exists): C_n less the smallest eligible
+    prefix.  The newest ``min_sample + 1`` prefixes wait in a fixed-length
+    window; the one a full window pushes out becomes eligible.  Prefixes
+    use compensated (Neumaier) sums, so the statistic cannot drift.
+    :meth:`extend` holds the only copy of the arithmetic; :meth:`update`
+    is a block of one, so any split into blocks gives the same bits.
     """
 
-    __slots__ = ("min_sample", "n", "statistic", "_sum", "_comp", "_pending", "_eligible_min")
+    __slots__ = ("min_sample", "n", "_sum", "_comp", "_pending", "_eligible_min")
 
     def __init__(self, min_sample: int):
         if int(min_sample) != min_sample or min_sample < 1:
             raise ValueError("min_sample must be an integer >= 1")
         self.min_sample = int(min_sample)
         self.n = 0
-        self.statistic = -math.inf
         self._sum = 0.0
         self._comp = 0.0
-        self._pending: deque[tuple[int, float]] = deque()
-        self._pending.append((0, 0.0))
+        self._pending: deque[float] = deque([0.0], maxlen=self.min_sample + 1)
         self._eligible_min = math.inf
+
+    @property
+    def statistic(self) -> float:  # after the last score; -inf before any
+        return (self._sum + self._comp) - self._eligible_min
 
     def update(self, score: float) -> float:
         """Consume one score, return the updated statistic."""
-        if not math.isfinite(score):
-            raise ValueError(f"score must be finite; got {score!r}")
-        self.n += 1
-        self._sum, self._comp = _neumaier_add(self._sum, self._comp, score)
-        prefix = self._sum + self._comp
-        watermark = self.n - self.min_sample - 1
-        while self._pending and self._pending[0][0] <= watermark:
-            _, value = self._pending.popleft()
-            if value < self._eligible_min:
-                self._eligible_min = value
-        if self._eligible_min < math.inf:
-            self.statistic = prefix - self._eligible_min
-        else:
-            self.statistic = -math.inf
-        self._pending.append((self.n, prefix))
-        return self.statistic
+        return self.extend((score,))[0]
+
+    def extend(self, scores) -> list:
+        """Consume finite scores in order; return the statistic after each.
+        A non-finite score raises ``ValueError`` before any state changes."""
+        for score in scores:
+            if not math.isfinite(score):
+                raise ValueError(f"score must be finite; got {score!r}")
+        total, comp, low = self._sum, self._comp, self._eligible_min
+        pending, out = self._pending, []
+        for score in scores:
+            t = total + score
+            if abs(total) >= abs(score):
+                comp += (total - t) + score
+            else:
+                comp += (score - t) + total
+            total = t
+            prefix = total + comp
+            if len(pending) == pending.maxlen and pending[0] < low:
+                low = pending[0]
+            out.append(prefix - low)
+            pending.append(prefix)
+        self.n += len(out)
+        self._sum, self._comp, self._eligible_min = total, comp, low
+        return out
 
     def snapshot(self) -> dict:
+        first = self.n - len(self._pending) + 1
         return {
             "n": self.n,
             "sum": self._sum.hex(),
             "comp": self._comp.hex(),
             "eligible_min": self._eligible_min.hex(),
             "statistic": self.statistic.hex(),
-            "pending": [[j, value.hex()] for j, value in self._pending],
+            "pending": [[first + i, value.hex()] for i, value in enumerate(self._pending)],
         }
 
     @classmethod
     def from_snapshot(cls, min_sample: int, data: dict) -> "CusumStream":
+        """Rebuild a stream from :meth:`snapshot` output, rejecting state
+        that no run of finite scores could have left."""
         out = cls(min_sample)
-        out.n = int(data["n"])
-        out._sum = float.fromhex(data["sum"])
-        out._comp = float.fromhex(data["comp"])
-        out._eligible_min = float.fromhex(data["eligible_min"])
-        out.statistic = float.fromhex(data["statistic"])
-        out._pending = deque((int(j), float.fromhex(v)) for j, v in data["pending"])
+        n = out.n = int(data["n"])
+        out._sum, out._comp = float.fromhex(data["sum"]), float.fromhex(data["comp"])
+        out._eligible_min = low = float.fromhex(data["eligible_min"])
+        indices = [int(j) for j, _ in data["pending"]]
+        if n < 0 or indices != list(range(n - min(n, out.min_sample), n + 1)):
+            raise ValueError(
+                "cusum state inconsistent: pending prefixes must be the last "
+                f"min(n, min_sample) + 1 indices up to n = {n}"
+            )
+        values = [float.fromhex(v) for _, v in data["pending"]]
+        out._pending = deque(values, maxlen=out._pending.maxlen)
+        if not all(map(math.isfinite, [out._sum, out._comp, *values])):
+            raise ValueError("cusum state inconsistent: non-finite prefix sum")
+        if not (low == math.inf if n <= out.min_sample else math.isfinite(low)):
+            raise ValueError(
+                "cusum state inconsistent: eligible_min must be inf while "
+                "n <= min_sample and finite after"
+            )
+        if values[-1] != out._sum + out._comp:
+            raise ValueError("cusum state inconsistent: last prefix differs from sum + comp")
+        if float.fromhex(data["statistic"]) != out.statistic:
+            raise ValueError(
+                "cusum state inconsistent: statistic differs from sum + comp - eligible_min"
+            )
         return out
 
 
@@ -589,16 +619,19 @@ class KernelCusumDetector:
         chain = np.concatenate((self._raw[-1][None, :], X)) if self._raw else X
         values = self._scorer.push(lifted_pairs(chain))
         self._raw.extend(row.copy() for row in X[-(self.config.window + 1) :])
+        scores = [value - self.config.correction for value in values]
+        first = self._cusum.n + 1
+        statistics = self._cusum.extend(scores)
         outcomes = [_WARMING_UP] * (X.shape[0] - len(values))
-        for discrepancy in values:
-            score = discrepancy - self.config.correction
-            statistic = self._cusum.update(score)
+        for index, (discrepancy, score, statistic) in enumerate(
+            zip(values, scores, statistics), start=first
+        ):
             alarm = statistic >= self.config.threshold
             if alarm and self._alarmed_at is None:
-                self._alarmed_at = self._cusum.n
+                self._alarmed_at = index
             outcomes.append(
                 StepOutcome(
-                    index=self._cusum.n,
+                    index=index,
                     discrepancy=discrepancy,
                     score=score,
                     statistic=statistic,
@@ -689,15 +722,19 @@ class KernelCusumDetector:
         for row in raw:
             if row.shape[0] != det._dim:
                 raise ValueError("checkpoint raw buffer has wrong dimension")
-        cusum = CusumStream.from_snapshot(config.min_sample, data["cusum"])
+        buffer = np.array(raw)
+        if not np.isfinite(buffer).all():
+            raise ValueError("checkpoint raw buffer holds a non-finite value")
+        n = int(data["cusum"]["n"])
         n_pairs = len(raw) - 1 if raw else 0
-        if n_pairs < config.window and cusum.n != 0:
+        if n_pairs < config.window and n != 0:
             raise ValueError("checkpoint inconsistent: scores before the buffer filled")
-        if n_pairs == config.window and cusum.n < 1:
+        if n_pairs == config.window and n < 1:
             raise ValueError("checkpoint inconsistent: full buffer but no scores")
+        cusum = CusumStream.from_snapshot(config.min_sample, data["cusum"])
         det._raw.extend(raw)
         if n_pairs > 0:
-            det._scorer.push(lifted_pairs(np.array(raw)))
+            det._scorer.push(lifted_pairs(buffer))
         det._cusum = cusum
         alarmed = data["alarmed_at"]
         det._alarmed_at = None if alarmed is None else int(alarmed)

@@ -338,16 +338,15 @@ def run_trace(
 def _cusum_series(context: HarnessContext, cfg: ExperimentConfig, trajectory) -> tuple:
     """(scores, statistics) of a whole trajectory, one entry per statistic.
 
-    Its lifted pairs go through one block scorer, and each window value,
-    less the correction, through one CUSUM: the arithmetic of
-    :meth:`KernelCusumDetector.extend`, without an outcome object per
-    observation.  Traces log both lists; campaigns read crossing times
-    for the whole threshold grid from the statistics.
+    Its lifted pairs go through one block scorer, and the window values,
+    less the correction, through one :meth:`CusumStream.extend`: the
+    arithmetic of :meth:`KernelCusumDetector.extend`, without an outcome
+    object per observation.  Traces log both lists; campaigns read
+    crossing times for the whole threshold grid from the statistics.
     """
     scorer = _BlockScorer(context.reference, cfg.detector.window)
-    cusum = CusumStream(cfg.detector.min_sample)
     scores = [value - context.correction for value in scorer.push(lifted_pairs(trajectory))]
-    return scores, [cusum.update(score) for score in scores]
+    return scores, CusumStream(cfg.detector.min_sample).extend(scores)
 
 
 def _crossing_times(series, thresholds) -> list:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcusum import (
@@ -107,6 +107,120 @@ def test_stream_snapshot_roundtrip_bit_identical():
     resumed = CusumStream.from_snapshot(4, live.snapshot())
     for s in scores[37:]:
         assert live.update(s) == resumed.update(s)
+
+
+def watermark_cusum(scores, min_sample):
+    """The per-score recursion ``CusumStream`` replaced, kept as an oracle:
+    ``(index, prefix)`` pairs wait in a queue until a watermark
+    ``n - min_sample - 1`` passes them.  Returns the statistics and the
+    final (sum, comp, eligible_min, pending prefixes)."""
+    total = comp = 0.0
+    low = math.inf
+    pending = [(0, 0.0)]
+    out = []
+    for n, x in enumerate(scores, start=1):
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+        prefix = total + comp
+        while pending and pending[0][0] <= n - min_sample - 1:
+            _, value = pending.pop(0)
+            if value < low:
+                low = value
+        out.append(prefix - low if low < math.inf else -math.inf)
+        pending.append((n, prefix))
+    return out, (total, comp, low, [value for _, value in pending])
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def set_at(*path, value):
+    """A mutation of parsed JSON that sets the entry at ``path``."""
+
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    return mutate
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), max_size=90),
+    st.integers(min_value=1, max_value=30),
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=12),
+)
+@example([0.5, -1.0, 2.0, 0.25], 1, [1])  # one score a block, min_sample 1
+@example([float(i % 7) - 3.0 for i in range(60)], 25, [3, 7])  # cuts in warm-up and lag
+@example([1e-3 * (-1) ** i for i in range(50)], 4, [40])  # block spans warm-up and steady state
+def test_extend_at_any_split_matches_update_loop(scores, min_sample, cuts):
+    """``extend`` over blocks cut at ``cuts`` (cycled) gives the bits of an
+    ``update`` loop and of the watermark recursion, and ends in the same
+    snapshot."""
+    looped = CusumStream(min_sample)
+    want = [looped.update(s) for s in scores]
+    blocked = CusumStream(min_sample)
+    got = []
+    lo = 0
+    while lo < len(scores):
+        size = cuts[len(got) % len(cuts)]
+        got += blocked.extend(scores[lo : lo + size])
+        lo += size
+    oracle, (total, comp, low, pending) = watermark_cusum(scores, min_sample)
+    assert bits(got) == bits(want) == bits(oracle)
+    assert blocked.snapshot() == looped.snapshot()
+    snap = blocked.snapshot()
+    assert bits((total, comp, low)) == [snap["sum"], snap["comp"], snap["eligible_min"]]
+    assert bits(pending) == [value for _, value in snap["pending"]]
+    assert blocked.n == len(scores)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_extend_rejects_a_non_finite_block_before_any_change(bad):
+    stream = CusumStream(3)
+    stream.extend([0.5, -1.0, 2.0, 0.25, 1.0])
+    before = stream.snapshot()
+    with pytest.raises(ValueError, match="finite"):
+        stream.extend([1.0, 2.0, bad, 3.0])
+    assert stream.snapshot() == before
+    assert stream.extend([]) == [] and stream.snapshot() == before
+
+
+def test_from_snapshot_rejects_inconsistent_state():
+    steady = CusumStream(3)
+    steady.extend([0.5, -1.0, 2.0, 0.25, 1.0, -0.5])
+    warm = CusumStream(3)
+    warm.extend([0.5, -1.0])
+
+    cases = [
+        (steady, set_at("n", value=9), "pending prefixes"),
+        (steady, set_at("n", value=-1), "pending prefixes"),
+        (steady, set_at("pending", 0, 0, value=2), "pending prefixes"),
+        (steady, lambda d: d["pending"].pop(0), "pending prefixes"),
+        (warm, lambda d: d["pending"].pop(0), "pending prefixes"),
+        (steady, set_at("sum", value="inf"), "non-finite"),
+        (steady, set_at("comp", value="nan"), "non-finite"),
+        (steady, set_at("pending", 1, 1, value="-inf"), "non-finite"),
+        (steady, set_at("eligible_min", value="nan"), "eligible_min"),
+        (steady, set_at("eligible_min", value="inf"), "eligible_min"),
+        (steady, set_at("eligible_min", value="-inf"), "eligible_min"),
+        (warm, set_at("eligible_min", value="0x0.0p+0"), "eligible_min"),
+        (steady, set_at("pending", -1, 1, value=(0.125).hex()), "last prefix"),
+        (steady, set_at("statistic", value=(0.125).hex()), "statistic differs"),
+        (warm, set_at("statistic", value=(0.125).hex()), "statistic differs"),
+    ]
+    for stream, mutate, match in cases:
+        data = json.loads(json.dumps(stream.snapshot()))
+        CusumStream.from_snapshot(3, data)
+        mutate(data)
+        with pytest.raises(ValueError, match=match):
+            CusumStream.from_snapshot(3, data)
 
 
 # -- KernelCusumDetector ------------------------------------------------------
@@ -632,6 +746,22 @@ def test_restore_rejects_bad_checkpoints():
         KernelCusumDetector.restore(
             reference, config, corrupt(blob, lambda d: d.pop("cusum"))
         )
+
+    n = json.loads(blob)["cusum"]["n"]
+    for mutate, match in [
+        (set_at("cusum", "n", value=n + 3), "pending prefixes"),
+        (set_at("cusum", "pending", 1, 0, value=99), "pending prefixes"),
+        (lambda d: d["cusum"]["pending"].pop(0), "pending prefixes"),
+        (set_at("cusum", "sum", value="inf"), "non-finite"),
+        (set_at("cusum", "comp", value="-inf"), "non-finite"),
+        (set_at("cusum", "eligible_min", value="nan"), "eligible_min"),
+        (set_at("cusum", "eligible_min", value="inf"), "eligible_min"),
+        (set_at("cusum", "statistic", value=(1.5).hex()), "statistic differs"),
+        (set_at("raw_buffer", 2, 1, value="nan"), "raw buffer holds a non-finite value"),
+        (set_at("raw_buffer", 2, 1, value="inf"), "raw buffer holds a non-finite value"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            KernelCusumDetector.restore(reference, config, corrupt(blob, mutate))
 
 
 def test_restore_rejects_inconsistent_clock():

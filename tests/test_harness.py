@@ -917,6 +917,7 @@ def test_cli_output_directory_naming_a_file_exit_1(tmp_path, capsys, command, wh
     [
         ("missing", None),
         ("non-numeric", 7),
+        ("non-numeric", 100),
         ("nan", 7),  # a reference row
         ("nan", 100),  # a monitored row
         ("inf", 100),
@@ -949,5 +950,6 @@ mode = trace
         captured = capsys.readouterr()
         assert code == 1
         assert "config error: scenario.path" in captured.err
-        if problem in ("nan", "inf"):
-            assert f"{traj}:{line + 1}: cells must be finite" in captured.err
+        if line is not None:
+            reason = "numbers" if problem == "non-numeric" else "finite"
+            assert f"{traj}:{line + 1}: cells must be {reason}" in captured.err

@@ -13,7 +13,16 @@ import hashlib
 
 import pytest
 
-from kcusum import parse_config_text, run_experiment, save_trajectory, stream_rng
+from kcusum import (
+    DetectorConfig,
+    KernelCusumDetector,
+    KernelSpec,
+    build_reference,
+    parse_config_text,
+    run_experiment,
+    save_trajectory,
+    stream_rng,
+)
 
 FINITE_MD = """
 [scenario]
@@ -101,6 +110,11 @@ CSV_TRACE_DIGESTS = {
     "bounds.txt": "ed4e08e48e8b81097e8218670ebc305642071acef47fb877c3679fbcc55f8ca4",
 }
 
+CHECKPOINT_DIGESTS = {
+    "warm-up": "873dc97a3e517efb13c3e14900d5ec5396fd8df864e833b95f35dcc3cbbd08e9",
+    "steady": "9026c013d22901c44ad0f876a9fdb64fb178974e436610099b8f5b75f5939671",
+}
+
 PINNED = {
     "finite-md": (
         FINITE_MD,
@@ -145,3 +159,21 @@ def test_csv_trace_outputs_keep_their_digests(tmp_path):
     out = tmp_path / "out"
     run_experiment(parse_config_text(CSV_TRACE.format(path=path)), out_dir=str(out))
     assert digests_of(out, CSV_TRACE_DIGESTS) == CSV_TRACE_DIGESTS
+
+
+def test_checkpoint_texts_keep_their_digests():
+    """Checkpoints of one detector while the CUSUM is still warming up
+    (n < min_sample, statistic -inf) and in steady state."""
+    data = stream_rng(12, 0).standard_normal((60, 2))
+    reference = build_reference(KernelSpec.gaussian(1.0), data[:21])
+    config = DetectorConfig(window=4, min_sample=6, threshold=50.0, correction=0.3)
+    det = KernelCusumDetector(reference, config)
+    texts = {}
+    det.extend(data[21:29])
+    assert det.n == 4
+    texts["warm-up"] = det.checkpoint()
+    det.extend(data[29:])
+    assert det.n == 35
+    texts["steady"] = det.checkpoint()
+    got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert got == CHECKPOINT_DIGESTS
