@@ -37,13 +37,16 @@ class ConfigError(ValueError):
     """Raised for any malformed, missing, or unknown configuration field."""
 
 
-_SCENARIO_KEYS = {
-    "kind", "length", "change_at", "burn_in", "pre_variance",
-    "post_variance", "post_mean", "matrix", "states", "pre_matrix",
-    "post_matrix", "path",
+# the scenario keys each kind reads; a key of another kind is an error,
+# since the parser would check it and the kind would ignore it
+_AR_KEYS = {"kind", "length", "change_at", "burn_in", "pre_variance", "post_variance",
+            "post_mean", "matrix"}
+_KIND_KEYS = {
+    "ar-variance": _AR_KEYS,
+    "ar-mean": _AR_KEYS,
+    "finite": {"kind", "length", "change_at", "states", "pre_matrix", "post_matrix"},
+    "csv": {"kind", "length", "change_at", "path"},
 }
-# keys that only the AR kinds read; a finite or csv scenario would ignore them
-_AR_ONLY_KEYS = ("matrix", "pre_variance", "post_variance", "post_mean", "burn_in")
 _DETECTOR_KEYS = {
     "window", "min_sample", "threshold", "reference", "bandwidths",
     "weights", "correction", "margin", "quantile", "holdout",
@@ -53,7 +56,6 @@ _CAMPAIGN_KEYS = {"mode", "replications", "thresholds", "horizon_factor", "seed"
 _OUTPUT_KEYS = {"directory", "formats"}
 _BOUNDS_KEYS = {"lam", "lag", "gamma"}
 
-_KINDS = ("ar-variance", "ar-mean", "finite", "csv")
 _MODES = ("trace", "mtbfa", "md")
 
 
@@ -223,15 +225,14 @@ def _check_keys(parser: configparser.ConfigParser, name: str, allowed: set) -> N
 
 
 def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
-    _check_keys(parser, "scenario", _SCENARIO_KEYS)
+    _check_keys(parser, "scenario", set().union(*_KIND_KEYS.values()))
     sec = parser["scenario"]
     kind = sec.get("kind")
-    if kind not in _KINDS:
-        _fail("scenario", "kind", f"must be one of {', '.join(_KINDS)}; got {kind!r}")
-    if kind in ("finite", "csv"):
-        for key in _AR_ONLY_KEYS:
-            if key in sec:
-                _fail("scenario", key, f"applies to AR scenarios only, not kind = {kind}")
+    if kind not in _KIND_KEYS:
+        _fail("scenario", "kind", f"must be one of {', '.join(_KIND_KEYS)}; got {kind!r}")
+    for key in sec:
+        if key not in _KIND_KEYS[kind]:
+            _fail("scenario", key, f"does not apply to kind = {kind}")
     length = _get_int(sec, "scenario", "length", 2000)
     if length < 2:
         _fail("scenario", "length", "must be at least 2")
@@ -329,7 +330,7 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     if not 0.0 < quantile <= 1.0:
         _fail("detector", "quantile", "must lie in (0, 1]")
     holdout = _get_int(sec, "detector", "holdout", 1000)
-    if holdout < window + 1:
+    if correction == "calibrate" and holdout < window + 1:
         _fail("detector", "holdout", "must cover at least one full window")
     sigma_reference = sigma_buffer = None
     if correction == "analytic":

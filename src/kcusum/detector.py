@@ -1,28 +1,29 @@
 """Streaming change detector: windowed kernel discrepancy fed into a CUSUM.
 
-The detector keeps the last ``window + 1`` raw observations as
-``window`` lifted pairs, scores that window against a fixed reference
-sample by kernel mean discrepancy, and accumulates the corrected scores
+Each score is a function of the last ``window + 1`` raw observations:
+their ``window`` lifted pairs are scored against a fixed reference
+sample by kernel mean discrepancy, and the corrected scores accumulate
 in a CUSUM that ignores trailing sums shorter than ``min_sample`` steps.
 
-One block scorer and one CUSUM serve every caller.
-:meth:`KernelCusumDetector.step` hands the scorer a block of one pair;
-:meth:`~KernelCusumDetector.extend`, :func:`calibrate_correction`, the
-campaigns and traces and :meth:`~KernelCusumDetector.restore` hand it
-whole blocks.  The corrected scores of a step, an ``extend`` block, a
-trace or a campaign replication go to one :meth:`CusumStream.extend`
-call, which keeps the newest ``min_sample + 1`` prefix sums in a
-fixed-length window; a block of any length, one score included, takes
-the same arithmetic path.  (A restore reads the CUSUM from its
-checkpoint instead.)
+One block scorer and one CUSUM serve every caller.  The scorer keeps
+the last ``window + 1`` observations, the only copy of the window's
+state, and is the only place where observations become pairs.
+:func:`score_series` runs observations through it, subtracts the
+correction and feeds the scores to one :meth:`CusumStream.extend` call:
+:meth:`KernelCusumDetector.step` hands it one observation,
+:meth:`~KernelCusumDetector.extend`, traces and campaigns whole blocks.
+:func:`calibrate_correction` and :meth:`~KernelCusumDetector.restore`
+push observations into the scorer alone.  The CUSUM keeps the newest
+``min_sample + 1`` prefix sums in a fixed-length window, so a block of
+any length, one score included, takes the same arithmetic path.
 
 A scorer block goes through in chunks of at most ``window`` pairs.
 Each pair needs its kernels against itself and the ``window - 1`` pairs
 before it (its band row) and its kernel row sum against the reference
 (its cross sum).  Each band row is summed once, in lag order, when its
 pair arrives; a window value then adds r of those lag sums and r cross
-sums, O(r) work per position with no ``window x window`` table to keep.  The reference
-self-term comes from :meth:`KernelSpec.self_sum
+sums, O(r) work per position with no ``window x window`` table to keep.
+The reference self-term comes from :meth:`KernelSpec.self_sum
 <kcusum.kernels.KernelSpec.self_sum>`, which evaluates the upper
 triangle of the reference Gram matrix only.
 
@@ -43,9 +44,9 @@ bit, a kernel value is the same whichever call, table or band produced
 it, so a window value is a function of the window alone: it depends
 neither on how the stream was cut into blocks, nor on which pairs
 repeat, nor on what came before the window.  So ``extend`` equals a
-``step`` loop bit for bit, and a restore, which rescores the buffered
-pairs in one block in a fresh scorer, continues an interrupted run bit
-for bit.
+``step`` loop bit for bit, and a restore, which pushes the stored
+observations in one block into a fresh scorer, continues an interrupted
+run bit for bit.
 """
 
 from __future__ import annotations
@@ -289,7 +290,11 @@ class CusumStream:
 
 
 class _BlockScorer:
-    """Windowed discrepancy of a stream of lifted pairs, fed in blocks.
+    """Windowed discrepancy of a stream of raw observations, fed in blocks.
+
+    ``raw`` holds the last ``window + 1`` observations, oldest first,
+    the only copy of the window's state; each block is lifted to pairs
+    together with them.
 
     A window of r pairs starting at pair s has the within-window term
 
@@ -311,8 +316,8 @@ class _BlockScorer:
     the kernel only for pairs it has not seen; its values have the bits
     of a direct evaluation, because ``KernelSpec._gram`` is
     batch-invariant and symmetric bit for bit.  Otherwise each chunk's
-    band is evaluated against the last ``window - 1`` pairs, kept
-    oldest first in ``_tail``, and each pair gets its own cross row.
+    band is evaluated against the lifted pairs up to ``window - 1``
+    before it, and each pair gets its own cross row.
 
     ``_lags`` and ``_cross`` hold the rows of the newest pairs, with room
     for a few windows, so the rows are shifted only when the room is
@@ -321,35 +326,42 @@ class _BlockScorer:
     every call.
     """
 
-    __slots__ = ("reference", "window", "_lags", "_cross", "_held", "_tail", "_table")
+    __slots__ = ("reference", "window", "raw", "_lags", "_cross", "_held", "_table")
 
     def __init__(self, reference: ReferenceSet, window: int):
         self.reference = reference
         self.window = r = int(window)
+        self.raw = np.empty((0, reference.point_dim))
         # a block chunk adds at most r rows to the r - 1 it scores against
         self._lags = np.empty((3 * r, r))
         self._cross = np.empty(3 * r)
         self._held = 0
-        self._tail = np.empty((0, reference.pairs.shape[1]))
         self._table = _PairTable(reference, r) if reference.repeats else None
 
-    def push(self, pairs: np.ndarray) -> list:
-        """Add ``pairs`` in order; return the window value after each pair
-        that leaves the window full."""
+    def push(self, observations: np.ndarray) -> list:
+        """Add the validated ``(k, d)`` rows ``observations`` in order;
+        return the window value after each one that leaves the window
+        full."""
         r = self.window
+        chain = np.concatenate((self.raw, observations))
+        pairs = lifted_pairs(chain)
+        seen = max(self.raw.shape[0] - 1, 0)  # pairs scored by earlier pushes
+        self.raw = chain[-(r + 1) :].copy()
         table = self._table
         if table is None:
-            cross = _cross_sums(self.reference, pairs)
+            cross = _cross_sums(self.reference, pairs[seen:])
         values = []
         # chunks of at most ``window`` pairs: each pair needs the kernels
         # against the ``window - 1`` pairs before it, so a longer chunk
         # would evaluate more of its own band than it uses
-        for lo in range(0, pairs.shape[0], r):
+        for lo in range(seen, pairs.shape[0], r):
             block = pairs[lo : lo + r]
             c = block.shape[0]
             if table is None:
-                band = self._band(block)
-                block_cross = cross[lo : lo + c]
+                # columns newest first: pair i's lag 0 is column c - 1 - i
+                band_pairs = pairs[max(0, lo - (r - 1)) : lo + c][::-1]
+                band = self.reference.kernel._gram(block, np.ascontiguousarray(band_pairs.T))
+                block_cross = cross[lo - seen : lo - seen + c]
             else:
                 band, block_cross = table.band(block)
             held = self._held
@@ -372,15 +384,6 @@ class _BlockScorer:
             if first < self._held:
                 values += self._values(first - (r - 1), self._held - first)
         return values
-
-    def _band(self, block: np.ndarray) -> np.ndarray:
-        """Kernels of ``block`` against itself and the (up to) ``window - 1``
-        pairs before it, columns newest first, so pair i's lags 0, 1, ...
-        start at column ``c - 1 - i``; the last ``window - 1`` pairs are
-        kept for the next block."""
-        seen = np.concatenate([self._tail, block])
-        self._tail = seen[max(0, seen.shape[0] - (self.window - 1)) :]
-        return self.reference.kernel._gram(block, np.ascontiguousarray(seen[::-1].T))
 
     def _values(self, start: int, count: int) -> list:
         """Values of the ``count`` windows whose first rows are ``start``,
@@ -482,7 +485,7 @@ class _PairTable:
 
     def band(self, block: np.ndarray) -> tuple:
         """The band of a chunk of ``c <= window`` pairs that follows the
-        pairs seen so far, as :meth:`_BlockScorer._band` evaluates it but
+        pairs seen so far, as :meth:`_BlockScorer.push` evaluates it but
         always ``c + window - 1`` wide (id 0 fills the columns before the
         stream's first pair), and the chunk's ``c`` cross sums."""
         if block.shape[0] == 1:
@@ -546,6 +549,15 @@ class _PairTable:
         return renumber[ids]
 
 
+def score_series(scorer: _BlockScorer, cusum: CusumStream, observations, correction) -> tuple:
+    """Push ``observations`` through ``scorer``, subtract ``correction``
+    and feed ``cusum``; return ``(values, scores, statistics)``, one
+    entry each per statistic produced."""
+    values = scorer.push(observations)
+    scores = [value - correction for value in values]
+    return values, scores, cusum.extend(scores)
+
+
 _WARMING_UP = StepOutcome(
     index=None, discrepancy=None, score=None, statistic=-math.inf, alarm=False
 )
@@ -567,7 +579,6 @@ class KernelCusumDetector:
         self.reference = reference
         self.config = config
         self._dim = reference.point_dim
-        self._raw: deque[np.ndarray] = deque(maxlen=config.window + 1)
         self._scorer = _BlockScorer(reference, config.window)
         self._cusum = CusumStream(config.min_sample)
         self._alarmed_at: int | None = None
@@ -588,9 +599,7 @@ class KernelCusumDetector:
 
     def buffer_pairs(self) -> np.ndarray:
         """Current buffer pairs, oldest first (may be shorter than window)."""
-        if len(self._raw) < 2:
-            return np.empty((0, 2 * self._dim))
-        return lifted_pairs(np.array(self._raw))
+        return lifted_pairs(self._scorer.raw)
 
     def step(self, observation) -> StepOutcome:
         """Feed one observation, get the updated detector state."""
@@ -616,12 +625,10 @@ class KernelCusumDetector:
 
     def _advance(self, X: np.ndarray) -> list[StepOutcome]:
         """Score the validated ``(k, dim)`` rows ``X`` as one block."""
-        chain = np.concatenate((self._raw[-1][None, :], X)) if self._raw else X
-        values = self._scorer.push(lifted_pairs(chain))
-        self._raw.extend(row.copy() for row in X[-(self.config.window + 1) :])
-        scores = [value - self.config.correction for value in values]
         first = self._cusum.n + 1
-        statistics = self._cusum.extend(scores)
+        values, scores, statistics = score_series(
+            self._scorer, self._cusum, X, self.config.correction
+        )
         outcomes = [_WARMING_UP] * (X.shape[0] - len(values))
         for index, (discrepancy, score, statistic) in enumerate(
             zip(values, scores, statistics), start=first
@@ -642,7 +649,6 @@ class KernelCusumDetector:
 
     def reset(self) -> None:
         """Forget buffer, statistic, and alarm; keep reference and config."""
-        self._raw.clear()
         self._scorer = _BlockScorer(self.reference, self.config.window)
         self._cusum = CusumStream(self.config.min_sample)
         self._alarmed_at = None
@@ -665,7 +671,7 @@ class KernelCusumDetector:
             "correction": self.config.correction.hex(),
             "dim": self._dim,
             "reference": self.reference.digest,
-            "raw_buffer": [[v.hex() for v in row] for row in self._raw],
+            "raw_buffer": [[v.hex() for v in row] for row in self._scorer.raw.tolist()],
             "alarmed_at": self._alarmed_at,
             "cusum": self._cusum.snapshot(),
         }
@@ -677,10 +683,9 @@ class KernelCusumDetector:
     ) -> "KernelCusumDetector":
         """Rebuild a detector from :meth:`checkpoint` output.
 
-        The buffered pairs are rescored from the stored raw observations
-        in one block by a fresh scorer.  A window value depends only on
-        the pairs in its window, so subsequent outputs are bit-identical
-        to an uninterrupted run.
+        The stored raw observations are pushed in one block into a fresh
+        scorer.  A window value depends only on the pairs in its window,
+        so subsequent outputs are bit-identical to an uninterrupted run.
         A checkpoint written against another reference (kernel or
         pairs) is rejected.
         """
@@ -713,31 +718,34 @@ class KernelCusumDetector:
         if data["reference"] != reference.digest:
             raise ValueError("checkpoint was written against a different reference")
         det = cls(reference, config)
-        raw = [
-            np.asarray([float.fromhex(v) for v in row], dtype=float)
-            for row in data["raw_buffer"]
-        ]
+        raw = [[float.fromhex(v) for v in row] for row in data["raw_buffer"]]
         if len(raw) > config.window + 1:
             raise ValueError("checkpoint raw buffer longer than window + 1")
-        for row in raw:
-            if row.shape[0] != det._dim:
-                raise ValueError("checkpoint raw buffer has wrong dimension")
-        buffer = np.array(raw)
+        if any(len(row) != det._dim for row in raw):
+            raise ValueError("checkpoint raw buffer has wrong dimension")
+        buffer = np.array(raw, dtype=float).reshape(len(raw), det._dim)
         if not np.isfinite(buffer).all():
             raise ValueError("checkpoint raw buffer holds a non-finite value")
         n = int(data["cusum"]["n"])
-        n_pairs = len(raw) - 1 if raw else 0
+        n_pairs = max(len(raw) - 1, 0)
         if n_pairs < config.window and n != 0:
             raise ValueError("checkpoint inconsistent: scores before the buffer filled")
         if n_pairs == config.window and n < 1:
             raise ValueError("checkpoint inconsistent: full buffer but no scores")
         cusum = CusumStream.from_snapshot(config.min_sample, data["cusum"])
-        det._raw.extend(raw)
-        if n_pairs > 0:
-            det._scorer.push(lifted_pairs(buffer))
-        det._cusum = cusum
         alarmed = data["alarmed_at"]
-        det._alarmed_at = None if alarmed is None else int(alarmed)
+        if alarmed is None and cusum.statistic >= config.threshold:
+            raise ValueError(
+                "checkpoint inconsistent: statistic at the threshold but alarmed_at is null"
+            )
+        if alarmed is not None and (type(alarmed) is not int or not 1 <= alarmed <= n):
+            raise ValueError(
+                f"checkpoint inconsistent: alarmed_at must be null or an integer "
+                f"in [1, n = {n}]; got {alarmed!r}"
+            )
+        det._scorer.push(buffer)
+        det._cusum = cusum
+        det._alarmed_at = alarmed
         return det
 
 
@@ -801,11 +809,8 @@ def calibrate_correction(
             f"holdout too short: needs at least {window + 1} observations "
             f"for one full window"
         )
-    values = _BlockScorer(reference, window).push(lifted_pairs(X))
-    if quantile == 1.0:
-        level = max(values)
-    else:
-        level = float(np.quantile(np.asarray(values), quantile))
+    values = _BlockScorer(reference, window).push(X)
+    level = float(np.quantile(np.asarray(values), quantile))
     return Calibration(
         correction=level + margin,
         holdout_level=level,

@@ -43,8 +43,10 @@ import numpy as np
 
 from .bounds import DoeblinParams, bound_report, buffer_doeblin, md_upper_bound, mtbfa_lower_bound
 from .config import ConfigError, ExperimentConfig, _build
-from .detector import CusumStream, ReferenceSet, _BlockScorer, build_reference, calibrate_correction
-from .mmd import consistency_bound, lifted_pairs
+from .detector import (
+    CusumStream, ReferenceSet, _BlockScorer, build_reference, calibrate_correction, score_series,
+)
+from .mmd import consistency_bound
 from .simulate import (
     FiniteScenario,
     doeblin_of_finite,
@@ -338,15 +340,15 @@ def run_trace(
 def _cusum_series(context: HarnessContext, cfg: ExperimentConfig, trajectory) -> tuple:
     """(scores, statistics) of a whole trajectory, one entry per statistic.
 
-    Its lifted pairs go through one block scorer, and the window values,
-    less the correction, through one :meth:`CusumStream.extend`: the
+    One :func:`score_series` call on a fresh block scorer and CUSUM: the
     arithmetic of :meth:`KernelCusumDetector.extend`, without an outcome
     object per observation.  Traces log both lists; campaigns read
     crossing times for the whole threshold grid from the statistics.
     """
     scorer = _BlockScorer(context.reference, cfg.detector.window)
-    scores = [value - context.correction for value in scorer.push(lifted_pairs(trajectory))]
-    return scores, CusumStream(cfg.detector.min_sample).extend(scores)
+    cusum = CusumStream(cfg.detector.min_sample)
+    _, scores, statistics = score_series(scorer, cusum, trajectory, context.correction)
+    return scores, statistics
 
 
 def _crossing_times(series, thresholds) -> list:

@@ -255,36 +255,22 @@ class KernelSpec:
     def gram_sum(self, a, b) -> float:
         """Compensated sum of all entries of ``gram(a, b)``.
 
-        The matrix is evaluated one row chunk at a time and every chunk
-        feeds one exact :func:`math.fsum`, so the result has the bits of
-        :func:`compensated_sum` over the whole matrix without holding it.
-
-        When a row repeats on either side (:func:`distinct_rows`), only
-        the distinct-by-distinct matrix is evaluated, and each value v
-        enters with its count product c (the times its row pair occurs
-        in the full matrix).  Both are split into halves of at most 26
-        bits, so the four partial products of ``v * c`` are exact
-        floats; their exact total is that of the full matrix, and
-        ``fsum`` rounds it correctly, to the same bits.
+        Rows are grouped by :func:`distinct_rows`, and only the
+        distinct-by-distinct matrix is evaluated, one row chunk at a
+        time; each value v enters with its count product c (the times its
+        row pair occurs in the full matrix).  Both are split into halves
+        of at most 26 bits, so the four partial products of ``v * c`` are
+        exact floats; every chunk feeds one exact :func:`math.fsum`, so
+        the result has the bits of :func:`compensated_sum` over the whole
+        matrix without holding it.
         """
-        A = as_points(a, name="a")
-        B = as_points(b, name="b")
-        A_distinct, _, a_counts = distinct_rows(A)
-        B_distinct, _, b_counts = distinct_rows(B)
-        if A_distinct.shape[0] == A.shape[0] and B_distinct.shape[0] == B.shape[0]:
-            B = np.asfortranarray(B)
-            chunks = (
-                self.gram(A[rows], B).ravel().tolist()
-                for rows in row_chunks(A.shape[0], B.shape[0])
-            )
-        else:
-            B = np.asfortranarray(B_distinct)
-            chunks = (
-                self._weighted_terms(
-                    self.gram(A_distinct[rows], B), np.multiply.outer(a_counts[rows], b_counts)
-                )
-                for rows in row_chunks(A_distinct.shape[0], B.shape[0])
-            )
+        A, _, a_counts = distinct_rows(as_points(a, name="a"))
+        B, _, b_counts = distinct_rows(as_points(b, name="b"))
+        B = np.asfortranarray(B)
+        chunks = (
+            self._weighted_terms(self.gram(A[rows], B), np.multiply.outer(a_counts[rows], b_counts))
+            for rows in row_chunks(A.shape[0], B.shape[0])
+        )
         return math.fsum(itertools.chain.from_iterable(chunks))
 
     def self_sum(self, points) -> float:

@@ -759,9 +759,30 @@ def test_restore_rejects_bad_checkpoints():
         (set_at("cusum", "statistic", value=(1.5).hex()), "statistic differs"),
         (set_at("raw_buffer", 2, 1, value="nan"), "raw buffer holds a non-finite value"),
         (set_at("raw_buffer", 2, 1, value="inf"), "raw buffer holds a non-finite value"),
+        (set_at("alarmed_at", value=999), "alarmed_at must be null or an integer"),
+        (set_at("alarmed_at", value=-5), "alarmed_at must be null or an integer"),
+        (set_at("alarmed_at", value=0), "alarmed_at must be null or an integer"),
+        (set_at("alarmed_at", value=2.5), "alarmed_at must be null or an integer"),
+        (set_at("alarmed_at", value="3"), "alarmed_at must be null or an integer"),
+        (set_at("alarmed_at", value=True), "alarmed_at must be null or an integer"),
     ]:
         with pytest.raises(ValueError, match=match):
             KernelCusumDetector.restore(reference, config, corrupt(blob, mutate))
+    for alarmed_at in (1, n):  # the clock's ends are valid
+        resumed = KernelCusumDetector.restore(
+            reference, config, corrupt(blob, set_at("alarmed_at", value=alarmed_at))
+        )
+        assert resumed.alarmed_at == alarmed_at
+
+    # a statistic at the threshold has alarmed, so alarmed_at cannot be null
+    low = DetectorConfig(window=4, min_sample=2, threshold=0.5, correction=0.0)
+    alarmed = KernelCusumDetector(reference, low)
+    alarmed.extend(rng.standard_normal((30, 2)) + 4.0)
+    assert alarmed.alarmed_at is not None and alarmed._cusum.statistic >= low.threshold
+    with pytest.raises(ValueError, match="statistic at the threshold but alarmed_at is null"):
+        KernelCusumDetector.restore(
+            reference, low, corrupt(alarmed.checkpoint(), set_at("alarmed_at", value=None))
+        )
 
 
 def test_restore_rejects_inconsistent_clock():

@@ -165,6 +165,16 @@ def test_minimal_config_defaults():
         (FINITE_BASE.replace("[scenario]", "[scenario]\nburn_in = 10"), "scenario.burn_in"),
         (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nmatrix = 2,0;0,2"), "scenario.matrix"),
         (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nburn_in = 10"), "scenario.burn_in"),
+        (MINIMAL.replace("[scenario]", "[scenario]\nstates = 0;1"), "scenario.states"),
+        (MINIMAL.replace("[scenario]", "[scenario]\npre_matrix = 1"), "scenario.pre_matrix"),
+        (MINIMAL.replace("[scenario]", "[scenario]\npost_matrix = 1"), "scenario.post_matrix"),
+        (MINIMAL.replace("[scenario]", "[scenario]\npath = data.csv"), "scenario.path"),
+        (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nstates = 0;1"), "scenario.states"),
+        (MINIMAL.replace("ar-variance", "csv\npath = data.csv\npre_matrix = 1"),
+         "scenario.pre_matrix"),
+        (MINIMAL.replace("ar-variance", "csv\npath = data.csv\npost_matrix = 1"),
+         "scenario.post_matrix"),
+        (FINITE_BASE.replace("[scenario]", "[scenario]\npath = data.csv"), "scenario.path"),
         (MINIMAL.replace("[detector]", "[detector]\nbandwidths = inf"), "detector.bandwidths"),
         (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1,nan"), "detector.bandwidths"),
         (MINIMAL.replace("[detector]", "[detector]\nbandwidths = 1e-200"), "detector.bandwidths"),
@@ -194,6 +204,16 @@ def test_minimal_config_defaults():
 def test_config_errors_name_the_field(text, needle):
     with pytest.raises(ConfigError, match=needle.replace("(", "\\(")):
         parse_config_text(text)
+
+
+def test_holdout_is_checked_only_when_calibrating():
+    """A fixed or analytic correction reads no holdout, so the default
+    holdout (1000 observations) may be shorter than the window."""
+    for correction in ("0.05", "analytic\nsigma_reference = 1\nsigma_buffer = 1"):
+        text = MINIMAL.replace("[detector]", f"[detector]\nwindow = 1200\ncorrection = {correction}")
+        assert parse_config_text(text).detector.window == 1200
+    with pytest.raises(ConfigError, match="detector.holdout"):
+        parse_config_text(MINIMAL.replace("[detector]", "[detector]\nwindow = 1200"))
 
 
 def test_mode_scenario_cross_checks():
