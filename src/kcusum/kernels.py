@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,6 +114,8 @@ class KernelSpec:
 
     weights: np.ndarray
     bandwidths: np.ndarray
+    # (w_j, -2 * sigma_j^2) as Python floats, the factors ``_fill`` applies
+    _terms: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -147,6 +149,8 @@ class KernelSpec:
         s.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bandwidths", s)
+        terms = tuple((wj, -2.0 * sj * sj) for wj, sj in zip(w.tolist(), s.tolist()))
+        object.__setattr__(self, "_terms", terms)
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
@@ -214,10 +218,14 @@ class KernelSpec:
 
     def _gram(self, A: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """:meth:`gram` without validation: ``A`` is ``(n, d)`` finite rows,
-        ``columns`` the C-contiguous ``(d, m)`` transpose of finite rows.
-        For callers holding validated, frozen sets (the detector's
-        reference), so that a step does not rescan them."""
+        ``columns`` the ``(d, m)`` transpose of finite rows, read fastest
+        with contiguous rows.  For callers holding validated sets (the
+        detector's reference and window buffers), so that a step does
+        not rescan them."""
         out = np.empty((A.shape[0], columns.shape[1]))
+        if A.shape[0] * columns.shape[1] <= CHUNK_ENTRIES:
+            self._fill(A, columns, out)  # one chunk, as a detector step
+            return out
         for rows in row_chunks(A.shape[0], columns.shape[1]):
             self._fill(A[rows], columns, out[rows])
         return out
@@ -243,8 +251,8 @@ class KernelSpec:
                 np.subtract(A[:, k : k + 1], columns[k], out=tmp)
                 tmp *= tmp
                 sq += tmp
-        for j, (w, s) in enumerate(zip(self.weights, self.bandwidths)):
-            np.divide(sq, -2.0 * s * s, out=tmp)
+        for j, (w, scale) in enumerate(self._terms):
+            np.divide(sq, scale, out=tmp)
             np.exp(tmp, out=tmp)
             if j == 0:
                 np.multiply(tmp, w, out=out)

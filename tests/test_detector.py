@@ -214,6 +214,9 @@ def test_from_snapshot_rejects_inconsistent_state():
         (steady, set_at("pending", -1, 1, value=(0.125).hex()), "last prefix"),
         (steady, set_at("statistic", value=(0.125).hex()), "statistic differs"),
         (warm, set_at("statistic", value=(0.125).hex()), "statistic differs"),
+        (steady, set_at("n", value=6.0), "n must be an integer"),
+        (steady, set_at("n", value="6"), "n must be an integer"),
+        (steady, set_at("pending", 0, 0, value=3.0), "pending index must be an integer"),
     ]
     for stream, mutate, match in cases:
         data = json.loads(json.dumps(stream.snapshot()))
@@ -586,6 +589,71 @@ def test_pair_table_stays_within_its_bound_on_continuous_data():
     table_run(reference, config, np.concatenate([data[:100], data[85:93], data[100:]]))
 
 
+def step_watching_buffers(det, data):
+    """Step loop over ``data``.  Returns the outcomes, the steps after
+    which a buffer of ``det``'s scorer moved its newest entries, and
+    whether one step both rebuilt the id table and moved its sequence."""
+    scorer = det._scorer
+    table = scorer._table
+    rebuilds = []
+    original = detector._PairTable._rebuild
+
+    def counting(self, ids):
+        rebuilds.append(1)
+        return original(self, ids)
+
+    outcomes, moves, rebuilt_in_move = [], [], False
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detector._PairTable, "_rebuild", counting)
+        for t, row in enumerate(data, start=1):
+            end, newest = scorer._end, (table or scorer)._newest
+            before = len(rebuilds)
+            outcomes.append(det.step(row))
+            moved = (table or scorer)._newest > newest
+            if moved or scorer._end <= end:
+                moves.append(t)
+            rebuilt_in_move |= moved and len(rebuilds) > before
+    return outcomes, moves, rebuilt_in_move
+
+
+@settings(max_examples=40, deadline=None)
+@given(window=st.integers(1, 6), table=st.booleans(), coarse=st.booleans(), data=st.data())
+def test_buffers_wrap_at_any_split_and_restore(window, table, coarse, data):
+    """The scorer's observation and pair buffers, and the id table's
+    sequence, move their newest entries when full.  Over streams many
+    buffer lengths long, ``extend`` at random splits, with checkpoint and
+    restore at random splits and just before and after a move, equals a
+    step loop bit for bit, against a band and an id-table reference.
+    Continuous data brings the table a new pair every step, so it
+    rebuilds, also in a step that moves its sequence; coarse data brings
+    back pairs it holds."""
+    config = DetectorConfig(window=window, min_sample=2, threshold=0.5, correction=0.05)
+    reference = duplicated_reference() if table else make_reference(seed=52)[1]
+    width = 3 * window  # columns of the pair buffer and the id sequence
+    length = data.draw(st.integers(6 * width, 12 * width + 2), label="length")
+    stream = ar_data(data.draw(st.integers(0, 2**16), label="seed"), length)
+    if coarse:
+        stream = np.round(2.0 * stream) / 2.0
+    single, moves, rebuilt_in_move = step_watching_buffers(
+        KernelCusumDetector(reference, config), stream
+    )
+    assert moves
+    if table and not coarse:
+        assert rebuilt_in_move
+    near = sorted({t + o for t in moves for o in (-1, 0, 1) if 0 < t + o < length})
+    restores = set(data.draw(st.lists(st.sampled_from(near), max_size=4), label="restores"))
+    restores |= set(data.draw(st.lists(st.integers(1, length - 1), max_size=2), label="more"))
+    cuts = set(data.draw(st.lists(st.integers(1, length - 1), max_size=8), label="cuts"))
+    bounds = [0, *sorted(cuts | restores), length]
+    det = KernelCusumDetector(reference, config)
+    outcomes = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo in restores:
+            det = KernelCusumDetector.restore(reference, config, det.checkpoint())
+        outcomes += det.extend(stream[lo:hi])
+    assert outcomes == single
+
+
 def test_alarm_latches_and_reset_clears():
     kernel, reference = make_reference(seed=5)
     # Tiny threshold and zero correction: shifted data alarms quickly.
@@ -748,7 +816,17 @@ def test_restore_rejects_bad_checkpoints():
         )
 
     n = json.loads(blob)["cusum"]["n"]
+    index = json.loads(blob)["cusum"]["pending"][0][0]
     for mutate, match in [
+        (set_at("cusum", "n", value=str(n)), "cusum.n must be an integer"),
+        (set_at("cusum", "n", value=n + 0.9), "cusum.n must be an integer"),
+        (set_at("cusum", "n", value=float(n)), "cusum.n must be an integer"),
+        (set_at("cusum", "n", value=True), "cusum.n must be an integer"),
+        (set_at("window", value=4.0), "window must be an integer"),
+        (set_at("min_sample", value=2.0), "min_sample must be an integer"),
+        (set_at("dim", value="2"), "dim must be an integer"),
+        (set_at("cusum", "pending", 0, 0, value=float(index)), "pending index must be an integer"),
+        (set_at("cusum", "pending", 0, 0, value=str(index)), "pending index must be an integer"),
         (set_at("cusum", "n", value=n + 3), "pending prefixes"),
         (set_at("cusum", "pending", 1, 0, value=99), "pending prefixes"),
         (lambda d: d["cusum"]["pending"].pop(0), "pending prefixes"),
@@ -914,6 +992,26 @@ def test_calibration_on_a_finite_holdout():
         assert cal.n_scores == len(values) == 580
         assert cal.holdout_level == float.fromhex(pinned)
     assert max(values) == float.fromhex("0x1.7f368b421468ep-1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(-1e6, 1e6) | st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=40
+    ),
+    q=st.floats(5e-324, 1.0) | st.sampled_from([1.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]),
+)
+@example(values=[3.0], q=0.3)  # n = 1
+@example(values=[2.0, 0.5, 2.0, 0.5, 2.0], q=0.5)  # ties
+@example(values=[0.1, 0.7, 0.3], q=1.0)
+def test_linear_quantile_equals_numpy_bit_for_bit(values, q):
+    """The calibration quantile is ``np.quantile``'s linear method without
+    its ``numpy.ma`` import.  A sort may order 0.0 and -0.0 otherwise
+    than numpy's partition, so zeros are made positive; a discrepancy is
+    never -0.0."""
+    values = [v + 0.0 for v in values]
+    want = float(np.quantile(np.asarray(values), q))
+    assert detector._linear_quantile(values, q).hex() == want.hex()
 
 
 def test_calibration_validation():

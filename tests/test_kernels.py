@@ -94,6 +94,27 @@ def test_gram_rows_do_not_depend_on_the_batch():
     assert np.array_equal(k.gram(a, np.asfortranarray(b)), g)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 9, 16])
+def test_gram_rows_keep_their_bits_at_degenerate_shapes(dim):
+    """Rows of 1x1, 2x1, 1x2 and 3x1 tables equal the same rows of a 5x7
+    call, bit for bit, also with the columns read through a strided view
+    (as the detector's window buffers pass them).  Squares of mixed
+    magnitude make the order of the coordinate sum visible: a numpy
+    reduction over the coordinates would add them pairwise once
+    ``dim >= 8`` and move bits on single-column tables."""
+    rng = np.random.default_rng(31 + dim)
+    k = KernelSpec.mixture([0.3, 2.0, 40.0])
+    scale = 10.0 ** rng.integers(-3, 3, dim)
+    a, b = rng.standard_normal((5, dim)) * scale, rng.standard_normal((7, dim)) * scale
+    full = k.gram(a, b)
+    strided = np.empty((dim, 2 * b.shape[0]))
+    strided[:, ::2] = b.T
+    for rows, cols in ((1, 1), (2, 1), (1, 2), (3, 1)):
+        want = full[:rows, :cols].tobytes()
+        assert k.gram(a[:rows], b[:cols]).tobytes() == want, (rows, cols)
+        assert k._gram(a[:rows], strided[:, : 2 * cols : 2]).tobytes() == want, (rows, cols)
+
+
 def test_gram_keeps_precision_far_from_the_origin():
     """Far from the origin the squared distance must come from coordinate
     differences: the norm expansion loses about 1e-7 here."""
