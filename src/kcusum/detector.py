@@ -773,11 +773,12 @@ class KernelCusumDetector:
             raise ValueError(f"checkpoint is not valid JSON: {exc}") from exc
         if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
             raise ValueError("not a detector checkpoint")
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:  # 2.0 is not 2
+            raise ValueError(f"unsupported checkpoint version {version!r}")
         try:
             return cls._restore_checked(reference, config, data)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:  # Overflow: "0x1p+2000"
             raise ValueError(f"checkpoint is malformed: {exc!r}") from exc
 
     @classmethod

@@ -49,11 +49,12 @@ from .detector import (
 from .mmd import consistency_bound
 from .simulate import (
     FiniteScenario,
+    ar_blocks,
     doeblin_of_finite,
     exact_mmd_finite,
+    finite_blocks,
     load_trajectory,
     simulate_ar,
-    simulate_finite,
     simulate_finite_scenario,
 )
 
@@ -151,24 +152,28 @@ def make_output_directory(directory: str) -> str:
     return directory
 
 
-def _trajectory(
-    cfg: ExperimentConfig, length: int, seed: int, stream: int, pre_change: bool = False
-) -> np.ndarray:
-    """One synthesised trajectory honouring ``scenario.change_at``; with
-    ``pre_change`` the change is dropped, which gives the pre-change law
-    that reference and holdout data come from."""
+def _scenario(cfg: ExperimentConfig, length: int, pre_change: bool = False):
+    """The :class:`ArScenario` or :class:`FiniteScenario` of ``length``
+    observations that ``cfg`` describes, honouring ``scenario.change_at``;
+    with ``pre_change`` the change is dropped, which gives the pre-change
+    law that reference and holdout data come from."""
     scn = cfg.scenario
     if scn.kind == "finite":
         pre, post = scn.finite_chains()
         if pre_change or scn.change_at is None:
-            return simulate_finite(pre, length, seed, stream)
-        return simulate_finite_scenario(
-            FiniteScenario(pre=pre, post=post, change_at=scn.change_at, length=length),
-            seed,
-            stream,
-        )
+            return FiniteScenario(pre=pre, post=pre, change_at=length, length=length)
+        return FiniteScenario(pre=pre, post=post, change_at=scn.change_at, length=length)
     quiet = {"post_noise": None, "change_at": None} if pre_change else {}
-    return simulate_ar(replace(scn.ar_scenario(), length=length, **quiet), seed, stream)
+    return replace(scn.ar_scenario(), length=length, **quiet)
+
+
+def _trajectory(
+    cfg: ExperimentConfig, length: int, seed: int, stream: int, pre_change: bool = False
+) -> np.ndarray:
+    """One whole synthesised trajectory of :func:`_scenario`."""
+    scenario = _scenario(cfg, length, pre_change)
+    simulate = simulate_finite_scenario if isinstance(scenario, FiniteScenario) else simulate_ar
+    return simulate(scenario, seed, stream)
 
 
 def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
@@ -278,10 +283,11 @@ def run_trace(
 ) -> CampaignResult:
     """Monitor one trajectory and log every raw step.
 
-    The trajectory is scored by :func:`_cusum_series`, as a campaign
-    replication is, and the alarm is the first statistic reaching the
-    largest of ``campaign.thresholds``; from there on every row's alarm
-    flag is set.  A ``csv`` scenario monitors ``context.monitored``; the
+    The trajectory is scored by :func:`score_series` on a fresh
+    :func:`_series_engine`, as a campaign replication is, and the alarm
+    is the first statistic reaching the largest of
+    ``campaign.thresholds``; from there on every row's alarm flag is
+    set.  A ``csv`` scenario monitors ``context.monitored``; the
     others simulate ``scenario.length`` observations on the trace stream.
     Raw steps before the first statistic get empty score/statistic
     columns; when the whole run is shorter than one window the result
@@ -300,7 +306,8 @@ def run_trace(
     if monitored is None:
         monitored = _trajectory(cfg, scn.length, seed, TRACE_STREAM)
 
-    scores, statistics = _cusum_series(context, cfg, monitored)
+    scorer, cusum = _series_engine(context, cfg)
+    _, scores, statistics = score_series(scorer, cusum, monitored, context.correction)
     (alarm_at,) = _crossing_times(statistics, (threshold,))
     blank = [None] * (len(monitored) - len(scores))
     rows = [
@@ -337,25 +344,21 @@ def run_trace(
     )
 
 
-def _cusum_series(context: HarnessContext, cfg: ExperimentConfig, trajectory) -> tuple:
-    """(scores, statistics) of a whole trajectory, one entry per statistic.
-
-    One :func:`score_series` call on a fresh block scorer and CUSUM: the
+def _series_engine(context: HarnessContext, cfg: ExperimentConfig) -> tuple:
+    """A fresh block scorer and CUSUM: with :func:`score_series`, the
     arithmetic of :meth:`KernelCusumDetector.extend`, without an outcome
-    object per observation.  Traces log both lists; campaigns read
-    crossing times for the whole threshold grid from the statistics.
-    """
-    scorer = _BlockScorer(context.reference, cfg.detector.window)
-    cusum = CusumStream(cfg.detector.min_sample)
-    _, scores, statistics = score_series(scorer, cusum, trajectory, context.correction)
-    return scores, statistics
+    object per observation.  Traces and campaign replications both score
+    with it."""
+    det = cfg.detector
+    return _BlockScorer(context.reference, det.window), CusumStream(det.min_sample)
 
 
 def _crossing_times(series, thresholds) -> list:
     """First statistic index reaching each threshold (None if never).
 
     One pass: thresholds are strictly increasing, so once b_k is crossed
-    only later thresholds remain to be found.
+    only later thresholds remain to be found, and the found indices are
+    a prefix of the result.
     """
     hits = [None] * len(thresholds)
     nxt = 0
@@ -369,10 +372,30 @@ def _crossing_times(series, thresholds) -> list:
 
 
 def _replication_hits(cfg: ExperimentConfig, context: HarnessContext, length: int, i: int) -> list:
-    """Crossing times of replication ``i`` on a ``length``-step trajectory."""
-    trajectory = _trajectory(cfg, length, cfg.campaign.seed, REPLICATION_STREAM_BASE + i)
-    _, statistics = _cusum_series(context, cfg, trajectory)
-    return _crossing_times(statistics, cfg.campaign.thresholds)
+    """Crossing times of replication ``i`` on a ``length``-step trajectory.
+
+    The trajectory is simulated and scored one block of ``window``
+    observations at a time, and the search for crossings carries over
+    from block to block.  Once every threshold has been crossed no later
+    statistic can change a crossing, so the replication stops after that
+    block: it draws and scores at most ``window - 1`` statistics past its
+    last crossing.  The scorer is batch-invariant, so the crossings are
+    those of the whole trajectory scored at once.
+    """
+    thresholds = cfg.campaign.thresholds
+    scorer, cusum = _series_engine(context, cfg)
+    scenario = _scenario(cfg, length)
+    blocks = finite_blocks if isinstance(scenario, FiniteScenario) else ar_blocks
+    stream = REPLICATION_STREAM_BASE + i
+    hits = []
+    for block in blocks(scenario, cfg.campaign.seed, stream, cfg.detector.window):
+        _, _, statistics = score_series(scorer, cusum, block, context.correction)
+        before = cusum.n - len(statistics)
+        found = _crossing_times(statistics, thresholds[len(hits):])
+        hits += [before + n for n in found if n is not None]
+        if len(hits) == len(thresholds):
+            break
+    return hits + [None] * (len(thresholds) - len(hits))
 
 
 def _horizons(cfg: ExperimentConfig) -> list:
@@ -423,6 +446,13 @@ def run_mtbfa_campaign(
     the per-threshold horizon ``ceil(horizon_factor * (b + min_sample))``
     are counted at the horizon and reported as truncated; a row whose
     truncation fraction exceeds one half is flagged unreliable.
+
+    A replication's trajectory is ``H + window`` observations long, H
+    the largest horizon, which gives the H statistics a crossing is
+    searched in.  It is simulated and scored in blocks, and stops after
+    the block in which the largest threshold is crossed
+    (:func:`_replication_hits`); the rows are those of whole
+    trajectories.
     """
     if cfg.campaign.mode != "mtbfa":
         raise ConfigError(f"campaign.mode: expected mtbfa, got {cfg.campaign.mode!r}")
@@ -431,7 +461,7 @@ def run_mtbfa_campaign(
     if context is None:
         context = build_context(cfg, camp.seed)
     horizons = _horizons(cfg)
-    length = horizons[-1] + det.window
+    length = horizons[-1] + det.window  # the statistics 1 .. H
     all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
 
     rows = []
@@ -469,6 +499,14 @@ def run_md_campaign(
     never alarm within the post-change horizon are counted at the
     horizon and reported as truncated.  If every replication
     false-alarms the campaign aborts.
+
+    No output reads a statistic past ``tau_stat + H``, H the largest
+    horizon and ``tau_stat = change_at - window``: a later alarm counts
+    as truncated at its horizon either way.  So a replication's
+    trajectory ends at observation ``change_at + H``, the one that
+    completes statistic ``tau_stat + H``.  It is simulated and scored
+    in blocks, and stops after the block in which the largest threshold
+    is crossed (:func:`_replication_hits`).
     """
     if cfg.campaign.mode != "md":
         raise ConfigError(f"campaign.mode: expected md, got {cfg.campaign.mode!r}")
@@ -479,7 +517,7 @@ def run_md_campaign(
         context = build_context(cfg, camp.seed)
     tau_stat = tau - det.window  # >= 1: the parser checks change_at > window for md
     horizons = _horizons(cfg)
-    length = tau + horizons[-1] + det.window
+    length = tau + horizons[-1]  # the statistics 1 .. tau_stat + H
     all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
 
     post_block, gamma = context.post_block, context.gamma

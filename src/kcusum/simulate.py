@@ -15,6 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "stream_rng",
     "GaussianLaw",
     "ArScenario",
+    "ar_blocks",
     "simulate_ar",
     "default_system_matrix",
     "variance_change_scenario",
@@ -32,6 +34,7 @@ __all__ = [
     "FiniteChain",
     "FiniteScenario",
     "stationary_distribution",
+    "finite_blocks",
     "simulate_finite",
     "simulate_finite_scenario",
     "exact_mmd_finite",
@@ -105,8 +108,13 @@ class GaussianLaw:
         return int(self.mean.shape[0])
 
     def transform(self, z: np.ndarray) -> np.ndarray:
-        """Map standard-normal rows to this law."""
-        return self.mean + z @ self._factor.T  # type: ignore[attr-defined]
+        """Map standard-normal rows to this law, each row as if alone.
+
+        A stack of ``(1, d)`` products keeps every row's bits whatever
+        the number of rows; one ``(n, d) @ (d, d)`` product does not.
+        """
+        factor = self._factor.T  # type: ignore[attr-defined]
+        return self.mean + np.matmul(z[..., None, :], factor)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -161,31 +169,64 @@ class ArScenario:
         return int(self.matrix.shape[0])
 
 
-def simulate_ar(scenario: ArScenario, seed: int, stream: int = 0) -> np.ndarray:
-    """Generate one trajectory, shape ``(length, dim)``.
+def ar_blocks(
+    scenario: ArScenario, seed: int, stream: int = 0, size: int | None = None
+) -> Iterator[np.ndarray]:
+    """Yield one trajectory as consecutive ``(size, dim)`` blocks.
 
     Starts from the origin and discards ``burn_in`` steps so the output
-    is close to stationary.  All ``(burn_in + length) * dim`` standard
-    normals are drawn up front from ``stream_rng(seed, stream)``.
+    is close to stationary; ``size=None`` yields the whole trajectory as
+    one block, and the last block may be shorter than ``size``.  The
+    state and the generator ``stream_rng(seed, stream)`` carry over from
+    block to block, and each block draws only its own standard normals.
+    Chunked Philox draws equal one call, and :meth:`GaussianLaw.transform`
+    maps rows one by one, so the blocks join into the same trajectory
+    however it is cut, and a caller that stops early draws no more.
     """
+    length = scenario.length
+    size = length if size is None else _block_size(size)
     rng = stream_rng(seed, stream)
-    d = scenario.dim
-    total = scenario.burn_in + scenario.length
-    z = rng.standard_normal((total, d))
-    A = scenario.matrix
-    x = np.zeros(d)
-    out = np.empty((scenario.length, d))
-    for t in range(1, total + 1):
-        g = t - scenario.burn_in
-        post = (
-            scenario.change_at is not None
-            and g > scenario.change_at
-        )
-        law = scenario.post_noise if post else scenario.pre_noise
-        x = A @ x + law.transform(z[t - 1])
-        if g >= 1:
-            out[g - 1] = x
+    x = np.zeros(scenario.dim)
+    for start in range(-scenario.burn_in, 0, size):
+        x = _ar_rows(scenario, rng, x, start, min(size, -start))[-1]
+    for start in range(0, length, size):
+        rows = _ar_rows(scenario, rng, x, start, min(size, length - start))
+        x = rows[-1].copy()  # the caller may write to its block
+        yield rows
+
+
+def _ar_rows(
+    scenario: ArScenario, rng: np.random.Generator, x: np.ndarray, start: int, count: int
+) -> np.ndarray:
+    """Observations ``start + 1 .. start + count`` of the output clock
+    (zero and below during burn-in), continuing from state ``x``.  The
+    step into observation g uses the post-change noise when
+    ``g > change_at``."""
+    z = rng.standard_normal((count, scenario.dim))
+    split = count
+    if scenario.change_at is not None:
+        split = min(max(scenario.change_at - start, 0), count)
+    noise = np.empty_like(z)
+    noise[:split] = scenario.pre_noise.transform(z[:split])
+    if split < count:
+        noise[split:] = scenario.post_noise.transform(z[split:])
+    step = scenario.matrix.dot  # A @ x, bound once: the loop is most of the cost
+    out = np.empty_like(z)
+    for i, w in enumerate(noise):
+        out[i] = x = step(x) + w
     return out
+
+
+def simulate_ar(scenario: ArScenario, seed: int, stream: int = 0) -> np.ndarray:
+    """One trajectory of ``scenario``, shape ``(length, dim)``: the blocks
+    of :func:`ar_blocks` joined."""
+    return np.concatenate(list(ar_blocks(scenario, seed, stream)))
+
+
+def _block_size(size) -> int:
+    if int(size) != size or size < 1:
+        raise ValueError(f"size must be a positive integer; got {size!r}")
+    return int(size)
 
 
 # Fixed default system matrix: symmetric, eigenvalues
@@ -319,38 +360,6 @@ def stationary_distribution(chain: FiniteChain) -> np.ndarray:
     return pi
 
 
-def _sample_indices(
-    rng: np.random.Generator,
-    length: int,
-    init_dist: np.ndarray,
-    pre: np.ndarray,
-    post: np.ndarray,
-    change_at: int,
-) -> np.ndarray:
-    """Index path: initial draw from ``init_dist``, then row transitions.
-
-    The step *into* output index g (1-based; index 1 is the initial draw)
-    uses the transition matrix ``post`` when ``g > change_at`` and ``pre``
-    otherwise.  Each step inverts one uniform draw on the current state's
-    cumulative row.  Every draw is inverted against every row of its
-    matrix at once, so the loop only looks the next state up.
-    """
-    top = len(init_dist) - 1
-    u = rng.random(length)
-    # clamp guards the (round-off) case u >= cumulative total
-    state = min(int(np.searchsorted(np.cumsum(init_dist), u[0], side="right")), top)
-    # draw j moves into index j + 1, so draws from ``change_at`` on use post
-    split = min(change_at, length)
-    moves = (_next_states(pre, u[1:split], top), _next_states(post, u[split:], top))
-    flat = np.concatenate(moves).ravel().tolist()
-    n = top + 1
-    path = [state]
-    for base in range(0, len(flat), n):
-        state = flat[base + state]
-        path.append(state)
-    return np.asarray(path, dtype=np.int64)
-
-
 def _next_states(matrix: np.ndarray, u: np.ndarray, top: int) -> np.ndarray:
     """``(len(u), n)`` table: the state that draw ``u[j]`` moves to from
     each of the n states, clamped to ``top``."""
@@ -365,14 +374,12 @@ def simulate_finite(
     """Stationary trajectory of embedded states, shape ``(length, dim)``.
 
     The first state is drawn exactly from the stationary law, so no
-    burn-in is needed.
+    burn-in is needed.  It is the scenario whose chain never changes.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = stream_rng(seed, stream)
-    pi = stationary_distribution(chain)
-    idx = _sample_indices(rng, length, pi, chain.matrix, chain.matrix, length)
-    return chain.states[idx]
+    scenario = FiniteScenario(pre=chain, post=chain, change_at=length, length=length)
+    return np.concatenate(list(finite_blocks(scenario, seed, stream)))
 
 
 @dataclass(frozen=True)
@@ -399,17 +406,55 @@ class FiniteScenario:
             raise ValueError("length must be >= 1")
 
 
+def finite_blocks(
+    scenario: FiniteScenario, seed: int, stream: int = 0, size: int | None = None
+) -> Iterator[np.ndarray]:
+    """Yield the trajectory of ``scenario`` as consecutive ``(size, dim)``
+    blocks of embedded states (``size=None``: one block).
+
+    Observation 1 is a stationary draw of the pre-change chain; the step
+    into observation g inverts one uniform draw on the current state's
+    cumulative row of the post-change matrix when ``g > change_at`` and
+    of the pre-change one otherwise.  Each block draws only its own
+    uniforms from ``stream_rng(seed, stream)`` and inverts every draw
+    against every row at once, so the loop only looks the next state
+    up; the state carries over, and the blocks join into the same path
+    however it is cut.
+    """
+    length = scenario.length
+    size = length if size is None else _block_size(size)
+    rng = stream_rng(seed, stream)
+    pre, post = scenario.pre.matrix, scenario.post.matrix
+    n = scenario.pre.n_states
+    top = n - 1
+    state = None
+    for start in range(0, length, size):
+        u = rng.random(min(size, length - start))
+        path = []
+        first = 0
+        if state is None:
+            pi = stationary_distribution(scenario.pre)
+            # clamp guards the (round-off) case u >= cumulative total
+            state = min(int(np.searchsorted(np.cumsum(pi), u[0], side="right")), top)
+            path.append(state)
+            first = 1
+        # draw j of the path moves into observation j + 1, so draws from
+        # ``change_at`` on use post
+        split = min(max(scenario.change_at - start, first), len(u))
+        moves = (_next_states(pre, u[first:split], top), _next_states(post, u[split:], top))
+        flat = np.concatenate(moves).ravel().tolist()
+        for base in range(0, len(flat), n):
+            state = flat[base + state]
+            path.append(state)
+        yield scenario.pre.states[path]
+
+
 def simulate_finite_scenario(
     scenario: FiniteScenario, seed: int, stream: int = 0
 ) -> np.ndarray:
-    """Trajectory for a :class:`FiniteScenario`, shape ``(length, dim)``."""
-    rng = stream_rng(seed, stream)
-    pi = stationary_distribution(scenario.pre)
-    idx = _sample_indices(
-        rng, scenario.length, pi,
-        scenario.pre.matrix, scenario.post.matrix, scenario.change_at,
-    )
-    return scenario.pre.states[idx]
+    """Trajectory for a :class:`FiniteScenario`, shape ``(length, dim)``:
+    the blocks of :func:`finite_blocks` joined."""
+    return np.concatenate(list(finite_blocks(scenario, seed, stream)))
 
 
 def exact_mmd_finite(

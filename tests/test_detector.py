@@ -887,6 +887,130 @@ def test_restore_rejects_inconsistent_clock():
         KernelCusumDetector.restore(reference, config, corrupt(blob, fake_scores))
 
 
+def _paths(node, path=()):
+    """Every entry of parsed JSON, containers included, as key paths."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _canonical(node):
+    """Parsed JSON with every string that parses as a float written in
+    canonical hex; what restore would store again, with types kept."""
+    if isinstance(node, dict):
+        return {key: _canonical(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_canonical(value) for value in node]
+    if isinstance(node, str):
+        try:
+            return float.fromhex(node).hex()
+        except (ValueError, OverflowError):
+            return node
+    return node
+
+
+def _outcome_bits(outcomes):
+    def h(v):
+        return None if v is None else float(v).hex()
+
+    return [(o.index, h(o.discrepancy), h(o.score), h(o.statistic), o.alarm) for o in outcomes]
+
+
+MUTANT_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.integers(2**53, 2**64),
+    st.floats(),
+    st.floats().map(float.hex),
+    st.sampled_from(["nan", "-inf", "inf", "", "0x", "zz", "0x1p+2000", "-0x0p+0", " 0x1p+0 "]),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.just({}),
+)
+
+
+# entries to mutate, valid at every split below; -1 is the last row or entry
+TARGETS = [
+    ("format",), ("version",), ("window",), ("min_sample",), ("threshold",), ("correction",),
+    ("dim",), ("reference",), ("alarmed_at",), ("raw_buffer",), ("raw_buffer", 0),
+    ("raw_buffer", 0, 1), ("raw_buffer", -1, 0), ("cusum",), ("cusum", "n"), ("cusum", "sum"),
+    ("cusum", "comp"), ("cusum", "eligible_min"), ("cusum", "statistic"), ("cusum", "pending"),
+    ("cusum", "pending", 0), ("cusum", "pending", 0, 0), ("cusum", "pending", -1, 1),
+]
+
+
+def _mutate(entry, op, value):
+    """Entry ``entry`` after ``op``; DELETE for a removal.  The spelling
+    ops keep the value when it has no such spelling."""
+    if op == "replace":
+        return value
+    if op == "delete":
+        return DELETE
+    if op == "duplicate":
+        return [entry, entry] if not isinstance(entry, list) else entry + entry[-1:]
+    if isinstance(entry, str):
+        return {"upper": entry.upper(), "pad": f" {entry}\t"}.get(op, entry)
+    if type(entry) is int:
+        return {"float": float(entry), "string": str(entry)}.get(op, entry)
+    return entry
+
+
+DELETE = object()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    split=st.sampled_from([3, 6, 12, 30]),  # filling, CUSUM warm-up, steady, alarmed
+    target=st.sampled_from(TARGETS),
+    op=st.sampled_from(["replace", "delete", "duplicate", "upper", "pad", "float", "string"]),
+    value=MUTANT_VALUES,
+)
+@example(split=12, target=("version",), op="float", value=None)
+@example(split=12, target=("cusum", "n"), op="string", value=None)
+@example(split=12, target=("threshold",), op="replace", value="0x1p+2000")
+@example(split=12, target=("raw_buffer", 0, 1), op="replace", value="0x1p+2000")
+@example(split=12, target=("raw_buffer", -1, 0), op="replace", value="nan")  # in the next window
+@example(split=12, target=("cusum", "sum"), op="replace", value="inf")
+@example(split=30, target=("threshold",), op="pad", value=None)
+def test_a_mutated_checkpoint_is_rejected_or_restores_what_it_says(split, target, op, value):
+    """Mutate one entry of a valid checkpoint.  ``restore`` either raises
+    ``ValueError``, or it restores exactly the state the text describes
+    (its own checkpoint is the text, up to hex spelling) and runs on
+    without error or nan; when that state is the original one, it goes
+    on bit for bit like the uninterrupted run."""
+    kernel, reference = make_reference(seed=19)
+    config = DetectorConfig(window=4, min_sample=2, threshold=3.0, correction=0.05)
+    stream = np.random.default_rng(20).standard_normal((40, 2))
+    stream[20:] += 1.5  # the statistic crosses the threshold before split 30
+    direct = KernelCusumDetector(reference, config).extend(stream)
+    det = KernelCusumDetector(reference, config)
+    det.extend(stream[:split])
+    original = json.loads(det.checkpoint())
+    mutated = json.loads(det.checkpoint())
+    parent = mutated
+    for key in target[:-1]:
+        parent = parent[key]
+    entry = _mutate(parent[target[-1]], op, value)
+    if entry is DELETE:
+        parent.pop(target[-1])
+    else:
+        parent[target[-1]] = entry
+    try:
+        resumed = KernelCusumDetector.restore(reference, config, json.dumps(mutated))
+    except ValueError:
+        return
+    text = json.dumps(_canonical(mutated), sort_keys=True)
+    assert json.dumps(_canonical(json.loads(resumed.checkpoint())), sort_keys=True) == text
+    rest = resumed.extend(stream[split:])
+    assert not any(math.isnan(v) for o in rest for v in (o.discrepancy, o.score, o.statistic)
+                   if v is not None)
+    if text == json.dumps(_canonical(original), sort_keys=True):
+        assert _outcome_bits(rest) == _outcome_bits(direct[split:])
+
+
 # -- construction and validation ----------------------------------------------
 
 

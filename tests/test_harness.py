@@ -1,12 +1,17 @@
 """Config parsing, experiment harness, file outputs, CLI, and plots."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcusum import (
     CampaignResult,
@@ -14,6 +19,7 @@ from kcusum import (
     ConfigError,
     DetectorConfig,
     FiniteChain,
+    FiniteScenario,
     KernelCusumDetector,
     TraceRow,
     build_context,
@@ -27,6 +33,7 @@ from kcusum import (
     run_trace,
     save_trajectory,
     simulate_finite,
+    simulate_finite_scenario,
     stream_rng,
 )
 from kcusum import harness
@@ -470,17 +477,36 @@ def test_mtbfa_rejects_wrong_mode():
         run_mtbfa_campaign(cfg)
 
 
-def _full_series(context, cfg, trajectory):
-    """Every score and statistic of the whole trajectory, from one ``extend`` call."""
-    det = KernelCusumDetector(
+def _full_hits(cfg, context, i):
+    """Crossing times of replication ``i``, from its whole untrimmed
+    trajectory (``tau + H + window`` observations, ``tau = 0`` for mtbfa)
+    scored by one ``extend`` call; and the statistics needed, the last
+    crossing or ``tau - window + H``."""
+    det, camp, tau = cfg.detector, cfg.campaign, cfg.scenario.change_at
+    horizon = max(math.ceil(camp.horizon_factor * (b + det.min_sample)) for b in camp.thresholds)
+    pre, post = cfg.scenario.finite_chains()
+    stream = harness.REPLICATION_STREAM_BASE + i
+    if tau is None:
+        needed = horizon
+        trajectory = simulate_finite(pre, horizon + det.window, camp.seed, stream)
+    else:
+        needed = tau - det.window + horizon
+        length = tau + horizon + det.window
+        scenario = FiniteScenario(pre=pre, post=post, change_at=tau, length=length)
+        trajectory = simulate_finite_scenario(scenario, camp.seed, stream)
+    detector = KernelCusumDetector(
         context.reference,
         DetectorConfig(
-            window=cfg.detector.window, min_sample=cfg.detector.min_sample,
-            threshold=cfg.campaign.thresholds[-1], correction=context.correction,
+            window=det.window, min_sample=det.min_sample,
+            threshold=camp.thresholds[-1], correction=context.correction,
         ),
     )
-    outcomes = [out for out in det.extend(trajectory) if out.index is not None]
-    return [out.score for out in outcomes], [out.statistic for out in outcomes]
+    statistics = [out.statistic for out in detector.extend(trajectory) if out.index is not None]
+    hits = [
+        next((n for n, value in enumerate(statistics, start=1) if value >= b), None)
+        for b in camp.thresholds
+    ]
+    return hits, (hits[-1] if hits[-1] is not None and hits[-1] <= needed else needed)
 
 
 @pytest.mark.parametrize(
@@ -497,13 +523,32 @@ def test_campaign_rows_match_full_trajectory_recomputation(monkeypatch, edits, r
         finite_config(thresholds="0.5,2", horizon_factor="3", replications="6", **edits)
     )
     ctx = build_context(cfg, cfg.campaign.seed)
-    stepped = run(cfg, context=ctx)
+    cusums = []  # one CusumStream per replication, in order
+    original = harness.score_series
+
+    def counting(scorer, cusum, observations, correction):
+        if not cusums or cusums[-1] is not cusum:
+            cusums.append(cusum)
+        return original(scorer, cusum, observations, correction)
+
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_cusum_series", _full_series)
+        patch.setattr(harness, "score_series", counting)
+        stepped = run(cfg, context=ctx)
+    full = [_full_hits(cfg, ctx, i) for i in range(6)]
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_replication_hits", lambda cfg, context, length, i: full[i][0])
         recomputed = run(cfg, context=ctx)
     assert stepped.rows == recomputed.rows and stepped.notes == recomputed.notes
+    # each replication stops in the block of its last needed statistic
+    window = cfg.detector.window
+    scored = [cusum.n for cusum in cusums]
+    assert len(scored) == 6
+    for n, (_, needed) in zip(scored, full):
+        assert needed <= n < needed + window
     if cfg.campaign.mode == "mtbfa":
         assert 0 < stepped.rows[1].truncated < 6
+        horizon = math.ceil(3 * (2 + cfg.detector.min_sample))
+        assert any(n < horizon for n in scored) and max(scored) <= horizon
     else:
         assert all(row.excluded and row.n_runs for row in stepped.rows)
 
@@ -973,3 +1018,80 @@ mode = trace
         if line is not None:
             reason = "numbers" if problem == "non-numeric" else "finite"
             assert f"{traj}:{line + 1}: cells must be {reason}" in captured.err
+
+
+CSV_DEFECTS = {
+    "non-numeric": st.text(alphabet="abexyz_.+- ", min_size=1, max_size=6).filter(
+        lambda cell: not _parses(cell)
+    ),
+    "empty": st.just(""),
+    "nan": st.sampled_from(["nan", "NaN", "-nan", "+NAN"]),
+    "inf": st.sampled_from(["inf", "-inf", "Infinity", "1e999"]),
+    "short row": st.just(None),
+    "long row": st.just(None),
+    "blank line": st.just(None),
+}
+
+
+def _parses(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    defect=st.sampled_from(sorted(CSV_DEFECTS)),
+    line=st.integers(2, 121),  # line 1 is the header, then 120 rows
+    column=st.integers(1, 2),  # the t column is not read
+    data=st.data(),
+)
+def test_cli_generated_bad_csv_files_exit_1(defect, line, column, data):
+    """A csv scenario file with one bad line exits 1 with a
+    ``scenario.path`` error naming ``path:line`` in every subcommand
+    that reads it; the campaign subcommands reject a csv scenario before
+    reading it."""
+    cell = data.draw(CSV_DEFECTS[defect])
+    with tempfile.TemporaryDirectory() as tmp:
+        traj = os.path.join(tmp, "data.csv")
+        save_trajectory(stream_rng(4, 0).standard_normal((120, 2)), traj)
+        with open(traj) as fh:
+            lines = fh.read().splitlines()
+        row = lines[line - 1].split(",")
+        if defect == "blank line":
+            lines.insert(line - 1, "")
+        else:
+            if defect == "short row":
+                row.pop(column)
+            elif defect == "long row":
+                row.insert(column, row[column])
+            else:
+                row[column] = cell
+            lines[line - 1] = ",".join(row)
+        with open(traj, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        cfg = os.path.join(tmp, "exp.ini")
+        with open(cfg, "w") as fh:
+            fh.write(
+                f"[scenario]\nkind = csv\npath = {traj}\n[detector]\nwindow = 4\n"
+                "reference = 30\nholdout = 20\nbandwidths = 1\ncorrection = calibrate\n"
+                "[campaign]\nmode = trace\n[output]\n"
+            )
+        out = os.path.join(tmp, "out")
+        for command in ("trace", "bounds", "calibrate"):
+            code, err = _run_cli([command, "--config", cfg, "--out", out])
+            assert code == 1, (command, err)
+            assert "config error: scenario.path" in err and f"{traj}:{line}:" in err, err
+        for command in ("mtbfa", "md"):
+            code, err = _run_cli([command, "--config", cfg, "--out", out])
+            assert code == 1 and "config error: campaign.mode" in err, err

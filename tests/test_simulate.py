@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kcusum import (
     ArScenario,
@@ -12,9 +14,11 @@ from kcusum import (
     FiniteScenario,
     GaussianLaw,
     KernelSpec,
+    ar_blocks,
     default_system_matrix,
     doeblin_of_finite,
     exact_mmd_finite,
+    finite_blocks,
     lift_chain,
     load_trajectory,
     mean_change_scenario,
@@ -125,6 +129,132 @@ def test_change_actually_changes_only_after_change_index():
     a, b = simulate_ar(pre_only, seed=11), simulate_ar(changed, seed=11)
     assert np.array_equal(a[:120], b[:120])
     assert not np.array_equal(a[120:], b[120:])
+
+
+# -- blocks ---------------------------------------------------------------------
+# A campaign simulates a trajectory one block at a time and stops when it
+# has what it needs, so blocks must join into the one-piece trajectory.
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    dim=st.integers(1, 6),
+    chunks=st.lists(st.integers(0, 900), min_size=1, max_size=6),
+)
+@example(seed=0, stream=0, dim=4, chunks=[1, 7, 50, 333, 859])
+@example(seed=3, stream=16, dim=1, chunks=[13, 13, 13])
+def test_philox_draws_in_chunks_equal_one_call(seed, stream, dim, chunks):
+    total = sum(chunks)
+    whole, cut = stream_rng(seed, stream), stream_rng(seed, stream)
+    normals = np.concatenate([cut.standard_normal((c, dim)) for c in chunks])
+    assert np.array_equal(normals, whole.standard_normal((total, dim)))
+    uniforms = np.concatenate([cut.random(c) for c in chunks])
+    assert np.array_equal(uniforms, whole.random(total))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 11), rows=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_transform_of_a_block_equals_per_row_products(dim, rows, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim))
+    law = GaussianLaw(mean=rng.standard_normal(dim), cov=m @ m.T + 0.01 * np.eye(dim))
+    z = rng.standard_normal((rows, dim))
+    factor = law._factor
+    want = np.array([law.mean + row @ factor.T for row in z]).reshape(rows, dim)
+    assert np.array_equal(law.transform(z), want)
+    for row, expected in zip(z, want):
+        assert np.array_equal(law.transform(row), expected)
+
+
+def per_step_ar(scenario, seed, stream):
+    """The AR recursion the direct way: every normal drawn up front, and
+    the noise mapped one row at a time."""
+    d = scenario.dim
+    total = scenario.burn_in + scenario.length
+    z = stream_rng(seed, stream).standard_normal((total, d))
+    x = np.zeros(d)
+    out = []
+    for t in range(1, total + 1):
+        g = t - scenario.burn_in
+        post = scenario.change_at is not None and g > scenario.change_at
+        law = scenario.post_noise if post else scenario.pre_noise
+        x = scenario.matrix @ x + (law.mean + z[t - 1] @ law._factor.T)
+        if g >= 1:
+            out.append(x)
+    return np.array(out)
+
+
+def _blocks_of(blocks, size, length):
+    blocks = list(blocks)
+    assert [len(block) for block in blocks] == [
+        min(size, length - start) for start in range(0, length, size)
+    ]
+    return np.concatenate(blocks)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    length=st.integers(1, 90),
+    burn_in=st.integers(0, 40),
+    change_at=st.one_of(st.none(), st.integers(1, 100)),
+    size=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=60, burn_in=10, change_at=25, size=10, seed=1)  # change inside a block
+@example(length=60, burn_in=10, change_at=30, size=10, seed=1)  # change on a block edge
+@example(length=60, burn_in=0, change_at=20, size=7, seed=1)  # no burn-in
+@example(length=1, burn_in=5, change_at=1, size=3, seed=1)  # one observation
+def test_ar_blocks_join_into_the_one_piece_trajectory(length, burn_in, change_at, size, seed):
+    rng = np.random.default_rng(seed)
+    dim = 3
+    m = rng.standard_normal((dim, dim))
+    pre = GaussianLaw(mean=rng.standard_normal(dim), cov=m @ m.T + 0.01 * np.eye(dim))
+    post = GaussianLaw(mean=np.zeros(dim), cov=np.diag([0.5, 2.0, 1.0])) if change_at else None
+    scenario = ArScenario(
+        matrix=0.3 * default_system_matrix()[:dim, :dim], pre_noise=pre, post_noise=post,
+        change_at=change_at, length=length, burn_in=burn_in,
+    )
+    want = per_step_ar(scenario, seed, 5)
+    assert np.array_equal(simulate_ar(scenario, seed, 5), want)
+    assert np.array_equal(_blocks_of(ar_blocks(scenario, seed, 5, size), size, length), want)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    length=st.integers(1, 90),
+    change_at=st.integers(1, 100),
+    size=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=60, change_at=25, size=10, seed=1)  # change inside a block
+@example(length=60, change_at=30, size=10, seed=1)  # change on a block edge
+@example(length=60, change_at=1, size=1, seed=1)  # change into the second observation
+@example(length=1, change_at=1, size=4, seed=1)  # one observation
+def test_finite_blocks_join_into_the_one_piece_path(length, change_at, size, seed):
+    states = np.array([[0.0], [1.0], [2.0]])
+    pre = FiniteChain(states, np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.6, 0.1, 0.3]]))
+    post = FiniteChain(states, np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.2, 0.5, 0.3]]))
+    pi = stationary_distribution(pre)
+    scenario = FiniteScenario(pre=pre, post=post, change_at=change_at, length=length)
+    want = states[per_step_path(lambda g: post if g > change_at else pre, pi, length, seed, 3)]
+    assert np.array_equal(_blocks_of(finite_blocks(scenario, seed, 3, size), size, length), want)
+    quiet = FiniteScenario(pre=pre, post=pre, change_at=length, length=length)
+    assert np.array_equal(
+        _blocks_of(finite_blocks(quiet, seed, 3, size), size, length),
+        simulate_finite(pre, length, seed, 3),
+    )
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.5])
+def test_block_size_must_be_a_positive_integer(size):
+    scenario = variance_change_scenario(length=10, change_at=None, burn_in=0)
+    with pytest.raises(ValueError, match="size"):
+        next(ar_blocks(scenario, 0, 0, size))
+    finite = FiniteScenario(pre=two_state_chain(), post=two_state_chain(), change_at=5, length=10)
+    with pytest.raises(ValueError, match="size"):
+        next(finite_blocks(finite, 0, 0, size))
 
 
 def test_stock_scenarios_expose_documented_laws():
