@@ -7,13 +7,14 @@ in a CUSUM that ignores trailing sums shorter than ``min_sample`` steps.
 
 One block scorer and one CUSUM serve every caller.  The scorer keeps
 the last ``window + 1`` observations, the state a checkpoint stores,
-and is the only place where observations become pairs.  It holds the
-window in buffers laid out as its kernel and table calls read them: the
-observations oldest first, with a chunk's pairs a view of them, and the
-pairs (or, against a table, their ids) as columns newest first, so a
-band is one slice.  Each buffer has room for about two windows; a push
-writes only its new rows, and a full buffer moves its newest window to
-the other end once before writing on.  A single observation and a block
+and is the only place where observations become pairs.  Its buffers
+share one index, the pair's position: pair j is observations j and
+j + 1, a row of a standing view of the observation buffer, and its
+stored sums (and, against a table, its id) sit at index j of the other
+buffers, so a band reads one slice from its first pair back.  Each
+buffer holds three windows of pairs; a push writes only its new
+entries, and when a chunk does not fit, one move copies the newest
+window to the front of every buffer.  A single observation and a block
 take the same path through the same buffers.
 :func:`score_series` runs observations through it, subtracts the
 correction and feeds the scores to one :meth:`CusumStream.extend` call:
@@ -324,62 +325,50 @@ class _BlockScorer:
     window value is a function of its window alone: it depends neither
     on how the stream was cut into blocks nor on what came before.
 
-    The window's state lives in buffers laid out as their readers read
-    them, so a push writes its new rows and copies nothing it holds
-    until a buffer is full:
+    The window's state lives in buffers with one index, the pair's
+    position j: pair j is ``(_obs[j], _obs[j + 1])``, which is row j of
+    ``_lifted``, a standing view of ``_obs``; its D row, cross sum and,
+    against an id table, its id are entry j of ``_lags``, ``_cross`` and
+    ``_ids``.  Each buffer holds ``3 * window`` pairs (``_obs`` one
+    observation more), so a push writes only its new entries.  When a
+    chunk does not fit, one move copies the newest ``window``
+    observations and the entries of their ``window - 1`` pairs, the
+    window the next chunk scores against, to the front of every buffer.
+    ``raw``, the last ``window + 1`` observations, is a view of
+    ``_obs``: the state a checkpoint stores.
 
-    - ``_obs`` keeps the observations, oldest first, with room for
-      ``2 * (window + 1)``; ``raw``, the last ``window + 1`` of them, is
-      a view, the state a checkpoint stores.  ``_lifted`` is a standing
-      view of the same memory whose row i is the pair
-      ``(obs[i], obs[i + 1])``, so a chunk's pairs are a slice of it.
-      When a chunk does not fit, the newest ``window`` rows move to the
-      front.
-    - ``_pairs`` keeps the lifted pairs as columns, newest first, which
-      is the transposed layout ``KernelSpec._gram`` reads: a chunk's
-      band (the chunk and up to ``window - 1`` pairs before it) is one
-      slice of columns.  New pairs are written right to left; when the
-      leftmost column is used, the newest ``window - 1`` columns move to
-      the right end (:func:`_make_room`).  Only the band path has it.
-    - ``_lags`` and ``_cross`` hold the D rows and cross sums of the
-      newest pairs, with room for a few windows, so the rows are shifted
-      only when the room is used up.
-
-    Against a reference that repeats pairs, band rows and cross sums
-    are gathered from an id table (:class:`_PairTable`), which evaluates
-    the kernel only for pairs it has not seen; its values have the bits
-    of a direct evaluation, because ``KernelSpec._gram`` is
-    batch-invariant and symmetric bit for bit.  Otherwise each chunk's
-    band is evaluated against its columns of ``_pairs``, and each pair
-    gets its own cross row.  Kernel calls go through
+    A chunk's band, the kernels of its pairs against the chunk and up to
+    ``window - 1`` pairs before it, newest first, reads the pairs or ids
+    from the chunk's first pair back.  Against a reference that repeats
+    pairs it is gathered from an id table (:class:`_PairTable`), which
+    evaluates the kernel only for pairs it has not seen; its values have
+    the bits of a direct evaluation, because ``KernelSpec._gram`` is
+    batch-invariant and symmetric bit for bit.  Otherwise the band is
+    evaluated against a contiguous copy of those rows of ``_lifted``,
+    and each pair gets its own cross row.  Kernel calls go through
     ``KernelSpec._gram``: the reference was validated when it was built
     and is not rescanned on every call.
     """
 
-    __slots__ = (
-        "reference", "window", "_obs", "_end", "_lifted", "_pairs", "_newest", "_lags", "_cross",
-        "_held", "_table",
-    )
+    __slots__ = ("reference", "window", "_obs", "_end", "_lifted", "_lags", "_cross", "_ids",
+                 "_table")
 
     def __init__(self, reference: ReferenceSet, window: int):
         self.reference = reference
         self.window = r = int(window)
         d = reference.point_dim
-        self._obs = obs = np.empty((2 * (r + 1), d))
+        # a block chunk adds at most r pairs to the r - 1 it scores against
+        self._obs = obs = np.empty((3 * r + 1, d))
         self._end = 0  # rows of ``_obs`` in use
-        # row i is the pair (obs[i], obs[i + 1]): rows overlap by one
+        # row j is the pair (obs[j], obs[j + 1]): rows overlap by one
         # observation, and the view stays valid as ``_obs`` is rewritten
         self._lifted = np.ndarray(
-            (obs.shape[0] - 1, 2 * d), buffer=obs, strides=(obs.strides[0], obs.itemsize)
+            (3 * r, 2 * d), buffer=obs, strides=(obs.strides[0], obs.itemsize)
         )
-        self._table = _PairTable(reference, r) if reference.repeats else None
-        # band columns; a table gathers its bands by id instead
-        self._pairs = np.empty((2 * d, 3 * r)) if self._table is None else None
-        self._newest = 3 * r  # column of the newest pair
-        # a block chunk adds at most r rows to the r - 1 it scores against
         self._lags = np.empty((3 * r, r))
         self._cross = np.empty(3 * r)
-        self._held = 0
+        self._ids = np.zeros(3 * r, dtype=np.intp)  # read only against a table
+        self._table = _PairTable(reference, r) if reference.repeats else None
 
     @property
     def raw(self) -> np.ndarray:
@@ -392,7 +381,7 @@ class _BlockScorer:
         return the window value after each one that leaves the window
         full."""
         r = self.window
-        obs, pairs, table = self._obs, self._pairs, self._table
+        obs, lags, cross, ids, table = self._obs, self._lags, self._cross, self._ids, self._table
         first = 0
         if self._end == 0 and observations.shape[0]:
             obs[0] = observations[0]  # the stream's first observation ends no pair
@@ -404,41 +393,36 @@ class _BlockScorer:
         for lo in range(first, observations.shape[0], r):
             chunk = observations[lo : lo + r]
             c = chunk.shape[0]
-            end = self._end
-            if end + c > obs.shape[0]:
-                obs[:r] = obs[end - r : end]
-                end = r
-            obs[end : end + c] = chunk
-            self._end = end + c
-            block = self._lifted[end - 1 : end - 1 + c]  # the chunk's pairs
+            p = self._end - 1  # the chunk's first pair
+            if p + c > 3 * r:
+                keep = slice(p - (r - 1), p)
+                obs[:r] = obs[p + 1 - r : p + 1]
+                lags[: r - 1] = lags[keep]
+                cross[: r - 1] = cross[keep]
+                ids[: r - 1] = ids[keep]
+                p = r - 1
+            obs[p + 1 : p + 1 + c] = chunk
+            self._end = p + 1 + c
+            block = self._lifted[p : p + c]  # the chunk's pairs
+            back = max(p - (r - 1), 0)
             if table is None:
-                p = self._newest = _make_room(pairs, self._newest, c, r - 1)
-                pairs[:, p : p + c] = block[::-1].T
                 # the chunk and up to r - 1 pairs before it, newest first
-                width = min(pairs.shape[1] - p, c + r - 1)
-                band = self.reference.kernel._gram(block, pairs[:, p : p + width])
-                block_cross = _cross_sums(self.reference, block)
+                columns = np.ascontiguousarray(self._lifted[back : p + c][::-1].T)
+                band = self.reference.kernel._gram(block, columns)
+                cross[p : p + c] = _cross_sums(self.reference, block)
             else:
-                band, block_cross = table.band(block)
-            held = self._held
-            if held + c > self._lags.shape[0]:
-                keep = slice(held - (r - 1), held)
-                self._lags[: r - 1] = self._lags[keep]
-                self._cross[: r - 1] = self._cross[keep]
-                held = r - 1
-            lags = _lag_rows(band, r)
-            rows = self._lags[held : held + c]
-            np.add.accumulate(lags, axis=1, out=rows)  # cumsum with less call overhead
+                band, cross[p : p + c] = table.band(block, ids[back : p + c])
+            band_lags = _lag_rows(band, r)
+            rows = lags[p : p + c]
+            np.add.accumulate(band_lags, axis=1, out=rows)  # cumsum with less call overhead
             rows *= 2.0
-            rows -= lags[:, :1]
-            self._cross[held : held + c] = block_cross
-            self._held = held + c
-            # a row at index r - 1 or later has a full window behind it:
-            # before the first shift rows count pairs from the stream's
-            # start, and a shift keeps exactly r - 1 rows
-            first = max(held, r - 1)
-            if first < self._held:
-                values += self._values(first - (r - 1), self._held - first)
+            rows -= band_lags[:, :1]
+            # a pair at index r - 1 or later has a full window behind it:
+            # before the first move indices count pairs from the stream's
+            # start, and a move keeps exactly r - 1 pairs
+            first = max(p, r - 1)
+            if first < p + c:
+                values += self._values(first - (r - 1), p + c - first)
         return values
 
     def _values(self, start: int, count: int) -> list:
@@ -477,32 +461,25 @@ def _lag_rows(band: np.ndarray, r: int) -> np.ndarray:
     the pairs before it, newest first, so its lags 0 .. r - 1 are the
     columns from ``c - 1 - i`` on.  Rows are read as a skewed view of
     the band's memory, which copies nothing.  A band narrower than
-    ``c + r - 1`` columns is padded with zeros to that width, so lags
-    older than the stream's first pair read zero padding; no full window
-    reads them.
+    ``c + r - 1`` columns is padded (:func:`_padded`).
     """
     c = band.shape[0]
-    if band.shape[1] < c + r - 1:
-        padded = np.zeros((c, c + r - 1))
-        padded[:, : band.shape[1]] = band
-        band = padded
+    band = _padded(band, c + r - 1)
     if c == 1:
         return band[:, :r]
     width = band.shape[1] - 1
     return band.ravel()[c - 1 : c - 1 + c * width].reshape(c, width)[:, :r]
 
 
-def _make_room(buffer: np.ndarray, newest: int, count: int, keep: int) -> int:
-    """Column where ``count`` new columns go in a buffer whose columns run
-    newest first from column ``newest``: the ``count`` columns left of
-    it.  When they do not fit, the ``keep`` newest columns first move to
-    the buffer's right end; ``keep + count`` must fit in its width, and
-    the columns right of ``newest + keep`` are never read again."""
-    if newest < count:
-        right = buffer.shape[-1] - keep
-        buffer[..., right:] = buffer[..., newest : newest + keep]
-        newest = right
-    return newest - count
+def _padded(band: np.ndarray, width: int) -> np.ndarray:
+    """``band`` widened with zeros to ``width`` columns.  Only a band at
+    the stream's start is narrower; its lags older than the stream's
+    first pair read the zeros, and no full window reads them."""
+    if band.shape[1] == width:
+        return band
+    out = np.zeros((band.shape[0], width))
+    out[:, : band.shape[1]] = band
+    return out
 
 
 def _cross_sums(reference: ReferenceSet, pairs: np.ndarray) -> np.ndarray:
@@ -519,9 +496,8 @@ class _PairTable:
     """Small integer ids for the distinct lifted pairs of a stream, with
     each id's cross sum and its kernel values against the other live ids.
 
-    A pair is looked up by its bytes.  Id 0 stands for the padding before
-    the stream's first pair: its kernel values are zero, as a band's
-    padding is.  A chunk's distinct pairs are found with
+    A pair is looked up by its bytes; id 0 means "absent" and is never
+    given out.  A chunk's distinct pairs are found with
     :func:`~kcusum.kernels.distinct_rows` before the lookup (a single
     pair is looked up directly), and only pairs not in the table cost
     kernel work: one cross row against the reference each, and one row
@@ -530,25 +506,21 @@ class _PairTable:
     ``KernelSpec._gram`` is symmetric bit for bit; batch invariance
     makes a gathered value equal the one a band would evaluate.
 
-    ``_sequence`` holds the ids of the stream's pairs newest first, from
-    column ``_newest`` on, in the layout of :class:`_BlockScorer`'s pair
-    buffer: a chunk's ids are written to the left of the ``window - 1``
-    before it (padding ids at first), so the ids its band reads are one
-    slice, and the newest ``window - 1`` ids move to the right end when
-    the left end is reached.  A step's band row is then one ``take``
-    from its id's kernel row.  Before ids are added past ``2 * window``,
-    the table is rebuilt from the ids still in the tail or in the chunk
-    at hand (at most ``2 * window - 1`` with the chunk's new ones),
-    keeping their kernel values and cross sums; the tail is renumbered
-    in place.  So the table never holds more than ``2 * window`` ids,
-    and its memory, ``(2 * window + 1)^2`` kernel values, does not
-    depend on the stream's length.
+    The ids of the stream's pairs live in :class:`_BlockScorer`'s
+    ``_ids``, indexed as its other buffers are.  :meth:`band` gets the
+    slice of it that a chunk's band reads, oldest first: up to
+    ``window - 1`` ids before the chunk (the tail), then room for the
+    chunk's own, which it writes.  A step's band row is then one
+    ``take`` from its id's kernel row.  Before ids are added past
+    ``2 * window``, the table is rebuilt from the ids still in the tail
+    or in the chunk at hand (at most ``2 * window - 1`` with the chunk's
+    new ones), keeping their kernel values and cross sums; the tail is
+    renumbered in place.  So the table never holds more than
+    ``2 * window`` ids, and its memory, ``(2 * window + 1)^2`` kernel
+    values, does not depend on the stream's length.
     """
 
-    __slots__ = (
-        "reference", "window", "_ids", "_pairs", "_kernels", "_cross", "_count",
-        "_sequence", "_newest",
-    )
+    __slots__ = ("reference", "window", "_ids", "_pairs", "_kernels", "_cross", "_count")
 
     def __init__(self, reference: ReferenceSet, window: int):
         size = 2 * window + 1
@@ -558,49 +530,49 @@ class _PairTable:
         self._pairs = np.empty((size, reference.pairs.shape[1]))
         self._kernels = np.zeros((size, size))
         self._cross = np.zeros(size)
-        self._count = 1  # ids in use, id 0 included
-        self._sequence = np.zeros(3 * window, dtype=np.intp)
-        self._newest = 3 * window - (window - 1)
+        self._count = 1  # ids in use, the absent id 0 included
 
-    def band(self, block: np.ndarray) -> tuple:
+    def band(self, block: np.ndarray, sequence: np.ndarray) -> tuple:
         """The band of a chunk of ``c <= window`` pairs that follows the
-        pairs seen so far, as :meth:`_BlockScorer.push` evaluates it but
-        always ``c + window - 1`` wide (id 0 fills the columns before the
-        stream's first pair), and the chunk's ``c`` cross sums."""
-        c, r = block.shape[0], self.window
+        pairs seen so far, as :meth:`_BlockScorer.push` evaluates it, and
+        the chunk's ``c`` cross sums.  ``sequence`` holds, oldest first,
+        the ids of up to ``window - 1`` pairs before the chunk and then
+        ``c`` slots, where the chunk's ids are written."""
+        c = block.shape[0]
         # ids first: admitting a pair may rebuild the table, which
         # renumbers the tail where it stands
         if c == 1:
             key = block.tobytes()
-            i = self._ids.get(key) or int(self._ids_of(block, [key])[0])
-            p = self._newest = _make_room(self._sequence, self._newest, 1, r - 1)
-            self._sequence[p] = i
-            return self._kernels[i].take(self._sequence[p : p + r])[None], self._cross[i]
+            i = self._ids.get(key) or int(self._ids_of(block, [key], sequence[:-1])[0])
+            sequence[-1] = i
+            return self._kernels[i].take(sequence)[None, ::-1], self._cross[i]
         distinct, inverse, _ = distinct_rows(block)
-        ids = self._ids_of(distinct, [row.tobytes() for row in distinct])
+        ids = self._ids_of(distinct, [row.tobytes() for row in distinct], sequence[:-c])
         block_ids = ids[inverse]
-        p = self._newest = _make_room(self._sequence, self._newest, c, r - 1)
-        self._sequence[p : p + c] = block_ids[::-1]
-        # one row per distinct pair; the chunk's copies of a pair share it
-        band = self._kernels[ids[:, None], self._sequence[p : p + c + r - 1]]
+        sequence[-c:] = block_ids
+        # one row per distinct pair, padded while it is small; the
+        # chunk's copies of a pair share it
+        band = _padded(self._kernels[ids[:, None], sequence[::-1]], c + self.window - 1)
         return band[inverse], self._cross[block_ids]
 
-    def _ids_of(self, pairs: np.ndarray, keys: list) -> np.ndarray:
+    def _ids_of(self, pairs: np.ndarray, keys: list, tail: np.ndarray) -> np.ndarray:
         """Ids of the distinct ``pairs``, whose bytes are ``keys``; pairs
         not in the table are admitted."""
         found = [self._ids.get(key, 0) for key in keys]
         ids = np.array(found, dtype=np.intp)
         if 0 in found:
             fresh = [key for key, i in zip(keys, found) if i == 0]
-            ids = self._admit(pairs[ids == 0], fresh, ids)
+            ids = self._admit(pairs[ids == 0], fresh, ids, tail)
         return ids
 
-    def _admit(self, pairs: np.ndarray, keys: list, ids: np.ndarray) -> np.ndarray:
+    def _admit(
+        self, pairs: np.ndarray, keys: list, ids: np.ndarray, tail: np.ndarray
+    ) -> np.ndarray:
         """Give ``pairs`` (absent from the table) new ids; ``ids`` are the
         chunk's ids so far, 0 where a pair is new.  Returns them with the
         new ids filled in, renumbered if the table was rebuilt."""
         if self._count - 1 + len(keys) > 2 * self.window:
-            ids = self._rebuild(ids)
+            ids = self._rebuild(ids, tail)
         new = np.arange(self._count, self._count + len(keys))
         ids[ids == 0] = new
         live = self._count + len(keys)
@@ -613,11 +585,10 @@ class _PairTable:
         self._count = live
         return ids
 
-    def _rebuild(self, ids: np.ndarray) -> np.ndarray:
-        """Keep only the ids in the tail (the newest ``window - 1``) or in
-        ``ids``, renumbered from 1 in their old order; return ``ids``
-        renumbered."""
-        tail = self._sequence[self._newest : self._newest + self.window - 1]
+    def _rebuild(self, ids: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Keep only the ids in ``tail`` (the newest pairs before the
+        chunk) or in ``ids``, renumbered from 1 in their old order;
+        renumber ``tail`` in place and return ``ids`` renumbered."""
         keep = np.unique(np.concatenate((tail, ids)))
         keep = keep[keep > 0]
         renumber = np.zeros(self._kernels.shape[0], dtype=np.intp)

@@ -173,7 +173,28 @@ def _trajectory(
     """One whole synthesised trajectory of :func:`_scenario`."""
     scenario = _scenario(cfg, length, pre_change)
     simulate = simulate_finite_scenario if isinstance(scenario, FiniteScenario) else simulate_ar
-    return simulate(scenario, seed, stream)
+    return _finite(cfg, simulate(scenario, seed, stream), 1, pre_change)
+
+
+def _finite(
+    cfg: ExperimentConfig, rows: np.ndarray, first: int, pre_change: bool = False
+) -> np.ndarray:
+    """``rows``, observations ``first``, ``first + 1``, ... of a simulated
+    trajectory, checked to be finite.  Huge noise or matrix entries can
+    overflow the AR recursion; the error names the noise key of the law
+    in effect at the first row that is not finite."""
+    finite = np.isfinite(rows)
+    if finite.all():
+        return rows
+    g = first + int(np.argmin(finite.all(axis=1)))
+    scn = cfg.scenario
+    key = "pre_variance"
+    if not pre_change and scn.change_at is not None and g > scn.change_at:
+        key = "post_mean" if scn.kind == "ar-mean" else "post_variance"
+    raise ConfigError(
+        f"scenario.{key}: the simulated trajectory overflows at observation {g}; "
+        "smaller noise or scenario.matrix entries keep it finite"
+    )
 
 
 def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
@@ -283,8 +304,8 @@ def run_trace(
 ) -> CampaignResult:
     """Monitor one trajectory and log every raw step.
 
-    The trajectory is scored by :func:`score_series` on a fresh
-    :func:`_series_engine`, as a campaign replication is, and the alarm
+    The trajectory is scored by :func:`score_series` on a fresh block
+    scorer and CUSUM, as a campaign replication is, and the alarm
     is the first statistic reaching the largest of
     ``campaign.thresholds``; from there on every row's alarm flag is
     set.  A ``csv`` scenario monitors ``context.monitored``; the
@@ -306,7 +327,8 @@ def run_trace(
     if monitored is None:
         monitored = _trajectory(cfg, scn.length, seed, TRACE_STREAM)
 
-    scorer, cusum = _series_engine(context, cfg)
+    scorer = _BlockScorer(context.reference, window)
+    cusum = CusumStream(cfg.detector.min_sample)
     _, scores, statistics = score_series(scorer, cusum, monitored, context.correction)
     (alarm_at,) = _crossing_times(statistics, (threshold,))
     blank = [None] * (len(monitored) - len(scores))
@@ -344,15 +366,6 @@ def run_trace(
     )
 
 
-def _series_engine(context: HarnessContext, cfg: ExperimentConfig) -> tuple:
-    """A fresh block scorer and CUSUM: with :func:`score_series`, the
-    arithmetic of :meth:`KernelCusumDetector.extend`, without an outcome
-    object per observation.  Traces and campaign replications both score
-    with it."""
-    det = cfg.detector
-    return _BlockScorer(context.reference, det.window), CusumStream(det.min_sample)
-
-
 def _crossing_times(series, thresholds) -> list:
     """First statistic index reaching each threshold (None if never).
 
@@ -383,12 +396,15 @@ def _replication_hits(cfg: ExperimentConfig, context: HarnessContext, length: in
     those of the whole trajectory scored at once.
     """
     thresholds = cfg.campaign.thresholds
-    scorer, cusum = _series_engine(context, cfg)
+    det = cfg.detector
+    scorer, cusum = _BlockScorer(context.reference, det.window), CusumStream(det.min_sample)
     scenario = _scenario(cfg, length)
     blocks = finite_blocks if isinstance(scenario, FiniteScenario) else ar_blocks
     stream = REPLICATION_STREAM_BASE + i
-    hits = []
-    for block in blocks(scenario, cfg.campaign.seed, stream, cfg.detector.window):
+    hits, first = [], 1
+    for block in blocks(scenario, cfg.campaign.seed, stream, det.window):
+        _finite(cfg, block, first)
+        first += block.shape[0]
         _, _, statistics = score_series(scorer, cusum, block, context.correction)
         before = cusum.n - len(statistics)
         found = _crossing_times(statistics, thresholds[len(hits):])

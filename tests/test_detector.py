@@ -1,6 +1,7 @@
 """Detector: CUSUM recursion oracle, checkpointing, calibration."""
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -589,28 +590,34 @@ def test_pair_table_stays_within_its_bound_on_continuous_data():
     table_run(reference, config, np.concatenate([data[:100], data[85:93], data[100:]]))
 
 
-def step_watching_buffers(det, data):
-    """Step loop over ``data``.  Returns the outcomes, the steps after
-    which a buffer of ``det``'s scorer moved its newest entries, and
-    whether one step both rebuilt the id table and moved its sequence."""
-    scorer = det._scorer
-    table = scorer._table
+def counting_rebuilds(patch):
+    """Patch ``_PairTable._rebuild`` to record each call in the returned list."""
     rebuilds = []
     original = detector._PairTable._rebuild
 
-    def counting(self, ids):
+    def counting(self, *args):
         rebuilds.append(1)
-        return original(self, ids)
+        return original(self, *args)
 
+    patch.setattr(detector._PairTable, "_rebuild", counting)
+    return rebuilds
+
+
+def step_watching_buffers(det, data):
+    """Step loop over ``data``.  Returns the outcomes, the steps after
+    which ``det``'s scorer moved its newest entries to the front of its
+    buffers (its count of observations fell), and whether one step both
+    rebuilt the id table and moved."""
+    scorer = det._scorer
     outcomes, moves, rebuilt_in_move = [], [], False
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(detector._PairTable, "_rebuild", counting)
+        rebuilds = counting_rebuilds(patch)
         for t, row in enumerate(data, start=1):
-            end, newest = scorer._end, (table or scorer)._newest
+            end = scorer._end
             before = len(rebuilds)
             outcomes.append(det.step(row))
-            moved = (table or scorer)._newest > newest
-            if moved or scorer._end <= end:
+            moved = scorer._end <= end
+            if moved:
                 moves.append(t)
             rebuilt_in_move |= moved and len(rebuilds) > before
     return outcomes, moves, rebuilt_in_move
@@ -619,17 +626,16 @@ def step_watching_buffers(det, data):
 @settings(max_examples=40, deadline=None)
 @given(window=st.integers(1, 6), table=st.booleans(), coarse=st.booleans(), data=st.data())
 def test_buffers_wrap_at_any_split_and_restore(window, table, coarse, data):
-    """The scorer's observation and pair buffers, and the id table's
-    sequence, move their newest entries when full.  Over streams many
-    buffer lengths long, ``extend`` at random splits, with checkpoint and
-    restore at random splits and just before and after a move, equals a
-    step loop bit for bit, against a band and an id-table reference.
-    Continuous data brings the table a new pair every step, so it
-    rebuilds, also in a step that moves its sequence; coarse data brings
-    back pairs it holds."""
+    """The scorer's buffers move their newest entries to the front when
+    full, all in one move.  Over streams many buffer lengths long,
+    ``extend`` at random splits, with checkpoint and restore at random
+    splits and just before and after a move, equals a step loop bit for
+    bit, against a band and an id-table reference.  Continuous data
+    brings the table a new pair every step, so it rebuilds, also in a
+    step that moves; coarse data brings back pairs it holds."""
     config = DetectorConfig(window=window, min_sample=2, threshold=0.5, correction=0.05)
     reference = duplicated_reference() if table else make_reference(seed=52)[1]
-    width = 3 * window  # columns of the pair buffer and the id sequence
+    width = 3 * window  # pairs each of the scorer's buffers holds
     length = data.draw(st.integers(6 * width, 12 * width + 2), label="length")
     stream = ar_data(data.draw(st.integers(0, 2**16), label="seed"), length)
     if coarse:
@@ -652,6 +658,57 @@ def test_buffers_wrap_at_any_split_and_restore(window, table, coarse, data):
             det = KernelCusumDetector.restore(reference, config, det.checkpoint())
         outcomes += det.extend(stream[lo:hi])
     assert outcomes == single
+
+
+def band_twin(reference):
+    """``reference`` with ``repeats`` forced False: a scorer against the
+    twin evaluates bands where one against ``reference`` reads its id
+    table."""
+    twin = ReferenceSet(kernel=reference.kernel, pairs=reference.pairs)
+    object.__setattr__(twin, "repeats", False)
+    return twin
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(window=st.integers(1, 6), coarse=st.booleans(), data=st.data())
+def test_table_path_equals_band_path(window, coarse, data):
+    """Fed the same blocks, a detector reading an id table and its twin
+    evaluating bands against the same reference give the same outcomes
+    and keep the same D rows and cross sums, bit for bit: in the first
+    ``window - 1`` pairs, whose bands are padded, through table rebuilds
+    and through moves.  The blocks cycle through drawn sizes from a
+    single step to more than two windows, over streams several buffer
+    lengths long; continuous data makes the table rebuild."""
+    reference = duplicated_reference()
+    config = DetectorConfig(window=window, min_sample=2, threshold=0.5, correction=0.05)
+    with_table = KernelCusumDetector(reference, config)
+    with_bands = KernelCusumDetector(band_twin(reference), config)
+    table, bands = with_table._scorer, with_bands._scorer
+    assert table._table is not None and bands._table is None
+    width = 3 * window  # pairs each of the scorer's buffers holds
+    length = data.draw(st.integers(2 * width + 2, 6 * width + 2), label="length")
+    stream = ar_data(data.draw(st.integers(0, 2**16), label="seed"), length)
+    if coarse:
+        stream = np.round(2.0 * stream) / 2.0
+    sizes = data.draw(
+        st.lists(st.integers(1, 2 * window + 1), min_size=1, max_size=8), label="sizes"
+    )
+    lo = 0
+    with pytest.MonkeyPatch.context() as patch:
+        rebuilds = counting_rebuilds(patch)
+        for size in itertools.cycle(sizes):
+            if lo == length:
+                break
+            part = stream[lo : lo + size]
+            lo += part.shape[0]
+            assert with_table.extend(part) == with_bands.extend(part), lo
+            held = table._end - 1  # pairs in the buffers since the last move
+            assert bands._end == table._end
+            assert np.array_equal(table._lags[:held], bands._lags[:held]), lo
+            assert np.array_equal(table._cross[:held], bands._cross[:held]), lo
+    assert table._end < length  # the buffers moved
+    if not coarse:
+        assert rebuilds
 
 
 def test_alarm_latches_and_reset_clears():

@@ -5,12 +5,13 @@ import dataclasses
 import io
 import math
 import os
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcusum import (
@@ -38,6 +39,7 @@ from kcusum import (
 )
 from kcusum import harness
 from kcusum.cli import main
+from kcusum.config import _KIND_KEYS
 from kcusum.harness import (
     HOLDOUT_STREAM,
     REFERENCE_STREAM,
@@ -1095,3 +1097,206 @@ def test_cli_generated_bad_csv_files_exit_1(defect, line, column, data):
         for command in ("mtbfa", "md"):
             code, err = _run_cli([command, "--config", cfg, "--out", out])
             assert code == 1 and "config error: campaign.mode" in err, err
+
+
+# -- generated configs --------------------------------------------------------
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+WRONG_TYPE = st.sampled_from(["abc", "1.5.2", "[1]", "0x10", "yes", "1,,2", "2.5", "1;2"])
+NON_FINITE = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999"])
+HUGE = st.sampled_from(
+    ["1e308", "-1e308", "1.7976931348623157e308", "1e300", str(2**64), str(10**30)]
+)
+# a key that sets how much work a run does is never huge and valid
+HUGE_INVALID = st.sampled_from([str(-(2**70)), "-1e308"])
+MATRIX_2 = "0.9,0.1;0.2,0.8"
+
+# (section, key): (typical values, boundary values, whether it sets the work's size)
+CONFIG_GRAMMAR = {
+    ("scenario", "kind"): (st.sampled_from(["ar-variance", "ar-mean", "finite"]),
+                           st.sampled_from(["csv", "AR-variance", "finite "]), False),
+    ("scenario", "length"): (_ints(2, 60), _ints(0, 2), True),
+    ("scenario", "change_at"): (_ints(6, 30) | st.just("none"), _ints(-1, 6), True),
+    ("scenario", "burn_in"): (_ints(0, 20), _ints(-1, 0), True),
+    ("scenario", "pre_variance"): (_reals(0.01, 2.0),
+                                   st.sampled_from(["0", "-0.0", "5e-324", "1e-300"]), False),
+    ("scenario", "post_variance"): (_reals(0.01, 2.0),
+                                    st.sampled_from(["0", "5e-324", "1e-300"]), False),
+    ("scenario", "post_mean"): (_reals(-1.0, 1.0), st.sampled_from(["0", "-0.0", "5e-324"]), False),
+    ("scenario", "matrix"): (st.sampled_from(["0.5,0.1;0,0.5", "0.9", "0,0;0,0"]),
+                             st.sampled_from(["1,0;0,1", "0.99999999,0;0,0", "0.5,1e300;0,0.5",
+                                              "0.5,1e200,0;0,0.5,1e200;0,0,0.5", "0.5",
+                                              "0.5,0;0,0.5;0,0"]), False),
+    ("scenario", "states"): (st.sampled_from(["0;1", "0,0;1,1", "-3;2"]),
+                             st.sampled_from(["0;0", "0;1;2", "0;1e308", "-1e308;1e308"]), False),
+    ("scenario", "pre_matrix"): (st.sampled_from([MATRIX_2, "0.5,0.5;0.3,0.7"]),
+                                 st.sampled_from(["0.5,0.5;0.5,0.5", "1,0;0,1", "0,1;1,0",
+                                                  "1,1e-18;1e-18,1", "1,0;0.5,0.5"]), False),
+    ("scenario", "post_matrix"): (st.sampled_from([MATRIX_2, "0.05,0.95;0.95,0.05"]),
+                                  st.sampled_from(["0.5,0.5;0.5,0.5", "1,0;0,1", "0,1;1,0",
+                                                   "1,1e-18;1e-18,1"]), False),
+    ("detector", "window"): (_ints(1, 5), _ints(0, 1), True),
+    ("detector", "min_sample"): (_ints(1, 4), _ints(0, 1), True),
+    ("detector", "threshold"): (_reals(0.5, 10.0), st.sampled_from(["0", "5e-324", "-0.0"]), False),
+    ("detector", "reference"): (_ints(2, 40), _ints(1, 2), True),
+    ("detector", "holdout"): (_ints(5, 40), _ints(0, 6), True),
+    ("detector", "bandwidths"): (st.sampled_from(["1", "0.1,1,10", "0.5,2"]),
+                                 st.sampled_from(["0", "5e-324", "1e-200", "1e200", "1e150",
+                                                  "1e-150", "1,1"]), False),
+    ("detector", "weights"): (st.sampled_from(["1", "0.25,0.75", "0.2,0.3,0.5"]),
+                              st.sampled_from(["0", "1,0", "5e-324,1", "0.5"]), False),
+    ("detector", "correction"): (st.sampled_from(["calibrate", "analytic", "0.05", "0.5"]),
+                                 st.sampled_from(["0", "-0.0", "5e-324", "-5e-324"]), False),
+    ("detector", "margin"): (_reals(0.0, 0.1), st.sampled_from(["0", "-5e-324", "-0.0"]), False),
+    ("detector", "quantile"): (_reals(0.25, 1.0),
+                               st.sampled_from(["1", "5e-324", "0", "1.0000000000000002"]), False),
+    ("detector", "sigma_reference"): (_reals(0.0, 3.0), st.sampled_from(["0", "-5e-324"]), False),
+    ("detector", "sigma_buffer"): (_reals(0.0, 3.0), st.sampled_from(["0", "-5e-324"]), False),
+    ("campaign", "mode"): (st.sampled_from(["trace", "mtbfa", "md"]),
+                           st.sampled_from(["", "MD", "bounds"]), False),
+    ("campaign", "replications"): (_ints(1, 2), _ints(-1, 1), True),
+    ("campaign", "thresholds"): (st.sampled_from(["0.5,1", "1", "0.5,2,4"]),
+                                 st.sampled_from(["1,1", "0", "5e-324", "2,1", "-1,1"]), True),
+    ("campaign", "horizon_factor"): (_ints(1, 3), _ints(-1, 1), True),
+    ("campaign", "seed"): (_ints(0, 1000),
+                           st.sampled_from(["0", str(2**64 - 1), str(2**64), "-1"]), False),
+    ("output", "formats"): (st.sampled_from(["csv", "csv,svg", "svg,csv"]),
+                            st.sampled_from(["svg", "csv,pdf", ",", "csv,"]), False),
+    ("bounds", "lam"): (_reals(0.05, 0.9), st.sampled_from(["1", "0", "1e-300", "1e-17"]), False),
+    ("bounds", "lag"): (_ints(1, 10), st.sampled_from(["0", str(2**53), str(2**53 - 1)]), False),
+    ("bounds", "gamma"): (_reals(0.0, 1.0), st.sampled_from(["0", "-5e-324"]), False),
+}
+
+SCENARIO_TEMPLATES = {
+    "finite": {"kind": "finite", "length": "40", "change_at": "12", "states": "0;1",
+               "pre_matrix": MATRIX_2, "post_matrix": "0.05,0.95;0.95,0.05"},
+    "ar-variance": {"kind": "ar-variance", "length": "40", "change_at": "12", "burn_in": "5",
+                    "pre_variance": "0.1", "post_variance": "0.2", "matrix": "0.5,0.1;0,0.5"},
+    "ar-mean": {"kind": "ar-mean", "length": "40", "change_at": "12", "burn_in": "5",
+                "pre_variance": "0.1", "post_mean": "0.5"},
+}
+CONFIG_TEMPLATE = {
+    "detector": {"window": "4", "min_sample": "2", "reference": "30", "holdout": "12",
+                 "bandwidths": "1", "correction": "calibrate", "sigma_reference": "2",
+                 "sigma_buffer": "3"},
+    "campaign": {"mode": "trace", "replications": "2", "thresholds": "0.5,1",
+                 "horizon_factor": "2", "seed": "3"},
+    "output": {"directory": "out"},
+}
+KNOWN_KEYS = {(section, key) for section, key in CONFIG_GRAMMAR} | {("output", "directory"),
+                                                                    ("scenario", "path")}
+
+
+@st.composite
+def config_edit(draw, kind):
+    """One edit of a config: ``(section, key, value)``, value None to
+    delete the key."""
+    keys = sorted(
+        (section, key) for section, key in CONFIG_GRAMMAR
+        if section != "scenario" or key in _KIND_KEYS[kind]
+    )
+    section, key = draw(st.sampled_from(keys))
+    typical, boundary, sizes_work = CONFIG_GRAMMAR[section, key]
+    # valid values twice as often as each invalid kind, so that runs
+    # also get past the parser
+    category = draw(st.sampled_from(
+        ["typical", "typical", "boundary", "boundary", "huge", "huge", "wrong type",
+         "non-finite", "empty", "delete", "unknown"]
+    ))
+    if category == "unknown":
+        return section, draw(st.sampled_from(["threads", "dim", "norm_f", "windows"])), "1"
+    value = {
+        "typical": typical, "boundary": boundary, "wrong type": WRONG_TYPE,
+        "non-finite": NON_FINITE, "huge": HUGE_INVALID if sizes_work else HUGE,
+        "empty": st.just(""), "delete": st.none(),
+    }[category]
+    return section, key, draw(value)
+
+
+COMMANDS = ("trace", "mtbfa", "md", "bounds", "calibrate")
+
+
+@st.composite
+def edited_config(draw):
+    """``(kind, command, edits)``: a template, a subcommand and one to
+    three :func:`config_edit` edits."""
+    kind = draw(st.sampled_from(sorted(SCENARIO_TEMPLATES)))
+    command = draw(st.sampled_from(COMMANDS))
+    return kind, command, draw(st.lists(config_edit(kind), min_size=1, max_size=3))
+
+
+def _run_edited(kind, command, edits):
+    """(exit code, stderr) of ``command`` on the template of ``kind``
+    with ``edits`` applied; an mtbfa run gets ``change_at = none``."""
+    sections = {"scenario": dict(SCENARIO_TEMPLATES[kind])}
+    sections.update({name: dict(values) for name, values in CONFIG_TEMPLATE.items()})
+    if command == "mtbfa":
+        sections["scenario"]["change_at"] = "none"
+    for section, key, value in edits:
+        values = sections.setdefault(section, {})
+        if value is None:
+            values.pop(key, None)
+        else:
+            values[key] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+        for name, values in sections.items()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "exp.ini")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        return _run_cli([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=edited_config())
+@example(case=("ar-variance", "md", [("scenario", "post_variance", "1e308")]))
+@example(case=("ar-mean", "trace", [("scenario", "post_mean", "1e308")]))
+@example(case=("ar-variance", "trace", [("scenario", "pre_variance", "1e308")]))
+def test_cli_generated_configs_exit_0_1_or_2(case):
+    """A valid small config with one to three keys edited: a typical or
+    boundary value, a wrong type, nan or inf, a huge value, an empty
+    value, a deleted key or an unknown one.  Every subcommand exits 0, 1
+    or 2 without a traceback, and exit 1 names a ``section.key``.  Keys
+    that set the work's size get only small valid values or invalid
+    ones, so every run stays small.  The examples once gave a traceback
+    from a nan score or a non-finite reference."""
+    kind, command, edits = case
+    code, err = _run_edited(kind, command, edits)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err, err
+    if code == 1:
+        named = KNOWN_KEYS | {(section, key) for section, key, _ in edits}
+        found = re.search(r"config error: (\w+)\.(\w+):", err)
+        assert found and found.groups() in named, err
+
+
+@pytest.mark.parametrize(
+    "kind,key,value,commands",
+    [
+        ("ar-variance", "pre_variance", "1e308", COMMANDS),
+        ("ar-mean", "pre_variance", "1e308", COMMANDS),
+        ("ar-variance", "post_variance", "1e308", ("trace", "md")),
+        ("ar-mean", "post_mean", "1e308", ("trace", "md")),
+        ("ar-variance", "matrix", "0.5,1e200,0;0,0.5,1e200;0,0,0.5", COMMANDS),
+    ],
+)
+def test_cli_overflowing_trajectory_exit_1(kind, key, value, commands):
+    """Noise or matrix entries so large that the AR recursion overflows
+    exit 1 in every subcommand that simulates the law concerned, naming
+    the noise key of the law in effect where the trajectory first
+    overflows.  Only traces and md campaigns simulate past the change."""
+    named = "pre_variance" if commands == COMMANDS else key
+    for command in commands:
+        code, err = _run_edited(kind, command, [("scenario", key, value)])
+        assert code == 1, (command, err)
+        assert f"config error: scenario.{named}: the simulated trajectory overflows" in err, err
