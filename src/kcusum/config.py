@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import DoeblinParams, buffer_doeblin
-from .kernels import KernelSpec
+from .kernels import KernelSpec, as_points
 from .simulate import ArScenario, FiniteChain, GaussianLaw, default_system_matrix
 
 __all__ = [
@@ -249,8 +249,9 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
     pre_variance = _get_float(sec, "scenario", "pre_variance", 0.1)
     post_variance = _get_float(sec, "scenario", "post_variance", 0.2)
     post_mean = _get_float(sec, "scenario", "post_mean", 0.05)
-    if pre_variance <= 0 or post_variance <= 0:
-        _fail("scenario", "pre_variance", "variances must be positive")
+    for key, variance in (("pre_variance", pre_variance), ("post_variance", post_variance)):
+        if variance <= 0:
+            _fail("scenario", key, "variances must be positive")
 
     matrix = default_system_matrix()
     if "matrix" in sec:
@@ -273,6 +274,7 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
         if "states" not in sec:
             _fail("scenario", "states", "required for finite scenarios")
         states = _parse_matrix(sec["states"], "scenario", "states")
+        _build("scenario", "states", lambda: as_points(states, name="states"))
         if "pre_matrix" not in sec:
             _fail("scenario", "pre_matrix", "required for finite scenarios")
         pre_matrix = _parse_matrix(sec["pre_matrix"], "scenario", "pre_matrix")
@@ -301,6 +303,8 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     min_sample = _get_int(sec, "detector", "min_sample", 10)
     if min_sample < 1:
         _fail("detector", "min_sample", "must be >= 1")
+    if min_sample >= 2**53:
+        _fail("detector", "min_sample", "must be below 2**53")
     threshold = _get_float(sec, "detector", "threshold", 5.0)
     if threshold <= 0:
         _fail("detector", "threshold", "must be positive")
@@ -336,8 +340,9 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     if correction == "analytic":
         sigma_reference = _get_float(sec, "detector", "sigma_reference")
         sigma_buffer = _get_float(sec, "detector", "sigma_buffer")
-        if sigma_reference < 0 or sigma_buffer < 0:
-            _fail("detector", "sigma_reference", "analytic sigmas must be >= 0")
+        for key, sigma in (("sigma_reference", sigma_reference), ("sigma_buffer", sigma_buffer)):
+            if sigma < 0:
+                _fail("detector", key, "analytic sigmas must be >= 0")
     return DetectorSection(
         window=window, min_sample=min_sample, threshold=threshold, reference=reference,
         bandwidths=bandwidths, weights=weights, correction=correction, margin=margin,
@@ -446,6 +451,16 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         _fail("campaign", "mode", "mtbfa campaigns need scenario.change_at = none")
     if cfg.scenario.kind == "csv" and cfg.campaign.mode != "trace":
         _fail("campaign", "mode", "csv scenarios support trace mode only")
+    if cfg.campaign.mode != "trace":
+        # a campaign's largest horizon, in statistics, sizes its trajectories
+        camp = cfg.campaign
+        try:
+            horizon = math.ceil(camp.horizon_factor * (camp.thresholds[-1] + cfg.detector.min_sample))
+        except OverflowError:  # a product beyond the float range
+            horizon = math.inf
+        if horizon >= 2**53:
+            _fail("campaign", "horizon_factor",
+                  "ceil(horizon_factor * (largest threshold + min_sample)) must be below 2**53")
     if cfg.bounds.certificate is not None:
         # the bounds read the certificate lifted over the window, whose lag is larger
         _build("bounds", "lag", lambda: buffer_doeblin(cfg.bounds.certificate, cfg.detector.window))

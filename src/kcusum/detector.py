@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points, distinct_rows, row_chunks
+from .kernels import COORDINATE_LIMIT, KernelSpec, as_points, distinct_rows, row_chunks
 from .mmd import lift, lifted_pairs
 
 __all__ = [
@@ -616,6 +616,7 @@ def score_series(scorer: _BlockScorer, cusum: CusumStream, observations, correct
 _WARMING_UP = StepOutcome(
     index=None, discrepancy=None, score=None, statistic=-math.inf, alarm=False
 )
+_WITHIN_LIMIT = COORDINATE_LIMIT.__ge__  # a step's coordinate test, one call each
 
 
 class KernelCusumDetector:
@@ -663,8 +664,11 @@ class KernelCusumDetector:
             raise ValueError(
                 f"observation must be a 1-D vector of dimension {self._dim}"
             )
-        if not all(map(math.isfinite, y.tolist())):
-            raise ValueError("observation contains non-finite values")
+        values = y.tolist()
+        if not all(map(_WITHIN_LIMIT, map(abs, values))):  # false for nan too
+            if not all(map(math.isfinite, values)):
+                raise ValueError("observation contains non-finite values")
+            raise ValueError(f"observation has a coordinate beyond +-{COORDINATE_LIMIT:g}")
         return self._advance(y[None, :])[0]
 
     def extend(self, observations) -> list[StepOutcome]:
@@ -774,8 +778,12 @@ class KernelCusumDetector:
         if any(len(row) != det._dim for row in raw):
             raise ValueError("checkpoint raw buffer has wrong dimension")
         buffer = np.array(raw, dtype=float).reshape(len(raw), det._dim)
-        if not np.isfinite(buffer).all():
-            raise ValueError("checkpoint raw buffer holds a non-finite value")
+        if not (np.abs(buffer) <= COORDINATE_LIMIT).all():
+            if not np.isfinite(buffer).all():
+                raise ValueError("checkpoint raw buffer holds a non-finite value")
+            raise ValueError(
+                f"checkpoint raw buffer holds a coordinate beyond +-{COORDINATE_LIMIT:g}"
+            )
         n = _exact_int(data["cusum"]["n"], "checkpoint inconsistent: cusum.n")
         n_pairs = max(len(raw) - 1, 0)
         if n_pairs < config.window and n != 0:

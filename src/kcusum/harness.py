@@ -21,6 +21,13 @@ The detector emits its first statistic only after ``window + 1`` raw
 observations, so there are two clocks: the raw-observation clock t and
 the statistic clock n, related by ``t = n + window``.
 
+Both campaigns are one runner over the same replications and crossing
+times.  They differ only in ``tau_stat``, the statistic from which a
+row counts: 0 for MTBFA, ``change_at - window`` for MD, the last
+statistic whose buffer holds no post-change pair.  An alarm at or
+before ``tau_stat`` is a false alarm and is excluded, which never
+happens for MTBFA.
+
 * MTBFA rows: ``empirical_mean`` is the mean alarm time on the
   statistic clock, directly comparable to the Theorem-style lower bound
   ``min_sample - 1 + (b - alpha1)``; the raw-clock mean (offset by
@@ -28,9 +35,8 @@ the statistic clock n, related by ``t = n + window``.
 * MD rows: ``empirical_mean`` is the mean number of statistics emitted
   after the change entered the sliding buffer (``n_alarm - (tau -
   window)``), directly comparable to the upper bound
-  ``max(min_sample, (b + alpha)/drift)``; the notes also report the
-  mean of ``n_alarm - tau``, the statistic-clock reading of the raw
-  change time, which is smaller by exactly ``window``.
+  ``max(min_sample, (b + alpha)/drift)``.  The raw clock counts the
+  same delay from observation ``change_at``, so the notes give one mean.
 """
 
 from __future__ import annotations
@@ -41,11 +47,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import DoeblinParams, bound_report, buffer_doeblin, md_upper_bound, mtbfa_lower_bound
+from .bounds import DoeblinParams, bound_report, buffer_doeblin
 from .config import ConfigError, ExperimentConfig, _build
 from .detector import (
     CusumStream, ReferenceSet, _BlockScorer, build_reference, calibrate_correction, score_series,
 )
+from .kernels import COORDINATE_LIMIT
 from .mmd import consistency_bound
 from .simulate import (
     FiniteScenario,
@@ -180,20 +187,20 @@ def _finite(
     cfg: ExperimentConfig, rows: np.ndarray, first: int, pre_change: bool = False
 ) -> np.ndarray:
     """``rows``, observations ``first``, ``first + 1``, ... of a simulated
-    trajectory, checked to be finite.  Huge noise or matrix entries can
-    overflow the AR recursion; the error names the noise key of the law
-    in effect at the first row that is not finite."""
-    finite = np.isfinite(rows)
-    if finite.all():
+    trajectory, checked to lie within :data:`COORDINATE_LIMIT`.  Huge
+    noise or matrix entries can overflow the AR recursion; the error
+    names the noise key of the law in effect at the first row outside."""
+    inside = np.abs(rows) <= COORDINATE_LIMIT
+    if inside.all():
         return rows
-    g = first + int(np.argmin(finite.all(axis=1)))
+    g = first + int(np.argmin(inside.all(axis=1)))
     scn = cfg.scenario
     key = "pre_variance"
     if not pre_change and scn.change_at is not None and g > scn.change_at:
         key = "post_mean" if scn.kind == "ar-mean" else "post_variance"
     raise ConfigError(
-        f"scenario.{key}: the simulated trajectory overflows at observation {g}; "
-        "smaller noise or scenario.matrix entries keep it finite"
+        f"scenario.{key}: the simulated trajectory overflows +-{COORDINATE_LIMIT:g} at "
+        f"observation {g}; smaller noise or scenario.matrix entries keep it inside"
     )
 
 
@@ -297,11 +304,7 @@ def _theory_inputs(cfg: ExperimentConfig, kernel):
     )
 
 
-def run_trace(
-    cfg: ExperimentConfig,
-    seed: int | None = None,
-    context: HarnessContext | None = None,
-) -> CampaignResult:
+def run_trace(cfg: ExperimentConfig, context: HarnessContext | None = None) -> CampaignResult:
     """Monitor one trajectory and log every raw step.
 
     The trajectory is scored by :func:`score_series` on a fresh block
@@ -316,16 +319,15 @@ def run_trace(
     """
     if cfg.campaign.mode != "trace":
         raise ConfigError(f"campaign.mode: expected trace, got {cfg.campaign.mode!r}")
-    seed = cfg.campaign.seed if seed is None else seed
     if context is None:
-        context = build_context(cfg, seed)
+        context = build_context(cfg, cfg.campaign.seed)
     threshold = cfg.campaign.thresholds[-1]
     window = cfg.detector.window
 
     scn = cfg.scenario
     monitored = context.monitored
     if monitored is None:
-        monitored = _trajectory(cfg, scn.length, seed, TRACE_STREAM)
+        monitored = _trajectory(cfg, scn.length, cfg.campaign.seed, TRACE_STREAM)
 
     scorer = _BlockScorer(context.reference, window)
     cusum = CusumStream(cfg.detector.min_sample)
@@ -457,52 +459,11 @@ def run_mtbfa_campaign(
 ) -> CampaignResult:
     """Estimate mean time between false alarms per threshold.
 
-    Each replication shares one statistic series across all thresholds
-    (crossing times are monotone in b).  Runs that never cross within
-    the per-threshold horizon ``ceil(horizon_factor * (b + min_sample))``
-    are counted at the horizon and reported as truncated; a row whose
-    truncation fraction exceeds one half is flagged unreliable.
-
-    A replication's trajectory is ``H + window`` observations long, H
-    the largest horizon, which gives the H statistics a crossing is
-    searched in.  It is simulated and scored in blocks, and stops after
-    the block in which the largest threshold is crossed
-    (:func:`_replication_hits`); the rows are those of whole
-    trajectories.
+    :func:`_run_campaign` with ``tau_stat = 0``: every alarm is a false
+    alarm, so no replication is excluded, and a row's mean is the mean
+    alarm time on the statistic clock.
     """
-    if cfg.campaign.mode != "mtbfa":
-        raise ConfigError(f"campaign.mode: expected mtbfa, got {cfg.campaign.mode!r}")
-    camp = cfg.campaign
-    det = cfg.detector
-    if context is None:
-        context = build_context(cfg, camp.seed)
-    horizons = _horizons(cfg)
-    length = horizons[-1] + det.window  # the statistics 1 .. H
-    all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
-
-    rows = []
-    notes = list(context.notes)
-    for j, (b, horizon) in enumerate(zip(camp.thresholds, horizons)):
-        times, _, truncated = _tally(all_hits, j, horizon, 0)
-        mean, sem = _mean_sem(times)
-        theory = None
-        if context.pre_block is not None:
-            theory = mtbfa_lower_bound(b, det.min_sample, context.pre_block).value
-        unreliable = truncated > camp.replications / 2
-        rows.append(
-            CampaignRow(
-                b=b, empirical_mean=mean, std_error=sem, n_runs=camp.replications,
-                theory_bound=theory, truncated=truncated, excluded=0,
-                unreliable=unreliable,
-            )
-        )
-        notes.append(
-            f"b={b!r}: {truncated}/{camp.replications} runs truncated at horizon "
-            f"{horizon} (statistic clock); raw-clock mean alarm time "
-            f"{mean + det.window!r}"
-            + ("; row UNRELIABLE (truncation > 50%)" if unreliable else "")
-        )
-    return CampaignResult(mode="mtbfa", rows=tuple(rows), notes=tuple(notes))
+    return _run_campaign(cfg, context, "mtbfa")
 
 
 def run_md_campaign(
@@ -510,73 +471,110 @@ def run_md_campaign(
 ) -> CampaignResult:
     """Estimate mean detection delay per threshold.
 
-    Replications whose alarm fires before the change reached the buffer
-    are false alarms: excluded from the mean and counted.  Runs that
-    never alarm within the post-change horizon are counted at the
-    horizon and reported as truncated.  If every replication
-    false-alarms the campaign aborts.
+    :func:`_run_campaign` with ``tau_stat = change_at - window``, the
+    statistic before the change enters the buffer.  Alarms at or before
+    it are false alarms, excluded from the mean and counted; if every
+    replication false-alarms the campaign aborts.
+    """
+    return _run_campaign(cfg, context, "md")
+
+
+def _run_campaign(
+    cfg: ExperimentConfig, context: HarnessContext | None, mode: str
+) -> CampaignResult:
+    """The replications of an mtbfa or md campaign and their rows.
+
+    Each replication shares one statistic series across all thresholds
+    (crossing times are monotone in b), and each threshold is tallied
+    from ``tau_stat`` on (:func:`_tally`).  A run that never alarms
+    within the per-threshold horizon ``ceil(horizon_factor * (b +
+    min_sample))`` statistics after ``tau_stat`` is counted at the
+    horizon and reported as truncated; a row whose truncation fraction
+    exceeds one half is flagged unreliable.
 
     No output reads a statistic past ``tau_stat + H``, H the largest
-    horizon and ``tau_stat = change_at - window``: a later alarm counts
-    as truncated at its horizon either way.  So a replication's
-    trajectory ends at observation ``change_at + H``, the one that
-    completes statistic ``tau_stat + H``.  It is simulated and scored
-    in blocks, and stops after the block in which the largest threshold
-    is crossed (:func:`_replication_hits`).
+    horizon, so a replication's trajectory is ``tau_stat + window + H``
+    observations long, the ones that complete statistic ``tau_stat +
+    H``.  It is simulated and scored in blocks, and stops after the
+    block in which the largest threshold is crossed
+    (:func:`_replication_hits`); the rows are those of whole
+    trajectories.  The mode picks only the bound in the theory column
+    and the wording of the notes.
     """
-    if cfg.campaign.mode != "md":
-        raise ConfigError(f"campaign.mode: expected md, got {cfg.campaign.mode!r}")
+    if cfg.campaign.mode != mode:
+        raise ConfigError(f"campaign.mode: expected {mode}, got {cfg.campaign.mode!r}")
     camp = cfg.campaign
     det = cfg.detector
-    tau = cfg.scenario.change_at
     if context is None:
         context = build_context(cfg, camp.seed)
-    tau_stat = tau - det.window  # >= 1: the parser checks change_at > window for md
+    # md: >= 1, as the parser checks change_at > window for md
+    tau_stat = cfg.scenario.change_at - det.window if mode == "md" else 0
     horizons = _horizons(cfg)
-    length = tau + horizons[-1]  # the statistics 1 .. tau_stat + H
+    length = tau_stat + det.window + horizons[-1]
     all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
 
-    post_block, gamma = context.post_block, context.gamma
     rows = []
     notes = list(context.notes)
     aborted = False
     for j, (b, horizon) in enumerate(zip(camp.thresholds, horizons)):
-        delays, excluded, truncated = _tally(all_hits, j, horizon, tau_stat)
-        if not delays:
+        values, excluded, truncated = _tally(all_hits, j, horizon, tau_stat)
+        if not values:
             notes.append(
                 f"b={b!r}: every replication false-alarmed before the change; "
                 f"campaign aborted"
             )
             aborted = True
             continue
-        mean, sem = _mean_sem(delays)
-        theory = None
-        warn = ""
-        if post_block is not None and gamma is not None:
-            bound = md_upper_bound(b, det.min_sample, gamma, context.correction, post_block)
-            theory = bound.value
-            if not bound.detectable:
+        mean, sem = _mean_sem(values)
+        report = _bound_report(cfg, context, b)
+        theory, warn = None, ""
+        if report is not None and mode == "mtbfa":
+            theory = report.mtbfa.value
+        elif report is not None and context.gamma is not None:
+            theory = report.md.value
+            if not report.md.detectable:
                 warn = (
                     "; VACUOUS BOUND: drift gamma - 2c = "
-                    f"{bound.drift!r} <= 0, no guaranteed post-change drift"
+                    f"{report.md.drift!r} <= 0, no guaranteed post-change drift"
                 )
         unreliable = truncated > camp.replications / 2
         rows.append(
             CampaignRow(
-                b=b, empirical_mean=mean, std_error=sem, n_runs=len(delays),
+                b=b, empirical_mean=mean, std_error=sem, n_runs=len(values),
                 theory_bound=theory, truncated=truncated, excluded=excluded,
                 unreliable=unreliable,
             )
         )
-        notes.append(
-            f"b={b!r}: {excluded} false alarms excluded, {truncated} truncated at "
-            f"post-change horizon {horizon}; mean delay {mean!r} statistics "
-            f"after the change entered the buffer (same count on either clock)"
-            + ("; row UNRELIABLE (truncation > 50%)" if unreliable else "")
-            + warn
-        )
+        if mode == "mtbfa":
+            note = (
+                f"b={b!r}: {truncated}/{camp.replications} runs truncated at horizon "
+                f"{horizon} (statistic clock); raw-clock mean alarm time "
+                f"{mean + det.window!r}"
+            )
+        else:
+            note = (
+                f"b={b!r}: {excluded} false alarms excluded, {truncated} truncated at "
+                f"post-change horizon {horizon}; mean delay {mean!r} statistics "
+                f"after the change entered the buffer (same count on either clock)"
+            )
+        notes.append(note + ("; row UNRELIABLE (truncation > 50%)" if unreliable else "") + warn)
     return CampaignResult(
-        mode="md", rows=tuple(rows), notes=tuple(notes), aborted=aborted, change_at=tau
+        mode=mode, rows=tuple(rows), notes=tuple(notes), aborted=aborted,
+        change_at=cfg.scenario.change_at,
+    )
+
+
+def _bound_report(cfg: ExperimentConfig, context: HarnessContext, b: float):
+    """Both closed-form guarantees at threshold ``b``, or None without a
+    certificate.  An unknown gamma is passed as 0, which makes the md
+    bound vacuous: ``bounds.txt`` prints it with a notice, and campaign
+    rows leave their md theory column empty."""
+    if context.pre_block is None:
+        return None
+    gamma = context.gamma if context.gamma is not None else 0.0
+    return bound_report(
+        b, cfg.detector.min_sample, context.pre_block, context.post_block,
+        gamma, context.correction,
     )
 
 
@@ -602,8 +600,7 @@ def write_trace_csv(path: str, result: CampaignResult) -> None:
             f"{row.t},{_fmt(row.state_norm)},{_fmt(row.score)},"
             f"{_fmt(row.statistic)},{1 if row.alarm else 0}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_campaign_csv(path: str, result: CampaignResult) -> None:
@@ -615,8 +612,7 @@ def write_campaign_csv(path: str, result: CampaignResult) -> None:
             f"{_fmt(row.b)},{_fmt(row.empirical_mean)},{_fmt(row.std_error)},"
             f"{row.n_runs},{_fmt(row.theory_bound)}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_bounds_txt(path: str, cfg: ExperimentConfig, context: HarnessContext) -> None:
@@ -642,11 +638,7 @@ def write_bounds_txt(path: str, cfg: ExperimentConfig, context: HarnessContext) 
         )
         lines.append(f"gamma: {_fmt(gamma)}")
         for b in cfg.campaign.thresholds:
-            report_gamma = gamma if gamma is not None else 0.0
-            rep = bound_report(
-                b, cfg.detector.min_sample, pre_block, post_block,
-                report_gamma, context.correction,
-            )
+            rep = _bound_report(cfg, context, b)
             lines.append(
                 f"b={_fmt(b)}: mtbfa >= {_fmt(rep.mtbfa.value)} "
                 f"(alpha1={_fmt(rep.mtbfa.alpha1)}, informative={rep.mtbfa.informative}); "
@@ -659,13 +651,17 @@ def write_bounds_txt(path: str, cfg: ExperimentConfig, context: HarnessContext) 
                 "md bounds above are vacuous: no gamma available "
                 "(set [bounds] gamma or use a finite scenario)"
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_notes(path: str, result: CampaignResult) -> None:
+    _write_lines(path, result.notes)
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write ``lines`` as UTF-8 text, each ended by a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(result.notes) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> CampaignResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["KernelSpec", "as_points", "compensated_sum", "distinct_rows"]
+__all__ = ["COORDINATE_LIMIT", "KernelSpec", "as_points", "compensated_sum", "distinct_rows"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -25,6 +25,11 @@ CHUNK_ENTRIES = 1 << 16
 # Largest table of coordinate differences (rows x columns x dimension)
 # that ``KernelSpec.gram`` forms in one broadcast call.
 _BROADCAST_LIMIT = 1 << 14
+
+# Largest coordinate magnitude a point may have.  Two points within it
+# differ by at most 2e150 per coordinate, so their squared distance is at
+# most 4e300 times the dimension: finite in any dimension below 4e7.
+COORDINATE_LIMIT = 1e150
 
 # Veltkamp's splitter for binary64: ``_split`` cuts a float into two
 # halves of at most 26 significant bits each.
@@ -81,7 +86,8 @@ def as_points(points, *, name: str = "points") -> np.ndarray:
 
     Accepts a 2-D array-like (rows are points) or a sequence of 1-D
     vectors of equal length.  A single bare vector is not accepted:
-    pass ``x[None, :]`` to mean "one point".
+    pass ``x[None, :]`` to mean "one point".  Every coordinate must be
+    finite and at most :data:`COORDINATE_LIMIT` in magnitude.
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2:
@@ -92,8 +98,10 @@ def as_points(points, *, name: str = "points") -> np.ndarray:
         raise ValueError(f"{name} must contain at least one point")
     if arr.shape[1] == 0:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
+    if not (np.abs(arr) <= COORDINATE_LIMIT).all():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite values")
+        raise ValueError(f"{name} has a coordinate beyond +-{COORDINATE_LIMIT:g}")
     return arr
 
 

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .bounds import DoeblinParams
-from .kernels import KernelSpec, as_points
+from .kernels import COORDINATE_LIMIT, KernelSpec, as_points
 
 __all__ = [
     "stream_rng",
@@ -80,7 +80,10 @@ class GaussianLaw:
             raise ValueError("mean and cov must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("cov must be symmetric")
-        w, u = np.linalg.eigh((cov + cov.T) / 2.0)
+        # a cov near the float maximum overflows here and gets a nan
+        # factor; the harness reports the trajectory that it gives
+        with np.errstate(over="ignore"):
+            w, u = np.linalg.eigh((cov + cov.T) / 2.0)
         scale = max(abs(w[0]), abs(w[-1]), 1.0)
         if w[0] < -1e-10 * scale:
             raise ValueError(f"cov must be positive semidefinite; min eigenvalue {w[0]!r}")
@@ -212,8 +215,9 @@ def _ar_rows(
         noise[split:] = scenario.post_noise.transform(z[split:])
     step = scenario.matrix.dot  # A @ x, bound once: the loop is most of the cost
     out = np.empty_like(z)
-    for i, w in enumerate(noise):
-        out[i] = x = step(x) + w
+    with np.errstate(over="ignore", invalid="ignore"):  # the harness reports overflow
+        for i, w in enumerate(noise):
+            out[i] = x = step(x) + w
     return out
 
 
@@ -564,6 +568,8 @@ def load_trajectory(path) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: cells must be numbers") from None
             if not np.isfinite(values).all():
                 raise ValueError(f"{path}:{lineno}: cells must be finite")
+            if max(map(abs, values)) > COORDINATE_LIMIT:
+                raise ValueError(f"{path}:{lineno}: cells must lie within +-{COORDINATE_LIMIT:g}")
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no observations")

@@ -274,8 +274,15 @@ def test_detector_input_validation():
     det = KernelCusumDetector(reference, config)
     with pytest.raises(ValueError):
         det.step([1.0, 2.0, 3.0])  # wrong dimension
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         det.step([math.nan, 0.0])
+    for huge in (1e200, -1e151):
+        with pytest.raises(ValueError, match=r"coordinate beyond \+-1e\+150"):
+            det.step([0.0, huge])
+        with pytest.raises(ValueError, match=r"coordinate beyond \+-1e\+150"):
+            det.extend([[0.0, 0.0], [huge, 0.0]])
+    assert det.n == 0
+    det.extend([[1e150, -1e150]] * 4)  # the limit itself is valid
     with pytest.raises(ValueError):
         det.step(np.zeros((2, 2)))
 
@@ -894,6 +901,7 @@ def test_restore_rejects_bad_checkpoints():
         (set_at("cusum", "statistic", value=(1.5).hex()), "statistic differs"),
         (set_at("raw_buffer", 2, 1, value="nan"), "raw buffer holds a non-finite value"),
         (set_at("raw_buffer", 2, 1, value="inf"), "raw buffer holds a non-finite value"),
+        (set_at("raw_buffer", 2, 1, value=(-1e200).hex()), "raw buffer holds a coordinate beyond"),
         (set_at("alarmed_at", value=999), "alarmed_at must be null or an integer"),
         (set_at("alarmed_at", value=-5), "alarmed_at must be null or an integer"),
         (set_at("alarmed_at", value=0), "alarmed_at must be null or an integer"),

@@ -149,6 +149,11 @@ def test_minimal_config_defaults():
         (MINIMAL.replace("[detector]", "[detector]\nweights = 0.5"), "detector.weights"),
         (MINIMAL.replace("[detector]", "[detector]\ncorrection = soon"), "detector.correction"),
         (MINIMAL.replace("[detector]", "[detector]\ncorrection = analytic"), "sigma_reference"),
+        (MINIMAL.replace("[scenario]", "[scenario]\npost_variance = 0"),
+         "scenario.post_variance: variances must be positive"),
+        (MINIMAL.replace("[detector]", "[detector]\ncorrection = analytic\n"
+                         "sigma_reference = 1\nsigma_buffer = -1"),
+         "detector.sigma_buffer: analytic sigmas must be >= 0"),
         (MINIMAL.replace("[scenario]", "[scenario]\nlength = 1"), "scenario.length"),
         (MINIMAL.replace("[scenario]", "[scenario]\nchange_at = 0"), "scenario.change_at"),
         (MINIMAL.replace("[scenario]", "[scenario]\nmatrix = 1,2;3"), "unequal lengths"),
@@ -162,6 +167,7 @@ def test_minimal_config_defaults():
         (MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 1\nnorm_f = 2", "bounds.norm_f: unknown key"),
         (finite_config(pre_matrix="1,0;0,1"), "scenario.pre_matrix"),
         (finite_config(post_matrix="0,1;1,0"), "scenario.post_matrix"),
+        (finite_config(states="0;1e200"), "scenario.states: states has a coordinate beyond"),
         (MINIMAL.replace("[scenario]", "[scenario]\nmatrix = 2,0;0,2"), "scenario.matrix"),
         (MINIMAL.replace("[scenario]", "[scenario]\ndim = 6"), "scenario.dim: unknown key"),
         (MINIMAL.replace("mode = trace", "mode = trace\nthreads = 1"), "campaign.threads: unknown key"),
@@ -223,6 +229,12 @@ def test_holdout_is_checked_only_when_calibrating():
         assert parse_config_text(text).detector.window == 1200
     with pytest.raises(ConfigError, match="detector.holdout"):
         parse_config_text(MINIMAL.replace("[detector]", "[detector]\nwindow = 1200"))
+
+
+def test_horizon_is_checked_only_in_campaigns():
+    """A trace reads no horizon, so a threshold whose campaign horizon
+    would overflow stays valid there."""
+    assert parse_config_text(finite_config(thresholds="1e308")).campaign.thresholds == (1e308,)
 
 
 def test_mode_scenario_cross_checks():
@@ -567,6 +579,32 @@ def test_md_counts_exclusions_and_aborts_on_all_false_alarms():
     assert any("every replication false-alarmed" in note for note in result.notes)
 
 
+def test_md_notes_pinned():
+    """The exact md notes: a row that is truncated and has a vacuous bound,
+    and an aborting campaign."""
+    vacuous = run_md_campaign(parse_config_text(
+        finite_config(mode="md", correction="0.5", thresholds="0.5,1")
+    ))
+    context = ("reference: 39 pairs from 40 observations", "correction: fixed at 0.5")
+    assert vacuous.notes == context + tuple(
+        f"b={b}: 2 false alarms excluded, 3 truncated at post-change horizon {horizon}; "
+        f"mean delay {horizon}.0 statistics after the change entered the buffer "
+        "(same count on either clock); row UNRELIABLE (truncation > 50%); "
+        "VACUOUS BOUND: drift gamma - 2c = -0.6280149263454995 <= 0, "
+        "no guaranteed post-change drift"
+        for b, horizon in (("0.5", 125), ("1.0", 150))
+    )
+    aborted = run_md_campaign(parse_config_text(
+        finite_config(mode="md", correction="0.0", thresholds="0.5",
+                      replications="5", horizon_factor="2")
+    ))
+    assert aborted.notes == (
+        "reference: 39 pairs from 40 observations",
+        "correction: fixed at 0.0",
+        "b=0.5: every replication false-alarmed before the change; campaign aborted",
+    )
+
+
 def test_md_measures_delays_after_change():
     cfg = parse_config_text(
         finite_config(
@@ -878,11 +916,16 @@ EVERY = ("trace", "md", "bounds", "calibrate")
         (finite_config(correction="calibrate", pre_matrix="1,1e-18;1e-18,1"), EVERY,
          "scenario.pre_matrix"),
         (CSV_NAN, ("trace", "bounds", "calibrate"), "scenario.path"),
+        (finite_config(thresholds="1e308"), ("md",), "campaign.horizon_factor"),
+        (finite_config(change_at="none", horizon_factor=str(10**400)), ("mtbfa",),
+         "campaign.horizon_factor"),
+        (finite_config(min_sample=str(10**400)), EVERY, "detector.min_sample"),
     ],
     ids=[
         "correction=-1", "correction=nan", "correction=inf", "threshold=-3", "huge-lag",
         "md-change-within-window", "identical-pre-rows", "identical-post-rows",
-        "tiny-minorisation", "csv-nan-cell",
+        "tiny-minorisation", "csv-nan-cell", "infinite-horizon", "huge-horizon-factor",
+        "huge-min-sample",
     ],
 )
 def test_cli_bad_input_matrix_exit_1(tmp_path, capsys, text, commands, key):
@@ -988,6 +1031,7 @@ def test_cli_output_directory_naming_a_file_exit_1(tmp_path, capsys, command, wh
         ("nan", 7),  # a reference row
         ("nan", 100),  # a monitored row
         ("inf", 100),
+        ("-1e200", 100),  # finite, beyond the coordinate limit
     ],
 )
 def test_cli_csv_scenario_path_errors_exit_1(tmp_path, capsys, problem, line):
@@ -1018,8 +1062,8 @@ mode = trace
         assert code == 1
         assert "config error: scenario.path" in captured.err
         if line is not None:
-            reason = "numbers" if problem == "non-numeric" else "finite"
-            assert f"{traj}:{line + 1}: cells must be {reason}" in captured.err
+            reason = {"non-numeric": "be numbers", "-1e200": "lie within +-1e+150"}
+            assert f"{traj}:{line + 1}: cells must {reason.get(problem, 'be finite')}" in captured.err
 
 
 CSV_DEFECTS = {
@@ -1288,13 +1332,16 @@ def test_cli_generated_configs_exit_0_1_or_2(case):
         ("ar-variance", "post_variance", "1e308", ("trace", "md")),
         ("ar-mean", "post_mean", "1e308", ("trace", "md")),
         ("ar-variance", "matrix", "0.5,1e200,0;0,0.5,1e200;0,0,0.5", COMMANDS),
+        # finite noise of about 3e152, beyond the coordinate limit
+        ("ar-variance", "pre_variance", "1e305", COMMANDS),
     ],
 )
 def test_cli_overflowing_trajectory_exit_1(kind, key, value, commands):
-    """Noise or matrix entries so large that the AR recursion overflows
-    exit 1 in every subcommand that simulates the law concerned, naming
-    the noise key of the law in effect where the trajectory first
-    overflows.  Only traces and md campaigns simulate past the change."""
+    """Noise or matrix entries so large that the AR recursion overflows,
+    or leaves the coordinate limit, exit 1 in every subcommand that
+    simulates the law concerned, naming the noise key of the law in
+    effect where the trajectory first overflows.  Only traces and md
+    campaigns simulate past the change."""
     named = "pre_variance" if commands == COMMANDS else key
     for command in commands:
         code, err = _run_edited(kind, command, [("scenario", key, value)])

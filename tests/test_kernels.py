@@ -218,8 +218,10 @@ def test_compensated_sum_is_fsum():
 def test_as_points_validation():
     with pytest.raises(ValueError):
         as_points(np.empty((0, 2)), name="x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x contains non-finite values"):
         as_points(np.array([[np.nan, 1.0]]), name="x")
+    with pytest.raises(ValueError, match=r"x has a coordinate beyond \+-1e\+150"):
+        as_points(np.array([[1.0, -1e200]]), name="x")
     with pytest.raises(ValueError):
         as_points(np.zeros((2, 2, 2)), name="x")
 
