@@ -6,19 +6,29 @@ optional ``[bounds]`` section.  Unknown sections or keys are hard
 errors: a silent typo in a campaign config would otherwise burn hours
 of compute on the wrong experiment.  Every diagnostic names the
 offending ``section.key``.
+
+:func:`parse_config_text` is the one validation pass.  It checks every
+key, builds the domain objects the keys describe, and derives once
+whatever else depends on the config alone: the campaign horizons
+(:attr:`ExperimentConfig.horizons`) and the inputs of the closed-form
+bounds (:class:`BoundsSection`).  A config it accepts can still fail in
+a run only for what the run itself finds: a simulated trajectory that
+overflows, or a csv file that cannot serve.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bounds import DoeblinParams, buffer_doeblin
 from .kernels import KernelSpec, as_points
-from .simulate import ArScenario, FiniteChain, GaussianLaw, default_system_matrix
+from .simulate import (
+    ArScenario, FiniteChain, GaussianLaw, default_system_matrix, doeblin_of_finite, exact_mmd_finite,
+)
 
 __all__ = [
     "ConfigError",
@@ -45,7 +55,7 @@ _KIND_KEYS = {
     "ar-variance": _AR_KEYS,
     "ar-mean": _AR_KEYS,
     "finite": {"kind", "length", "change_at", "states", "pre_matrix", "post_matrix"},
-    "csv": {"kind", "length", "change_at", "path"},
+    "csv": {"kind", "change_at", "path"},
 }
 _DETECTOR_KEYS = {
     "window", "min_sample", "threshold", "reference", "bandwidths",
@@ -86,16 +96,23 @@ def _get_float(section, name: str, key: str, default=None) -> float:
     return value
 
 
-def _get_int(section, name: str, key: str, default=None) -> int:
+def _get_int(section, name: str, key: str, default=None, low: int = 1, bits: int = 53) -> int:
+    """An integer in ``[low, 2**bits)``; the default is not checked.
+    Below 2**53 every count is exact as a float and within numpy's index
+    range, though a size near the bound may still be too large to
+    allocate."""
     raw = section.get(key)
     if raw is None:
         if default is None:
             _fail(name, key, "required key is missing")
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         _fail(name, key, f"expected an integer, got {raw!r}")
+    if not low <= value < 2**bits:
+        _fail(name, key, f"must be an integer in [{low}, 2**{bits})")
+    return value
 
 
 def _parse_matrix(text: str, name: str, key: str) -> np.ndarray:
@@ -200,8 +217,20 @@ class OutputSection:
 
 @dataclass(frozen=True)
 class BoundsSection:
-    certificate: DoeblinParams | None
-    gamma: float | None
+    """The inputs of the closed-form bounds, each None when unknown.
+
+    ``pre_block`` and ``post_block`` certify the chains of sliding
+    ``window + 1`` blocks before and after the change: the observation
+    chains' certificates lifted with :func:`buffer_doeblin`.  A
+    ``[bounds] lam/lag`` certifies both observation chains; otherwise a
+    finite scenario's chains certify themselves.  ``gamma`` is the given
+    ``[bounds] gamma``, else the exact discrepancy of a finite
+    scenario's chains.
+    """
+
+    pre_block: DoeblinParams | None = None
+    post_block: DoeblinParams | None = None
+    gamma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -210,9 +239,17 @@ class ExperimentConfig:
     detector: DetectorSection
     campaign: CampaignSection
     output: OutputSection
-    bounds: BoundsSection = field(
-        default_factory=lambda: BoundsSection(certificate=None, gamma=None)
-    )
+    bounds: BoundsSection = BoundsSection()
+
+    @property
+    def horizons(self) -> list:
+        """Per-threshold campaign horizon ``ceil(horizon_factor * (b +
+        min_sample))``, in statistics."""
+        camp = self.campaign
+        return [
+            math.ceil(camp.horizon_factor * (b + self.detector.min_sample))
+            for b in camp.thresholds
+        ]
 
 
 def _check_keys(parser: configparser.ConfigParser, name: str, allowed: set) -> None:
@@ -233,19 +270,13 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
     for key in sec:
         if key not in _KIND_KEYS[kind]:
             _fail("scenario", key, f"does not apply to kind = {kind}")
-    length = _get_int(sec, "scenario", "length", 2000)
-    if length < 2:
-        _fail("scenario", "length", "must be at least 2")
+    length = _get_int(sec, "scenario", "length", 2000, low=2)
     raw_change = sec.get("change_at", "none")
     if raw_change.strip().lower() in ("none", "inf", ""):
         change_at = None
     else:
         change_at = _get_int(sec, "scenario", "change_at")
-        if change_at < 1:
-            _fail("scenario", "change_at", "must be >= 1 (or 'none')")
-    burn_in = _get_int(sec, "scenario", "burn_in", 500)
-    if burn_in < 0:
-        _fail("scenario", "burn_in", "must be >= 0")
+    burn_in = _get_int(sec, "scenario", "burn_in", 500, low=0)
     pre_variance = _get_float(sec, "scenario", "pre_variance", 0.1)
     post_variance = _get_float(sec, "scenario", "post_variance", 0.2)
     post_mean = _get_float(sec, "scenario", "post_mean", 0.05)
@@ -298,19 +329,11 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     _check_keys(parser, "detector", _DETECTOR_KEYS)
     sec = parser["detector"]
     window = _get_int(sec, "detector", "window", 50)
-    if window < 1:
-        _fail("detector", "window", "must be >= 1")
     min_sample = _get_int(sec, "detector", "min_sample", 10)
-    if min_sample < 1:
-        _fail("detector", "min_sample", "must be >= 1")
-    if min_sample >= 2**53:
-        _fail("detector", "min_sample", "must be below 2**53")
     threshold = _get_float(sec, "detector", "threshold", 5.0)
     if threshold <= 0:
         _fail("detector", "threshold", "must be positive")
-    reference = _get_int(sec, "detector", "reference", 500)
-    if reference < 2:
-        _fail("detector", "reference", "must be >= 2 observations")
+    reference = _get_int(sec, "detector", "reference", 500, low=2)
     bandwidths = tuple(_parse_floats(sec.get("bandwidths", "0.1,1,10"), "detector", "bandwidths"))
     weights = None
     if sec.get("weights"):
@@ -358,8 +381,6 @@ def _parse_campaign(parser: configparser.ConfigParser) -> CampaignSection:
     if mode not in _MODES:
         _fail("campaign", "mode", f"must be one of {', '.join(_MODES)}; got {mode!r}")
     replications = _get_int(sec, "campaign", "replications", 200)
-    if replications < 1:
-        _fail("campaign", "replications", "must be >= 1")
     thresholds = tuple(_parse_floats(sec.get("thresholds", "5"), "campaign", "thresholds"))
     if not thresholds:
         _fail("campaign", "thresholds", "must list at least one threshold")
@@ -368,11 +389,7 @@ def _parse_campaign(parser: configparser.ConfigParser) -> CampaignSection:
     if any(b2 <= b1 for b1, b2 in zip(thresholds, thresholds[1:])):
         _fail("campaign", "thresholds", "must be strictly increasing")
     horizon_factor = _get_int(sec, "campaign", "horizon_factor", 50)
-    if horizon_factor < 1:
-        _fail("campaign", "horizon_factor", "must be >= 1")
-    seed = _get_int(sec, "campaign", "seed", 0)
-    if not 0 <= seed < 2**64:
-        _fail("campaign", "seed", "must fit in an unsigned 64-bit integer")
+    seed = _get_int(sec, "campaign", "seed", 0, low=0, bits=64)
     return CampaignSection(
         mode=mode, replications=replications, thresholds=thresholds,
         horizon_factor=horizon_factor, seed=seed,
@@ -394,25 +411,44 @@ def _parse_output(parser: configparser.ConfigParser) -> OutputSection:
     return OutputSection(directory=directory, formats=formats)
 
 
-def _parse_bounds(parser: configparser.ConfigParser) -> BoundsSection:
-    if "bounds" not in parser:
-        return BoundsSection(certificate=None, gamma=None)
-    _check_keys(parser, "bounds", _BOUNDS_KEYS)
-    sec = parser["bounds"]
-    certificate = gamma = None
+def _parse_bounds(parser: configparser.ConfigParser, cfg: ExperimentConfig) -> BoundsSection:
+    """The bounds' inputs: the ``[bounds]`` values where given, else
+    those of a finite scenario's chains (see :class:`BoundsSection`)."""
+    sec = {}
+    if "bounds" in parser:
+        _check_keys(parser, "bounds", _BOUNDS_KEYS)
+        sec = parser["bounds"]
     if ("lam" in sec) != ("lag" in sec):
         _fail("bounds", "lam", "lam and lag must be given together")
+    given = gamma = None
     if "lam" in sec:
         lam = _get_float(sec, "bounds", "lam")
         lag = _get_int(sec, "bounds", "lag")
-        # lam first, at a lag that always passes, so each key names its own fault
-        certificate = _build("bounds", "lam", lambda: DoeblinParams(lam=lam, lag=1))
-        certificate = _build("bounds", "lag", lambda: replace(certificate, lag=lag))
+        given = _build("bounds", "lam", lambda: DoeblinParams(lam=lam, lag=lag))
     if "gamma" in sec:
         gamma = _get_float(sec, "bounds", "gamma")
         if gamma < 0:
             _fail("bounds", "gamma", "must be >= 0")
-    return BoundsSection(certificate=certificate, gamma=gamma)
+    chains = cfg.scenario.chains
+    if given is not None:
+        certificates, lifted = (given, given), ("bounds", "lag")
+    elif chains is not None:
+        pre, post = chains
+        certificates = (
+            _build("scenario", "pre_matrix", lambda: doeblin_of_finite(pre)),
+            _build("scenario", "post_matrix", lambda: doeblin_of_finite(post)),
+        )
+        lifted = ("detector", "window")
+    else:
+        return BoundsSection(gamma=gamma)
+    if chains is not None and gamma is None:
+        gamma = exact_mmd_finite(cfg.detector.kernel, *chains)
+
+    def lift(certificate: DoeblinParams) -> DoeblinParams:
+        # the scores are a function of the sliding block of window + 1 states
+        return _build(*lifted, lambda: buffer_doeblin(certificate, cfg.detector.window))
+
+    return BoundsSection(lift(certificates[0]), lift(certificates[1]), gamma)
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -440,7 +476,6 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         detector=_parse_detector(parser),
         campaign=_parse_campaign(parser),
         output=_parse_output(parser),
-        bounds=_parse_bounds(parser),
     )
     if cfg.campaign.mode == "md" and cfg.scenario.change_at is None:
         _fail("campaign", "mode", "md campaigns need scenario.change_at set")
@@ -453,18 +488,14 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         _fail("campaign", "mode", "csv scenarios support trace mode only")
     if cfg.campaign.mode != "trace":
         # a campaign's largest horizon, in statistics, sizes its trajectories
-        camp = cfg.campaign
         try:
-            horizon = math.ceil(camp.horizon_factor * (camp.thresholds[-1] + cfg.detector.min_sample))
+            horizon = cfg.horizons[-1]
         except OverflowError:  # a product beyond the float range
             horizon = math.inf
         if horizon >= 2**53:
             _fail("campaign", "horizon_factor",
                   "ceil(horizon_factor * (largest threshold + min_sample)) must be below 2**53")
-    if cfg.bounds.certificate is not None:
-        # the bounds read the certificate lifted over the window, whose lag is larger
-        _build("bounds", "lag", lambda: buffer_doeblin(cfg.bounds.certificate, cfg.detector.window))
-    return cfg
+    return replace(cfg, bounds=_parse_bounds(parser, cfg))
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:

@@ -47,8 +47,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import DoeblinParams, bound_report, buffer_doeblin
-from .config import ConfigError, ExperimentConfig, _build
+from .bounds import bound_report
+from .config import ConfigError, ExperimentConfig
 from .detector import (
     CusumStream, ReferenceSet, _BlockScorer, build_reference, calibrate_correction, score_series,
 )
@@ -57,8 +57,6 @@ from .mmd import consistency_bound
 from .simulate import (
     FiniteScenario,
     ar_blocks,
-    doeblin_of_finite,
-    exact_mmd_finite,
     finite_blocks,
     load_trajectory,
     simulate_ar,
@@ -131,22 +129,19 @@ class CampaignResult:
 
 @dataclass(frozen=True)
 class HarnessContext:
-    """Frozen per-experiment objects shared by every replication.
+    """Frozen per-experiment data shared by every replication: what was
+    drawn or read, not what the config alone decides.
 
     The kernel is ``reference.kernel``.  ``monitored`` holds the rows of
     a ``csv`` scenario after its reference and holdout parts; it is None
     for synthesised scenarios, whose monitored data is simulated per run.
-    ``pre_block``, ``post_block`` and ``gamma`` are the inputs of the
-    closed-form bounds (see :func:`_theory_inputs`), None when unknown.
+    The inputs of the closed-form bounds are ``cfg.bounds``.
     """
 
     reference: ReferenceSet
     correction: float
     notes: tuple
     monitored: np.ndarray | None = None
-    pre_block: DoeblinParams | None = None
-    post_block: DoeblinParams | None = None
-    gamma: float | None = None
 
 
 def make_output_directory(directory: str) -> str:
@@ -210,13 +205,11 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
     A ``csv`` scenario's file is read here, once, and split into its
     reference, holdout (only when calibrating) and monitored parts;
     a file that is missing, does not parse or leaves less than one
-    window to monitor is a ``scenario.path`` error.  The bounds' inputs
-    are derived first, so a chain without a usable certificate fails
-    before any data is drawn.
+    window to monitor is a ``scenario.path`` error.  Everything that
+    depends on the config alone, the bounds' inputs among it, was
+    derived by the parser.
     """
     det = cfg.detector
-    kernel = det.kernel
-    pre_block, post_block, gamma = _theory_inputs(cfg, kernel)
     notes = []
 
     monitored = holdout_obs = None
@@ -239,7 +232,7 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
         if det.correction == "calibrate":
             holdout_obs = _trajectory(cfg, det.holdout, seed, HOLDOUT_STREAM, pre_change=True)
 
-    reference = build_reference(kernel, ref_obs)
+    reference = build_reference(det.kernel, ref_obs)
     notes.append(f"reference: {reference.n_pairs} pairs from {det.reference} observations")
 
     fixed = det.fixed_correction()
@@ -266,41 +259,7 @@ def build_context(cfg: ExperimentConfig, seed: int) -> HarnessContext:
             f"over {cal.n_scores} positions, margin {cal.margin!r})"
         )
     return HarnessContext(
-        reference=reference, correction=correction, notes=tuple(notes), monitored=monitored,
-        pre_block=pre_block, post_block=post_block, gamma=gamma,
-    )
-
-
-def _theory_inputs(cfg: ExperimentConfig, kernel):
-    """(pre_block, post_block, gamma) for theory columns, or Nones.
-
-    Observation-level Doeblin parameters come from the ``[bounds]``
-    section when given, else are derived exactly for finite chains (a
-    chain without a usable certificate is a ``scenario.pre_matrix`` or
-    ``scenario.post_matrix`` error).  The score sequence is a function
-    of the sliding block of ``window`` pairs, so certificates are lifted
-    with :func:`buffer_doeblin` over ``window + 1`` raw states.
-    """
-    scn = cfg.scenario
-    given = cfg.bounds.certificate
-    pre_raw = post_raw = None
-    gamma = cfg.bounds.gamma
-    if given is not None:
-        pre_raw = post_raw = given
-    elif scn.kind == "finite":
-        pre, post = scn.finite_chains()
-        pre_raw = _build("scenario", "pre_matrix", lambda: doeblin_of_finite(pre))
-        post_raw = _build("scenario", "post_matrix", lambda: doeblin_of_finite(post))
-    if scn.kind == "finite" and gamma is None:
-        pre, post = scn.finite_chains()
-        gamma = exact_mmd_finite(kernel, pre, post)
-    if pre_raw is None:
-        return None, None, gamma
-    window = cfg.detector.window
-    return (
-        buffer_doeblin(pre_raw, window),
-        buffer_doeblin(post_raw, window),
-        gamma,
+        reference=reference, correction=correction, notes=tuple(notes), monitored=monitored
     )
 
 
@@ -311,8 +270,10 @@ def run_trace(cfg: ExperimentConfig, context: HarnessContext | None = None) -> C
     scorer and CUSUM, as a campaign replication is, and the alarm
     is the first statistic reaching the largest of
     ``campaign.thresholds``; from there on every row's alarm flag is
-    set.  A ``csv`` scenario monitors ``context.monitored``; the
-    others simulate ``scenario.length`` observations on the trace stream.
+    set.  A ``csv`` scenario monitors ``context.monitored``, the file's
+    rows after its reference and holdout parts, and has no
+    ``scenario.length``; the others simulate ``scenario.length``
+    observations on the trace stream.
     Raw steps before the first statistic get empty score/statistic
     columns; when the whole run is shorter than one window the result
     carries an explicit warm-up notice.
@@ -416,15 +377,6 @@ def _replication_hits(cfg: ExperimentConfig, context: HarnessContext, length: in
     return hits + [None] * (len(thresholds) - len(hits))
 
 
-def _horizons(cfg: ExperimentConfig) -> list:
-    """Per-threshold horizon ``ceil(horizon_factor * (b + min_sample))``."""
-    camp = cfg.campaign
-    return [
-        math.ceil(camp.horizon_factor * (b + cfg.detector.min_sample))
-        for b in camp.thresholds
-    ]
-
-
 def _tally(all_hits, j: int, horizon: int, tau_stat: int) -> tuple:
     """(values, excluded, truncated) of threshold ``j`` over all replications.
 
@@ -487,10 +439,10 @@ def _run_campaign(
     Each replication shares one statistic series across all thresholds
     (crossing times are monotone in b), and each threshold is tallied
     from ``tau_stat`` on (:func:`_tally`).  A run that never alarms
-    within the per-threshold horizon ``ceil(horizon_factor * (b +
-    min_sample))`` statistics after ``tau_stat`` is counted at the
-    horizon and reported as truncated; a row whose truncation fraction
-    exceeds one half is flagged unreliable.
+    within the per-threshold horizon (:attr:`ExperimentConfig.horizons`)
+    statistics after ``tau_stat`` is counted at the horizon and reported
+    as truncated; a row whose truncation fraction exceeds one half is
+    flagged unreliable.
 
     No output reads a statistic past ``tau_stat + H``, H the largest
     horizon, so a replication's trajectory is ``tau_stat + window + H``
@@ -509,7 +461,7 @@ def _run_campaign(
         context = build_context(cfg, camp.seed)
     # md: >= 1, as the parser checks change_at > window for md
     tau_stat = cfg.scenario.change_at - det.window if mode == "md" else 0
-    horizons = _horizons(cfg)
+    horizons = cfg.horizons
     length = tau_stat + det.window + horizons[-1]
     all_hits = [_replication_hits(cfg, context, length, i) for i in range(camp.replications)]
 
@@ -530,7 +482,7 @@ def _run_campaign(
         theory, warn = None, ""
         if report is not None and mode == "mtbfa":
             theory = report.mtbfa.value
-        elif report is not None and context.gamma is not None:
+        elif report is not None and cfg.bounds.gamma is not None:
             theory = report.md.value
             if not report.md.detectable:
                 warn = (
@@ -569,12 +521,12 @@ def _bound_report(cfg: ExperimentConfig, context: HarnessContext, b: float):
     certificate.  An unknown gamma is passed as 0, which makes the md
     bound vacuous: ``bounds.txt`` prints it with a notice, and campaign
     rows leave their md theory column empty."""
-    if context.pre_block is None:
+    bounds = cfg.bounds
+    if bounds.pre_block is None:
         return None
-    gamma = context.gamma if context.gamma is not None else 0.0
+    gamma = bounds.gamma if bounds.gamma is not None else 0.0
     return bound_report(
-        b, cfg.detector.min_sample, context.pre_block, context.post_block,
-        gamma, context.correction,
+        b, cfg.detector.min_sample, bounds.pre_block, bounds.post_block, gamma, context.correction
     )
 
 
@@ -617,7 +569,7 @@ def write_campaign_csv(path: str, result: CampaignResult) -> None:
 
 def write_bounds_txt(path: str, cfg: ExperimentConfig, context: HarnessContext) -> None:
     """Write closed-form guarantee values for every configured threshold."""
-    pre_block, post_block, gamma = context.pre_block, context.post_block, context.gamma
+    pre_block, post_block, gamma = cfg.bounds.pre_block, cfg.bounds.post_block, cfg.bounds.gamma
     lines = [
         "closed-form guarantees",
         f"window: {cfg.detector.window}",

@@ -19,6 +19,7 @@ from kcusum import (
     CampaignRow,
     ConfigError,
     DetectorConfig,
+    DoeblinParams,
     FiniteChain,
     FiniteScenario,
     KernelCusumDetector,
@@ -38,7 +39,7 @@ from kcusum import (
     stream_rng,
 )
 from kcusum import harness
-from kcusum.cli import main
+from kcusum.cli import _overrides, build_parser, main
 from kcusum.config import _KIND_KEYS
 from kcusum.harness import (
     HOLDOUT_STREAM,
@@ -125,7 +126,7 @@ def test_minimal_config_defaults():
     assert (c.mode, c.replications, c.thresholds) == ("trace", 200, (5.0,))
     assert (c.horizon_factor, c.seed) == (50, 0)
     assert (o.directory, o.formats) == ("out", ("csv", "svg"))
-    assert cfg.bounds.certificate is None and cfg.bounds.gamma is None
+    assert (cfg.bounds.pre_block, cfg.bounds.post_block, cfg.bounds.gamma) == (None, None, None)
     scenario = cfg.scenario.ar_scenario()
     assert scenario.dim == 4 and scenario.change_at is None
 
@@ -212,6 +213,12 @@ def test_minimal_config_defaults():
         (MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 1" + "0" * 400, "bounds.lag"),
         # the bounds lift the lag over the 50-pair default window
         (MINIMAL + f"\n[bounds]\nlam = 0.3\nlag = {2**53 - 50}", "bounds.lag"),
+        # and a finite chain's own certificate, of lag 1 here, likewise
+        (finite_config(window=str(2**53 - 1)), "detector.window"),
+        (finite_config(window=str(2**60)), "detector.window"),
+        (finite_config(holdout="0"), "detector.holdout"),
+        (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nlength = 100"),
+         "scenario.length: does not apply to kind = csv"),
         (finite_config(mode="md", change_at="5"), "scenario.change_at"),
         (finite_config(mode="md", change_at="4"), "scenario.change_at"),
     ],
@@ -283,9 +290,24 @@ def test_finite_section_builders():
 
 def test_bounds_section_roundtrip():
     cfg = parse_config_text(MINIMAL + "\n[bounds]\nlam = 0.3\nlag = 2\ngamma = 0.5")
-    params = cfg.bounds.certificate
-    assert (params.lam, params.lag) == (0.3, 2)
+    for params in (cfg.bounds.pre_block, cfg.bounds.post_block):
+        assert (params.lam, params.lag) == (0.3, 2 + 50)  # lifted over the default window
     assert cfg.bounds.gamma == 0.5
+
+
+@pytest.mark.parametrize("key", ["pre_matrix", "post_matrix"])
+@pytest.mark.parametrize(
+    "matrix",
+    ["0.5,0.5;0.5,0.5", "1,1e-18;1e-18,1"],  # identical rows; 1 - lam rounds to 1
+)
+def test_parser_derives_the_chain_certificates(key, matrix):
+    """A finite chain without a usable certificate is a parse error, and
+    a ``[bounds]`` certificate stands in for the chains' own."""
+    text = finite_config(**{key: matrix})
+    with pytest.raises(ConfigError, match=f"scenario.{key}"):
+        parse_config_text(text)
+    cfg = parse_config_text(text + "\n[bounds]\nlam = 0.5\nlag = 1\n")
+    assert cfg.bounds.pre_block == cfg.bounds.post_block == DoeblinParams(lam=0.5, lag=1 + 5)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -897,6 +919,7 @@ mode = trace
 """
 CALIBRATED = finite_config(correction="calibrate")
 EVERY = ("trace", "md", "bounds", "calibrate")
+AR_FIXED = MINIMAL.replace("[detector]", "[detector]\ncorrection = 0.1")
 
 
 @pytest.mark.parametrize(
@@ -920,12 +943,25 @@ EVERY = ("trace", "md", "bounds", "calibrate")
         (finite_config(change_at="none", horizon_factor=str(10**400)), ("mtbfa",),
          "campaign.horizon_factor"),
         (finite_config(min_sample=str(10**400)), EVERY, "detector.min_sample"),
+        (finite_config(reference=str(10**400)), EVERY, "detector.reference"),
+        (CALIBRATED.replace("holdout = 20", f"holdout = {10**400}"), EVERY, "detector.holdout"),
+        (finite_config(length=str(10**400)), EVERY, "scenario.length"),
+        (finite_config(reference=str(2**60)), ("md",), "detector.reference"),
+        (finite_config(change_at=str(10**400)), ("trace",), "scenario.change_at"),
+        (finite_config(window=str(10**400)), EVERY, "detector.window"),
+        (finite_config(window=str(2**60)), EVERY, "detector.window"),
+        (AR_FIXED.replace("[detector]", f"[detector]\nwindow = {10**400}"), EVERY,
+         "detector.window"),
+        (AR_FIXED.replace("[detector]", f"[detector]\nwindow = {2**60}"), EVERY,
+         "detector.window"),
     ],
     ids=[
         "correction=-1", "correction=nan", "correction=inf", "threshold=-3", "huge-lag",
         "md-change-within-window", "identical-pre-rows", "identical-post-rows",
         "tiny-minorisation", "csv-nan-cell", "infinite-horizon", "huge-horizon-factor",
-        "huge-min-sample",
+        "huge-min-sample", "huge-reference", "huge-holdout", "huge-length",
+        "reference-2**60", "huge-change-at-svg", "huge-window", "window-2**60",
+        "huge-ar-window", "ar-window-2**60",
     ],
 )
 def test_cli_bad_input_matrix_exit_1(tmp_path, capsys, text, commands, key):
@@ -1160,7 +1196,7 @@ HUGE = st.sampled_from(
     ["1e308", "-1e308", "1.7976931348623157e308", "1e300", str(2**64), str(10**30)]
 )
 # a key that sets how much work a run does is never huge and valid
-HUGE_INVALID = st.sampled_from([str(-(2**70)), "-1e308"])
+HUGE_INVALID = st.sampled_from([str(-(2**70)), "-1e308", str(2**53), str(10**400)])
 MATRIX_2 = "0.9,0.1;0.2,0.8"
 
 # (section, key): (typical values, boundary values, whether it sets the work's size)
@@ -1237,6 +1273,8 @@ CONFIG_TEMPLATE = {
 }
 KNOWN_KEYS = {(section, key) for section, key in CONFIG_GRAMMAR} | {("output", "directory"),
                                                                     ("scenario", "path")}
+RUN_ONLY_KEYS = {("scenario", "pre_variance"), ("scenario", "post_variance"),
+                 ("scenario", "post_mean"), ("detector", "correction")}
 
 
 @st.composite
@@ -1277,9 +1315,9 @@ def edited_config(draw):
     return kind, command, draw(st.lists(config_edit(kind), min_size=1, max_size=3))
 
 
-def _run_edited(kind, command, edits):
-    """(exit code, stderr) of ``command`` on the template of ``kind``
-    with ``edits`` applied; an mtbfa run gets ``change_at = none``."""
+def _edited_text(kind, command, edits) -> str:
+    """The template of ``kind`` with ``edits`` applied; an mtbfa run gets
+    ``change_at = none``."""
     sections = {"scenario": dict(SCENARIO_TEMPLATES[kind])}
     sections.update({name: dict(values) for name, values in CONFIG_TEMPLATE.items()})
     if command == "mtbfa":
@@ -1290,10 +1328,15 @@ def _run_edited(kind, command, edits):
             values.pop(key, None)
         else:
             values[key] = value
-    text = "".join(
+    return "".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
         for name, values in sections.items()
     )
+
+
+def _run_edited(kind, command, edits):
+    """(exit code, stderr) of ``command`` on :func:`_edited_text`."""
+    text = _edited_text(kind, command, edits)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "exp.ini")
         with open(cfg, "w") as fh:
@@ -1306,6 +1349,8 @@ def _run_edited(kind, command, edits):
 @example(case=("ar-variance", "md", [("scenario", "post_variance", "1e308")]))
 @example(case=("ar-mean", "trace", [("scenario", "post_mean", "1e308")]))
 @example(case=("ar-variance", "trace", [("scenario", "pre_variance", "1e308")]))
+@example(case=("finite", "trace", [("scenario", "pre_matrix", "0.5,0.5;0.5,0.5")]))
+@example(case=("finite", "md", [("scenario", "post_matrix", "1,1e-18;1e-18,1")]))
 def test_cli_generated_configs_exit_0_1_or_2(case):
     """A valid small config with one to three keys edited: a typical or
     boundary value, a wrong type, nan or inf, a huge value, an empty
@@ -1313,7 +1358,12 @@ def test_cli_generated_configs_exit_0_1_or_2(case):
     or 2 without a traceback, and exit 1 names a ``section.key``.  Keys
     that set the work's size get only small valid values or invalid
     ones, so every run stays small.  The examples once gave a traceback
-    from a nan score or a non-finite reference."""
+    from a nan score or a non-finite reference.
+
+    Exit 1 on a config that parses, with the overrides the command
+    applies, names a key that only a run can find: the noise key of an
+    overflowing trajectory, or ``detector.correction`` when ``calibrate``
+    is asked of another correction."""
     kind, command, edits = case
     code, err = _run_edited(kind, command, edits)
     assert code in (0, 1, 2), (code, err)
@@ -1322,6 +1372,12 @@ def test_cli_generated_configs_exit_0_1_or_2(case):
         named = KNOWN_KEYS | {(section, key) for section, key, _ in edits}
         found = re.search(r"config error: (\w+)\.(\w+):", err)
         assert found and found.groups() in named, err
+        overrides = _overrides(build_parser().parse_args([command, "--config", "exp.ini"]))
+        try:
+            parse_config_text(_edited_text(kind, command, edits), overrides)
+        except ConfigError:
+            return
+        assert found.groups() in RUN_ONLY_KEYS, err
 
 
 @pytest.mark.parametrize(

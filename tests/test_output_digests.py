@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of the files two small campaigns and a csv
+"""Pinned SHA-256 digests of the files four small campaigns and a csv
 trace write.
 
 Scoring changes in this package are meant to keep every output bit for
@@ -130,6 +130,24 @@ PINNED = {
             "campaign.csv": "0a9dd268eef1e1ae6973c0677517679d62b7ffece158fa9281e4b2738cef2d06",
             "notes.txt": "85e77ad5b07029a77226d700a6191e4fb63e6c468612d1f2ced6abdfff9c3012",
             "bounds.txt": "45935c3ef3af24a5d7a3380faa351496e40a616955414efffeb6bc62d9c5c615",
+        },
+    ),
+    # [bounds] supplies the inputs: every one of them on an AR scenario,
+    # and a certificate that overrides the finite chains' own
+    "ar-mtbfa-bounds": (
+        AR_MTBFA + "\n[bounds]\nlam = 0.3\nlag = 2\ngamma = 0.4\n",
+        {
+            "campaign.csv": "b65c955b14cc29ba802ddef18f283cc530329842c16ac8591533607ce391859b",
+            "notes.txt": "85e77ad5b07029a77226d700a6191e4fb63e6c468612d1f2ced6abdfff9c3012",
+            "bounds.txt": "e97ee2f190b67f9f7e474a3c932ceee78748466a4e26fd478b8ef44910da0baf",
+        },
+    ),
+    "finite-md-bounds": (
+        FINITE_MD + "\n[bounds]\nlam = 0.2\nlag = 3\n",
+        {
+            "campaign.csv": "6c97aee0a4326e6d653ae01dcd6f3686d404d42de573b652e6194ec47c675a38",
+            "notes.txt": "c5cd49f7db411292f6c2ee26b3863249b4d7c80afc896178e042a978409c72e9",
+            "bounds.txt": "5ca3c67db25e2f6c5efc9f872e38b141c372c432901644f7d7eeb51290d03145",
         },
     ),
 }
