@@ -11,15 +11,18 @@ offending ``section.key``.
 key, builds the domain objects the keys describe, and derives once
 whatever else depends on the config alone: the campaign horizons
 (:attr:`ExperimentConfig.horizons`) and the inputs of the closed-form
-bounds (:class:`BoundsSection`).  A config it accepts can still fail in
-a run only for what the run itself finds: a simulated trajectory that
-overflows, or a csv file that cannot serve.
+bounds (:class:`BoundsSection`).  A size key whose largest array could
+not fit in the machine's memory is rejected too (:func:`_check_memory`).
+A config it accepts can still fail in a run only for what the run itself
+finds: a simulated trajectory that overflows, a csv file that cannot
+serve, or arrays that fit one by one but not together.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,8 +102,8 @@ def _get_float(section, name: str, key: str, default=None) -> float:
 def _get_int(section, name: str, key: str, default=None, low: int = 1, bits: int = 53) -> int:
     """An integer in ``[low, 2**bits)``; the default is not checked.
     Below 2**53 every count is exact as a float and within numpy's index
-    range, though a size near the bound may still be too large to
-    allocate."""
+    range; whether the arrays a size key asks for fit in memory is
+    :func:`_check_memory`'s test."""
     raw = section.get(key)
     if raw is None:
         if default is None:
@@ -451,6 +454,41 @@ def _parse_bounds(parser: configparser.ConfigParser, cfg: ExperimentConfig) -> B
     return BoundsSection(lift(certificates[0]), lift(certificates[1]), gamma)
 
 
+def _check_memory(cfg: ExperimentConfig) -> None:
+    """Reject a size key whose largest array holds more bytes than the
+    machine's physical memory, before a run asks for it:
+
+    - ``detector.window``: the block scorer's lag rows, ``3 * window``
+      rows of ``window`` floats, or on a finite chain its pair table of
+      ``(2 * window + 1)**2`` floats;
+    - ``detector.reference``: the ``reference - 1`` lifted pairs of
+      ``2 * dim`` floats;
+    - ``detector.holdout``, when calibrating: the holdout trajectory of
+      ``holdout * dim`` floats;
+    - ``scenario.length``, in a trace: its trajectory of ``length * dim``
+      floats.
+
+    A csv scenario's reference, holdout and trajectory are rows of its
+    file, so only its window is checked here.
+    """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    scn, det = cfg.scenario, cfg.detector
+    w = det.window
+    floats = [("detector", "window", (2 * w + 1) ** 2 if scn.kind == "finite" else 3 * w * w)]
+    simulated = scn.ar or (scn.chains and scn.chains[0])  # None for csv
+    if simulated:
+        dim = simulated.dim
+        floats.append(("detector", "reference", (det.reference - 1) * 2 * dim))
+        if det.correction == "calibrate":
+            floats.append(("detector", "holdout", det.holdout * dim))
+        if cfg.campaign.mode == "trace":
+            floats.append(("scenario", "length", scn.length * dim))
+    for section, key, count in floats:
+        if 8 * count > memory:
+            _fail(section, key, f"needs {8 * count} bytes in one array, more than "
+                  f"the {memory} bytes of memory on this machine")
+
+
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse configuration text; raise :class:`ConfigError` on any defect.
 
@@ -495,6 +533,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         if horizon >= 2**53:
             _fail("campaign", "horizon_factor",
                   "ceil(horizon_factor * (largest threshold + min_sample)) must be below 2**53")
+    _check_memory(cfg)
     return replace(cfg, bounds=_parse_bounds(parser, cfg))
 
 

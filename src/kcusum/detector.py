@@ -91,8 +91,8 @@ class ReferenceSet:
 
     ``self_mean`` is the mean of the full reference-by-reference Gram
     matrix; it enters every windowed discrepancy, so it is computed once
-    here, with compensated summation over the row chunks of the upper
-    triangle.
+    here, exactly rounded, from the upper triangle
+    (:meth:`KernelSpec.self_sum <kcusum.kernels.KernelSpec.self_sum>`).
 
     ``pairs`` is stored column-major: that is the transposed layout in
     which :meth:`KernelSpec.gram` reads its right-hand set, so scoring

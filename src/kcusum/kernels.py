@@ -8,7 +8,6 @@ bounds assume, so the weight normalisation is enforced, not optional.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,14 +44,53 @@ def row_chunks(n_rows: int, n_cols: int) -> list:
 
 
 def compensated_sum(values) -> float:
-    """Sum floats with exact compensation (order-independent result).
+    """Exact sum of an array of any shape, rounded once.
 
-    Thin wrapper around :func:`math.fsum` that accepts arrays of any
-    shape.  The result does not depend on summation order or array
-    layout; :meth:`KernelSpec.gram_sum` gives the same total for a Gram
-    matrix without holding it in memory.
+    Equals :func:`math.fsum` over the values bit for bit, exceptions
+    included, so the result does not depend on summation order or array
+    layout.  The values reach ``fsum`` not one by one but as the few
+    parts of :func:`_exact_parts`, which have the same exact sum.
+    :meth:`KernelSpec.gram_sum` gives the same total for a Gram matrix
+    without holding it in memory.
     """
-    return math.fsum(np.asarray(values, dtype=float).ravel())
+    return math.fsum(_exact_parts(values))
+
+
+def _exact_parts(values) -> list:
+    """A few floats whose exact sum is the exact sum of ``values``.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci.
+    Comput. 31(1), 2008, Section 3, ExtractVector): for ``n`` values
+    below ``2**e`` in magnitude and ``sigma = 2**(M + e)`` with
+    ``2**M >= n + 2``, each ``hi = (x + sigma) - sigma`` is a multiple of
+    ``sigma * 2**-53`` of magnitude at most ``2**e``, so every partial sum
+    of the ``hi`` is a float and ``np.add.reduce`` adds them exactly in
+    any order; ``x - hi`` is exact too and below ``sigma * 2**-53``.
+    Extracting again from the remainders until they are all zero gives
+    one part per pass.  Each pass takes ``52 - M`` bits or more off the
+    exponent range left, so values within a few binades of each other,
+    as the kernel values of a mixture with a wide component are, need
+    two passes.  Input holding a non-finite value, or so large that
+    ``sigma`` would overflow, is returned value by value, so that
+    :func:`math.fsum` raises or overflows exactly as it would on it.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if not x.size:
+        return []
+    top = max(x.max(), -x.min())
+    bits = (x.size + 1).bit_length()  # 2**bits >= n + 2
+    if not top < math.inf or bits + math.frexp(top)[1] > 1023:
+        return x.tolist()
+    parts = []
+    while top > 0.0:
+        sigma = math.ldexp(1.0, bits + math.frexp(top)[1])
+        hi = x + sigma
+        hi -= sigma  # two roundings: x + sigma is rounded before sigma goes
+        parts.append(float(np.add.reduce(hi)))
+        x = x - hi
+        top = max(x.max(), -x.min())
+    return parts
 
 
 def distinct_rows(points: np.ndarray) -> tuple:
@@ -269,25 +307,26 @@ class KernelSpec:
                 out += tmp
 
     def gram_sum(self, a, b) -> float:
-        """Compensated sum of all entries of ``gram(a, b)``.
+        """Exact sum of all entries of ``gram(a, b)``, rounded once.
 
         Rows are grouped by :func:`distinct_rows`, and only the
         distinct-by-distinct matrix is evaluated, one row chunk at a
         time; each value v enters with its count product c (the times its
-        row pair occurs in the full matrix).  Both are split into halves
-        of at most 26 bits, so the four partial products of ``v * c`` are
-        exact floats; every chunk feeds one exact :func:`math.fsum`, so
-        the result has the bits of :func:`compensated_sum` over the whole
-        matrix without holding it.
+        row pair occurs in the full matrix).  :meth:`_weighted_terms`
+        turns a chunk into exact parts of its ``v * c`` total, and one
+        :func:`math.fsum` over the parts of every chunk rounds the exact
+        total once.  So the result has the bits of
+        :func:`compensated_sum` over the whole matrix without holding it.
         """
         A, _, a_counts = distinct_rows(as_points(a, name="a"))
         B, _, b_counts = distinct_rows(as_points(b, name="b"))
         B = np.asfortranarray(B)
-        chunks = (
-            self._weighted_terms(self.gram(A[rows], B), np.multiply.outer(a_counts[rows], b_counts))
-            for rows in row_chunks(A.shape[0], B.shape[0])
-        )
-        return math.fsum(itertools.chain.from_iterable(chunks))
+        parts = []
+        for rows in row_chunks(A.shape[0], B.shape[0]):
+            parts += self._weighted_terms(
+                self.gram(A[rows], B), np.multiply.outer(a_counts[rows], b_counts)
+            )
+        return math.fsum(parts)
 
     def self_sum(self, points) -> float:
         """``gram_sum(points, points)``, from the upper triangle alone."""
@@ -300,38 +339,47 @@ class KernelSpec:
 
         :meth:`gram` is symmetric bit for bit, since ``(x - y)**2`` equals
         ``(y - x)**2`` and both orders add the same squares in the same
-        order.  So only the upper triangle is evaluated: a diagonal value
-        enters once and each value right of it twice, for itself and its
-        mirror image.  Doubling is exact, so ``fsum`` sees the exact total
-        of the full matrix and rounds it to the bits of :meth:`gram_sum`.
+        order.  So only the upper triangle is evaluated.  Each chunk's
+        strict upper triangle gives exact parts (:func:`_exact_parts`,
+        weighted by the count products through :meth:`_weighted_terms`
+        when rows repeat), each part doubled for the mirror image, which
+        is exact; the diagonal's parts enter once.  So ``fsum`` sees the
+        exact total of the full matrix and rounds it to the bits of
+        :meth:`gram_sum`.
         """
         n = points.shape[0]
         B = np.asfortranarray(points)
         repeats = bool(counts.max() > 1)
-
-        def chunks():
-            for rows in row_chunks(n, n):
-                values = self.gram(points[rows], B[rows.start :])
-                # 1 on the diagonal, 2 right of it, 0 left of it
-                factors = np.triu(np.full(values.shape, 2.0), 1)
-                factors[np.arange(values.shape[0]), np.arange(values.shape[0])] = 1.0
-                if repeats:
-                    factors *= np.multiply.outer(counts[rows], counts[rows.start :])
-                    yield self._weighted_terms(values, factors)
-                else:
-                    yield (values * factors).ravel().tolist()
-
-        return math.fsum(itertools.chain.from_iterable(chunks()))
+        parts = []
+        for rows in row_chunks(n, n):
+            values = self.gram(points[rows], B[rows.start :])
+            diagonal = values.diagonal().copy()
+            values[np.tril_indices(values.shape[0])] = 0.0  # left of the diagonal and on it
+            if repeats:
+                weights = np.multiply.outer(counts[rows], counts[rows.start :])
+                upper = self._weighted_terms(values, weights)
+                on_diagonal = self._weighted_terms(diagonal, weights.diagonal())
+            else:
+                upper, on_diagonal = _exact_parts(values), _exact_parts(diagonal)
+            parts += [2.0 * part for part in upper]
+            parts += on_diagonal
+        return math.fsum(parts)
 
     @staticmethod
-    def _weighted_terms(values, counts):
-        """Exact partial products of kernel ``values`` with integer ``counts``."""
-        # a count is at most twice len(a) * len(b), below 2^52 unless the
-        # sets hold 2^25 rows, so both of its 26-bit halves are exact
+    def _weighted_terms(values, counts) -> list:
+        """Exact parts of the sum of kernel ``values`` times integer ``counts``.
+
+        Both are split into halves of at most 26 significant bits (Veltkamp's
+        split for the values), so each of the four partial products is an
+        exact float array; :func:`_exact_parts` of the four gives floats
+        whose exact sum is the exact weighted total.
+        """
+        # a count is at most len(a) * len(b), below 2^52 unless the sets
+        # hold 2^26 rows, so both of its 26-bit halves are exact
         counts = counts.astype(float)
         counts_lo = np.fmod(counts, _HALF)
         counts_hi = counts - counts_lo
         hi, lo = _split(values)
-        for v in (hi, lo):
-            for c in (counts_hi, counts_lo):
-                yield from (v * c).ravel().tolist()
+        return [
+            part for v in (hi, lo) for c in (counts_hi, counts_lo) for part in _exact_parts(v * c)
+        ]

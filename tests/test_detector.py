@@ -12,18 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcusum import (
+    ArScenario,
     Calibration,
     CusumStream,
     DetectorConfig,
     FiniteChain,
     FiniteScenario,
+    GaussianLaw,
     KernelCusumDetector,
     KernelSpec,
     ReferenceSet,
     build_reference,
     calibrate_correction,
+    default_system_matrix,
     lift,
     mmd,
+    mmd_squared,
+    simulate_ar,
     simulate_finite,
     simulate_finite_scenario,
 )
@@ -1181,6 +1186,43 @@ def test_calibration_on_a_finite_holdout():
         assert cal.n_scores == len(values) == 580
         assert cal.holdout_level == float.fromhex(pinned)
     assert max(values) == float.fromhex("0x1.7f368b421468ep-1")
+
+
+def test_continuous_reference_sums_keep_their_bits():
+    """On a d = 4 AR reference the exact sums keep the bits they had
+    when every kernel value went to ``math.fsum`` one by one."""
+    kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
+    matrix = default_system_matrix()
+    x = simulate_ar(
+        ArScenario(matrix=matrix, pre_noise=GaussianLaw.isotropic(4, 0.1), length=601), seed=18
+    )
+    y = simulate_ar(
+        ArScenario(matrix=matrix, pre_noise=GaussianLaw.isotropic(4, 0.2), length=301),
+        seed=18,
+        stream=1,
+    )
+    reference = build_reference(kernel, x)
+    assert reference.self_mean == float.fromhex("0x1.8aee8fd9bfc38p-2")
+    assert kernel.gram_sum(reference.pairs, lift(y)) == float.fromhex("0x1.f69b5196b2f79p+15")
+    assert mmd_squared(kernel, lift(x), lift(y)) == float.fromhex("0x1.d01f22f92a620p-7")
+
+
+def test_reference_self_term_hands_fsum_few_items(monkeypatch):
+    """A 2000-pair continuous reference sends its two million upper
+    triangle values to ``math.fsum`` as a few exact parts per chunk, not
+    one float per entry."""
+    items = []
+    fsum = math.fsum
+
+    def counting(values):
+        values = list(values)
+        items.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    reference = build_reference(KernelSpec.mixture([0.1, 1.0, 10.0]), ar_data(7, 2001, dim=4))
+    assert not reference.repeats
+    assert 0 < sum(items) < 1000
 
 
 @settings(max_examples=300, deadline=None)

@@ -954,6 +954,12 @@ AR_FIXED = MINIMAL.replace("[detector]", "[detector]\ncorrection = 0.1")
          "detector.window"),
         (AR_FIXED.replace("[detector]", f"[detector]\nwindow = {2**60}"), EVERY,
          "detector.window"),
+        # below 2**53 but beyond any machine's memory: rejected before allocating
+        (finite_config(reference=str(2**50)), EVERY, "detector.reference"),
+        (AR_FIXED.replace("[detector]", f"[detector]\nwindow = {2**40}"),
+         ("trace", "bounds", "calibrate"), "detector.window"),
+        (CALIBRATED.replace("holdout = 20", f"holdout = {2**50}"), EVERY, "detector.holdout"),
+        (finite_config(length=str(2**50)), ("trace",), "scenario.length"),
     ],
     ids=[
         "correction=-1", "correction=nan", "correction=inf", "threshold=-3", "huge-lag",
@@ -961,7 +967,8 @@ AR_FIXED = MINIMAL.replace("[detector]", "[detector]\ncorrection = 0.1")
         "tiny-minorisation", "csv-nan-cell", "infinite-horizon", "huge-horizon-factor",
         "huge-min-sample", "huge-reference", "huge-holdout", "huge-length",
         "reference-2**60", "huge-change-at-svg", "huge-window", "window-2**60",
-        "huge-ar-window", "ar-window-2**60",
+        "huge-ar-window", "ar-window-2**60", "reference-2**50", "ar-window-2**40",
+        "holdout-2**50", "length-2**50",
     ],
 )
 def test_cli_bad_input_matrix_exit_1(tmp_path, capsys, text, commands, key):

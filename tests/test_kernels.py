@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcusum import KernelSpec, compensated_sum
-from kcusum.kernels import as_points, distinct_rows
+from kcusum.kernels import _exact_parts, as_points, distinct_rows
 
 
 def naive_eval(bandwidths, weights, z1, z2):
@@ -209,10 +209,86 @@ def test_self_sum_from_the_upper_triangle_keeps_the_bits():
     assert k.self_sum(a) == k.gram_sum(a, a)
 
 
-def test_compensated_sum_is_fsum():
-    values = [1e16, 1.0, -1e16, 1.0] * 10
-    assert compensated_sum(np.array(values)) == math.fsum(values)
-    assert compensated_sum(np.array(values).reshape(5, 8)) == math.fsum(values)
+def fsum_outcome(total, values):
+    """``total(values)`` as a hex string, or the exception it raises."""
+    try:
+        return float.hex(total(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_sums_like_fsum(values):
+    """``compensated_sum`` and ``fsum`` over ``_exact_parts`` give the
+    bits, or the exception, of ``math.fsum`` over the values."""
+    expected = fsum_outcome(math.fsum, np.asarray(values, dtype=float).ravel().tolist())
+    assert fsum_outcome(compensated_sum, values) == expected
+    assert fsum_outcome(lambda v: math.fsum(_exact_parts(v)), np.asarray(values)) == expected
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0.3],
+        [-0.0],
+        [5e-324, 5e-324, -1e-323, 2.2250738585072014e-308, 3e-320],
+        [1e16, 1.0, -1e16, 1.0] * 10,
+        [0.1, 0.2, 0.3, -0.1, -0.2, -0.3],
+        np.array([[1e16, 1.0, -1e16, 1.0]] * 10).reshape(5, 8),
+        [1e308, 1e308, -1e308],  # OverflowError: intermediate overflow
+        [1e308, -1e308, 1e308],
+        [1.0, math.inf],
+        [math.nan, 1.0],
+        [math.inf, 2.0, -math.inf],  # ValueError: -inf + inf
+        [math.inf, math.nan],
+    ],
+    ids=lambda v: f"n{np.size(v)}",
+)
+def test_compensated_sum_is_fsum(values):
+    assert_sums_like_fsum(values)
+
+
+def test_compensated_sum_raises_as_fsum_does():
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        compensated_sum(np.array([1e308, 1e308, -1e308]))
+    with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+        compensated_sum(np.array([math.inf, 2.0, -math.inf]))
+    assert compensated_sum(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(compensated_sum(np.array([math.nan, 1.0])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    values=st.lists(
+        st.floats() | st.floats(-1.0, 1.0) | st.sampled_from([5e-324, -1e308, 1e308, 0.0, -0.0]),
+        max_size=40,
+    ),
+    cancel=st.booleans(),
+)
+def test_exact_parts_equal_fsum_on_drawn_values(values, cancel):
+    """Any floats, subnormal to near the float maximum, infinite and nan
+    among them; ``cancel`` appends the negatives of every other value."""
+    if cancel:
+        values = values + [-v for v in values[::2]]
+    assert_sums_like_fsum(values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5000),
+    low=st.integers(-1074, 1024),
+    span=st.integers(0, 2100),
+)
+def test_exact_parts_equal_fsum_on_drawn_arrays(seed, n, low, span):
+    """Arrays of up to 5000 values with exponents drawn over a band of
+    the float range, some 2-D: many values per part, several passes."""
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(low, min(low + span, 1024), size=n, endpoint=True)
+    values = np.ldexp(rng.uniform(-1.0, 1.0, size=n), exponents)
+    if n % 2 == 0:
+        values = values.reshape(2, -1)
+    assert_sums_like_fsum(values)
 
 
 def test_as_points_validation():
