@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``trace``, ``mtbfa``, ``md``, ``bounds``, ``calibrate``.
-Exit codes: 0 on success, 1 on any configuration error, 2 when a
+Exit codes: 0 on success, 1 on any configuration error (an output file
+that cannot be written is an ``output.directory`` error), 2 when a
 campaign's results are unreliable (a threshold row exceeded 50%
 truncation, or every replication false-alarmed).  Outputs are still
 written in the exit-2 case; the code is a reliability signal.
@@ -78,7 +79,9 @@ def main(argv=None) -> int:
             return 0
 
         result = run_experiment(cfg, out_dir=args.out)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        if isinstance(exc, OSError):  # unreadable inputs raise ConfigError: an output file
+            exc = f"output.directory: cannot write {exc.filename}: {exc.strerror}"
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

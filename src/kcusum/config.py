@@ -11,11 +11,11 @@ offending ``section.key``.
 key, builds the domain objects the keys describe, and derives once
 whatever else depends on the config alone: the campaign horizons
 (:attr:`ExperimentConfig.horizons`) and the inputs of the closed-form
-bounds (:class:`BoundsSection`).  A size key whose largest array could
-not fit in the machine's memory is rejected too (:func:`_check_memory`).
+bounds (:class:`BoundsSection`).  Size keys whose arrays could not fit
+in the machine's memory together are rejected too (:func:`_check_memory`).
 A config it accepts can still fail in a run only for what the run itself
 finds: a simulated trajectory that overflows, a csv file that cannot
-serve, or arrays that fit one by one but not together.
+serve, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import DoeblinParams, buffer_doeblin
+from .detector import scorer_floats
 from .kernels import KernelSpec, as_points
 from .simulate import (
     ArScenario, FiniteChain, GaussianLaw, default_system_matrix, doeblin_of_finite, exact_mmd_finite,
@@ -336,7 +337,8 @@ def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
     threshold = _get_float(sec, "detector", "threshold", 5.0)
     if threshold <= 0:
         _fail("detector", "threshold", "must be positive")
-    reference = _get_int(sec, "detector", "reference", 500, low=2)
+    # below 2**25, so the self-term's count products total below 2**50
+    reference = _get_int(sec, "detector", "reference", 500, low=2, bits=25)
     bandwidths = tuple(_parse_floats(sec.get("bandwidths", "0.1,1,10"), "detector", "bandwidths"))
     weights = None
     if sec.get("weights"):
@@ -455,12 +457,12 @@ def _parse_bounds(parser: configparser.ConfigParser, cfg: ExperimentConfig) -> B
 
 
 def _check_memory(cfg: ExperimentConfig) -> None:
-    """Reject a size key whose largest array holds more bytes than the
-    machine's physical memory, before a run asks for it:
+    """Reject a config whose arrays, which a run holds at the same time,
+    need more bytes together than the machine's physical memory, before
+    a run asks for them; the key with the largest share is named:
 
-    - ``detector.window``: the block scorer's lag rows, ``3 * window``
-      rows of ``window`` floats, or on a finite chain its pair table of
-      ``(2 * window + 1)**2`` floats;
+    - ``detector.window``: the block scorer's buffers and, on a finite
+      chain, its pair table (:func:`~kcusum.detector.scorer_floats`);
     - ``detector.reference``: the ``reference - 1`` lifted pairs of
       ``2 * dim`` floats;
     - ``detector.holdout``, when calibrating: the holdout trajectory of
@@ -473,8 +475,7 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     scn, det = cfg.scenario, cfg.detector
-    w = det.window
-    floats = [("detector", "window", (2 * w + 1) ** 2 if scn.kind == "finite" else 3 * w * w)]
+    floats = [("detector", "window", scorer_floats(det.window, scn.kind == "finite"))]
     simulated = scn.ar or (scn.chains and scn.chains[0])  # None for csv
     if simulated:
         dim = simulated.dim
@@ -483,10 +484,11 @@ def _check_memory(cfg: ExperimentConfig) -> None:
             floats.append(("detector", "holdout", det.holdout * dim))
         if cfg.campaign.mode == "trace":
             floats.append(("scenario", "length", scn.length * dim))
-    for section, key, count in floats:
-        if 8 * count > memory:
-            _fail(section, key, f"needs {8 * count} bytes in one array, more than "
-                  f"the {memory} bytes of memory on this machine")
+    needed = 8 * sum(count for _, _, count in floats)
+    if needed > memory:
+        section, key, count = max(floats, key=lambda entry: entry[2])
+        _fail(section, key, f"needs {8 * count} of the {needed} bytes a run holds at once, "
+              f"more than the {memory} bytes of memory on this machine")
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:

@@ -91,8 +91,10 @@ class ReferenceSet:
 
     ``self_mean`` is the mean of the full reference-by-reference Gram
     matrix; it enters every windowed discrepancy, so it is computed once
-    here, exactly rounded, from the upper triangle
-    (:meth:`KernelSpec.self_sum <kcusum.kernels.KernelSpec.self_sum>`).
+    here, exactly rounded, from the upper triangle of the distinct pairs
+    (:meth:`KernelSpec.self_sum <kcusum.kernels.KernelSpec.self_sum>`):
+    one error-free extraction, weighted by the pair counts when pairs
+    repeat, hands ``math.fsum`` a few exact parts per chunk.
 
     ``pairs`` is stored column-major: that is the transposed layout in
     which :meth:`KernelSpec.gram` reads its right-hand set, so scoring
@@ -232,7 +234,11 @@ class CusumStream:
 
     def extend(self, scores) -> list:
         """Consume finite scores in order; return the statistic after each.
-        A non-finite score raises ``ValueError`` before any state changes."""
+        A non-finite score raises ``ValueError`` before any state changes.
+        Any iterable serves; one that is not a list or tuple is read once,
+        into a list, since the scores are checked before they are used."""
+        if not isinstance(scores, (list, tuple)):
+            scores = list(scores)
         for score in scores:
             if not math.isfinite(score):
                 raise ValueError(f"score must be finite; got {score!r}")
@@ -305,6 +311,15 @@ def _exact_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer; got {value!r}")
     return value
+
+
+def scorer_floats(window: int, table: bool) -> int:
+    """Floats in the large buffers of a :class:`_BlockScorer` of
+    ``window`` pairs: its lag rows, ``3 * window`` of ``window`` floats,
+    and with an id ``table`` (a reference that repeats pairs) the
+    table's ``(2 * window + 1)**2`` kernel values.  The parser checks
+    them against memory before a run allocates them."""
+    return 3 * window * window + table * (2 * window + 1) ** 2
 
 
 class _BlockScorer:

@@ -30,11 +30,6 @@ _BROADCAST_LIMIT = 1 << 14
 # most 4e300 times the dimension: finite in any dimension below 4e7.
 COORDINATE_LIMIT = 1e150
 
-# Veltkamp's splitter for binary64: ``_split`` cuts a float into two
-# halves of at most 26 significant bits each.
-_SPLITTER = float((1 << 27) + 1)
-_HALF = float(1 << 26)
-
 
 def row_chunks(n_rows: int, n_cols: int) -> list:
     """Slices cutting ``n_rows`` rows of an ``n_cols``-wide table into chunks
@@ -56,17 +51,20 @@ def compensated_sum(values) -> float:
     return math.fsum(_exact_parts(values))
 
 
-def _exact_parts(values) -> list:
-    """A few floats whose exact sum is the exact sum of ``values``.
+def _exact_parts(values, weights=None) -> list:
+    """A few floats whose exact sum is the exact sum of ``values``, each
+    times its integer weight in ``weights`` (one when None).
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate
     floating-point summation part I: faithful rounding", SIAM J. Sci.
-    Comput. 31(1), 2008, Section 3, ExtractVector): for ``n`` values
-    below ``2**e`` in magnitude and ``sigma = 2**(M + e)`` with
-    ``2**M >= n + 2``, each ``hi = (x + sigma) - sigma`` is a multiple of
-    ``sigma * 2**-53`` of magnitude at most ``2**e``, so every partial sum
-    of the ``hi`` is a float and ``np.add.reduce`` adds them exactly in
-    any order; ``x - hi`` is exact too and below ``sigma * 2**-53``.
+    Comput. 31(1), 2008, Section 3, ExtractVector), weighted: for values
+    below ``2**e`` in magnitude of total weight ``W`` (their number when
+    unweighted) and ``sigma = 2**(M + e)`` with ``2**M >= W + 2``, each
+    ``hi = (x + sigma) - sigma`` is ``k`` times ``u = sigma * 2**-53`` with
+    ``|k| <= 2**(53 - M)``, so ``hi`` times its weight is exact and every
+    partial sum of the products is a multiple of ``u`` below ``sigma``:
+    ``np.add.reduce`` adds them exactly in any order.  ``x - hi`` is
+    exact too and at most ``u``.
     Extracting again from the remainders until they are all zero gives
     one part per pass.  Each pass takes ``52 - M`` bits or more off the
     exponent range left, so values within a few binades of each other,
@@ -74,21 +72,31 @@ def _exact_parts(values) -> list:
     two passes.  Input holding a non-finite value, or so large that
     ``sigma`` would overflow, is returned value by value, so that
     :func:`math.fsum` raises or overflows exactly as it would on it.
+    Weighted input of that kind, or a total weight of 2**50 or more,
+    which leaves a pass too few bits, raises ``ValueError``.
     """
     x = np.asarray(values, dtype=float).ravel()
+    c = None if weights is None else np.asarray(weights).ravel()
+    total = x.size if c is None else float(np.add.reduce(c, dtype=float))
+    if not total < 2**50:
+        raise ValueError(f"exact sums take a total weight below 2**50; got {total:g}")
     if not x.size:
         return []
     top = max(x.max(), -x.min())
-    bits = (x.size + 1).bit_length()  # 2**bits >= n + 2
+    bits = (int(total) + 1).bit_length()  # 2**bits >= W + 2
     if not top < math.inf or bits + math.frexp(top)[1] > 1023:
+        if c is not None:
+            raise ValueError(f"weighted exact sums take finite values below 2**{1023 - bits}")
         return x.tolist()
     parts = []
     while top > 0.0:
         sigma = math.ldexp(1.0, bits + math.frexp(top)[1])
         hi = x + sigma
         hi -= sigma  # two roundings: x + sigma is rounded before sigma goes
-        parts.append(float(np.add.reduce(hi)))
         x = x - hi
+        if c is not None:
+            hi *= c
+        parts.append(float(np.add.reduce(hi)))
         top = max(x.max(), -x.min())
     return parts
 
@@ -110,13 +118,6 @@ def distinct_rows(points: np.ndarray) -> tuple:
         keys, return_index=True, return_inverse=True, return_counts=True
     )
     return rows[first], inverse, counts
-
-
-def _split(x: np.ndarray) -> tuple:
-    """Veltkamp split: ``x == hi + lo`` exactly, each half at most 26 bits."""
-    t = x * _SPLITTER
-    hi = t - (t - x)
-    return hi, x - hi
 
 
 def as_points(points, *, name: str = "points") -> np.ndarray:
@@ -311,9 +312,8 @@ class KernelSpec:
 
         Rows are grouped by :func:`distinct_rows`, and only the
         distinct-by-distinct matrix is evaluated, one row chunk at a
-        time; each value v enters with its count product c (the times its
-        row pair occurs in the full matrix).  :meth:`_weighted_terms`
-        turns a chunk into exact parts of its ``v * c`` total, and one
+        time; :func:`_exact_parts` weights each value by its count product
+        (the times its row pair occurs in the full matrix), and one
         :func:`math.fsum` over the parts of every chunk rounds the exact
         total once.  So the result has the bits of
         :func:`compensated_sum` over the whole matrix without holding it.
@@ -323,9 +323,8 @@ class KernelSpec:
         B = np.asfortranarray(B)
         parts = []
         for rows in row_chunks(A.shape[0], B.shape[0]):
-            parts += self._weighted_terms(
-                self.gram(A[rows], B), np.multiply.outer(a_counts[rows], b_counts)
-            )
+            weights = np.multiply.outer(a_counts[rows], b_counts)
+            parts += _exact_parts(self.gram(A[rows], B), weights)
         return math.fsum(parts)
 
     def self_sum(self, points) -> float:
@@ -341,45 +340,19 @@ class KernelSpec:
         ``(y - x)**2`` and both orders add the same squares in the same
         order.  So only the upper triangle is evaluated.  Each chunk's
         strict upper triangle gives exact parts (:func:`_exact_parts`,
-        weighted by the count products through :meth:`_weighted_terms`
-        when rows repeat), each part doubled for the mirror image, which
-        is exact; the diagonal's parts enter once.  So ``fsum`` sees the
-        exact total of the full matrix and rounds it to the bits of
-        :meth:`gram_sum`.
+        weighted by the count products when rows repeat), each part doubled
+        for the mirror image, which is exact; the diagonal's parts enter
+        once.  So ``fsum`` sees the exact total of the full matrix and
+        rounds it to the bits of :meth:`gram_sum`.
         """
-        n = points.shape[0]
         B = np.asfortranarray(points)
         repeats = bool(counts.max() > 1)
         parts = []
-        for rows in row_chunks(n, n):
+        for rows in row_chunks(len(points), len(points)):
             values = self.gram(points[rows], B[rows.start :])
+            weights = np.multiply.outer(counts[rows], counts[rows.start :]) if repeats else None
             diagonal = values.diagonal().copy()
             values[np.tril_indices(values.shape[0])] = 0.0  # left of the diagonal and on it
-            if repeats:
-                weights = np.multiply.outer(counts[rows], counts[rows.start :])
-                upper = self._weighted_terms(values, weights)
-                on_diagonal = self._weighted_terms(diagonal, weights.diagonal())
-            else:
-                upper, on_diagonal = _exact_parts(values), _exact_parts(diagonal)
-            parts += [2.0 * part for part in upper]
-            parts += on_diagonal
+            parts += [2.0 * part for part in _exact_parts(values, weights)]
+            parts += _exact_parts(diagonal, None if weights is None else weights.diagonal())
         return math.fsum(parts)
-
-    @staticmethod
-    def _weighted_terms(values, counts) -> list:
-        """Exact parts of the sum of kernel ``values`` times integer ``counts``.
-
-        Both are split into halves of at most 26 significant bits (Veltkamp's
-        split for the values), so each of the four partial products is an
-        exact float array; :func:`_exact_parts` of the four gives floats
-        whose exact sum is the exact weighted total.
-        """
-        # a count is at most len(a) * len(b), below 2^52 unless the sets
-        # hold 2^26 rows, so both of its 26-bit halves are exact
-        counts = counts.astype(float)
-        counts_lo = np.fmod(counts, _HALF)
-        counts_hi = counts - counts_lo
-        hi, lo = _split(values)
-        return [
-            part for v in (hi, lo) for c in (counts_hi, counts_lo) for part in _exact_parts(v * c)
-        ]

@@ -198,6 +198,29 @@ def test_extend_rejects_a_non_finite_block_before_any_change(bad):
     assert stream.extend([]) == [] and stream.snapshot() == before
 
 
+def test_extend_reads_any_iterable_once():
+    """A generator, a ``map`` and a numpy array give the statistics and
+    the state of the same scores as a list, bit for bit; a non-finite
+    score in a generator still raises before any state changes."""
+    scores = [0.5, -1.0, 2.0, 0.25, 1.0, 3.0, -0.5]
+    listed = CusumStream(2)
+    want = listed.extend(scores)
+    for source in (
+        lambda: (s for s in scores),
+        lambda: map(float, scores),
+        lambda: np.array(scores),
+    ):
+        stream = CusumStream(2)
+        assert bits(stream.extend(source())) == bits(want)
+        assert stream.snapshot() == listed.snapshot()
+    stream = CusumStream(2)
+    stream.extend(scores)
+    before = stream.snapshot()
+    with pytest.raises(ValueError, match="finite"):
+        stream.extend(s for s in [1.0, math.nan, 2.0])
+    assert stream.snapshot() == before
+
+
 def test_from_snapshot_rejects_inconsistent_state():
     steady = CusumStream(3)
     steady.extend([0.5, -1.0, 2.0, 0.25, 1.0, -0.5])
@@ -600,6 +623,20 @@ def test_pair_table_stays_within_its_bound_on_continuous_data():
     digest = hashlib.sha256("".join(v.hex() for v in values).encode()).hexdigest()
     assert digest == "d306a23d45dede08044b6ea3591768a225022fa95176c4eb3c4a06575b934120"
     table_run(reference, config, np.concatenate([data[:100], data[85:93], data[100:]]))
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 13])
+def test_scorer_floats_state_the_scorer_buffers(window):
+    """``scorer_floats``, which the config parser checks against memory,
+    counts the floats of a real scorer's lag rows and id table."""
+    reference = build_reference(KernelSpec.gaussian(1.0), ar_data(3, 40))
+    continuous = detector._BlockScorer(reference, window)
+    assert continuous._table is None
+    assert 8 * detector.scorer_floats(window, False) == continuous._lags.nbytes
+    repeating = detector._BlockScorer(duplicated_reference(), window)
+    assert 8 * detector.scorer_floats(window, True) == (
+        repeating._lags.nbytes + repeating._table._kernels.nbytes
+    )
 
 
 def counting_rebuilds(patch):

@@ -217,6 +217,8 @@ def test_minimal_config_defaults():
         (finite_config(window=str(2**53 - 1)), "detector.window"),
         (finite_config(window=str(2**60)), "detector.window"),
         (finite_config(holdout="0"), "detector.holdout"),
+        (finite_config(reference=str(2**25)),
+         r"detector.reference: must be an integer in \[2, 2\*\*25\)"),
         (MINIMAL.replace("ar-variance", "csv\npath = data.csv\nlength = 100"),
          "scenario.length: does not apply to kind = csv"),
         (finite_config(mode="md", change_at="5"), "scenario.change_at"),
@@ -987,6 +989,45 @@ def test_cli_bad_input_matrix_exit_1(tmp_path, capsys, text, commands, key):
         assert f"config error: {key}" in captured.err, (command, captured.err)
 
 
+@pytest.mark.parametrize(
+    "command,blocked",
+    [("trace", "trace.csv"), ("trace", "cusum.svg"), ("mtbfa", "campaign.csv"),
+     ("md", "campaign.svg"), ("md", "bounds.txt"), ("md", "notes.txt"), ("bounds", "bounds.txt")],
+)
+def test_cli_unwritable_output_exit_1(tmp_path, capsys, command, blocked):
+    """An output file whose path is taken by a directory exits 1 with an
+    ``output.directory`` message naming the file, whichever writer
+    (csv, text or svg) meets it."""
+    text = finite_config(change_at="none") if command == "mtbfa" else FINITE_BASE
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    assert f"config error: output.directory: cannot write {out / blocked}: " in captured.err
+
+
+def test_arrays_held_together_must_fit_in_memory(monkeypatch):
+    """On a finite chain the scorer's lag rows (3 * window**2 floats) and
+    its pair table ((2 * window + 1)**2) are held together with the
+    reference pairs and a trace's trajectory.  Memory above the largest
+    of them but below their sum rejects the config, naming the window,
+    which has the largest share; nothing is allocated."""
+    text = finite_config(window="1000")
+    table, lags = 2001**2, 3 * 1000**2
+    held = table + lags + 39 * 2 + 60  # the 39 lifted pairs and 60 observations
+    message = f"detector.window: needs {8 * (table + lags)} of the {8 * held} bytes a run holds"
+    for pages, fits in ((table + 1, False), (held - 1, False), (held, True)):
+        memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": pages}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        if fits:
+            assert parse_config_text(text).detector.window == 1000
+        else:
+            with pytest.raises(ConfigError, match=message):
+                parse_config_text(text)
+
+
 def test_cli_bounds_tiny_certificate_stays_finite(tmp_path, capsys):
     # lam = 1e-15 passes; over a 50-pair window (1 - lam)^(1/51) rounds
     # to 1, and the buffered decay sum must not divide by it
@@ -1281,7 +1322,10 @@ CONFIG_TEMPLATE = {
 KNOWN_KEYS = {(section, key) for section, key in CONFIG_GRAMMAR} | {("output", "directory"),
                                                                     ("scenario", "path")}
 RUN_ONLY_KEYS = {("scenario", "pre_variance"), ("scenario", "post_variance"),
-                 ("scenario", "post_mean"), ("detector", "correction")}
+                 ("scenario", "post_mean"), ("detector", "correction"), ("output", "directory")}
+# output files a run may find taken by a directory; None leaves every path free
+BLOCKED = (None,) * 6 + ("trace.csv", "campaign.csv", "bounds.txt", "notes.txt", "campaign.svg",
+                         "score.svg")
 
 
 @st.composite
@@ -1341,27 +1385,32 @@ def _edited_text(kind, command, edits) -> str:
     )
 
 
-def _run_edited(kind, command, edits):
-    """(exit code, stderr) of ``command`` on :func:`_edited_text`."""
+def _run_edited(kind, command, edits, blocked=None):
+    """(exit code, stderr) of ``command`` on :func:`_edited_text`, with a
+    directory where the output file ``blocked`` goes, if one is given."""
     text = _edited_text(kind, command, edits)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "exp.ini")
         with open(cfg, "w") as fh:
             fh.write(text)
+        if blocked:
+            os.makedirs(os.path.join(tmp, "out", blocked))
         return _run_cli([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=edited_config())
-@example(case=("ar-variance", "md", [("scenario", "post_variance", "1e308")]))
-@example(case=("ar-mean", "trace", [("scenario", "post_mean", "1e308")]))
-@example(case=("ar-variance", "trace", [("scenario", "pre_variance", "1e308")]))
-@example(case=("finite", "trace", [("scenario", "pre_matrix", "0.5,0.5;0.5,0.5")]))
-@example(case=("finite", "md", [("scenario", "post_matrix", "1,1e-18;1e-18,1")]))
-def test_cli_generated_configs_exit_0_1_or_2(case):
+@given(case=edited_config(), blocked=st.sampled_from(BLOCKED))
+@example(case=("ar-variance", "md", [("scenario", "post_variance", "1e308")]), blocked=None)
+@example(case=("ar-mean", "trace", [("scenario", "post_mean", "1e308")]), blocked=None)
+@example(case=("ar-variance", "trace", [("scenario", "pre_variance", "1e308")]), blocked=None)
+@example(case=("finite", "trace", [("scenario", "pre_matrix", "0.5,0.5;0.5,0.5")]), blocked=None)
+@example(case=("finite", "md", [("scenario", "post_matrix", "1,1e-18;1e-18,1")]), blocked=None)
+@example(case=("finite", "trace", [("detector", "window", "2")]), blocked="score.svg")
+def test_cli_generated_configs_exit_0_1_or_2(case, blocked):
     """A valid small config with one to three keys edited: a typical or
     boundary value, a wrong type, nan or inf, a huge value, an empty
-    value, a deleted key or an unknown one.  Every subcommand exits 0, 1
+    value, a deleted key or an unknown one; in some cases one output
+    file's path is taken by a directory.  Every subcommand exits 0, 1
     or 2 without a traceback, and exit 1 names a ``section.key``.  Keys
     that set the work's size get only small valid values or invalid
     ones, so every run stays small.  The examples once gave a traceback
@@ -1370,9 +1419,10 @@ def test_cli_generated_configs_exit_0_1_or_2(case):
     Exit 1 on a config that parses, with the overrides the command
     applies, names a key that only a run can find: the noise key of an
     overflowing trajectory, or ``detector.correction`` when ``calibrate``
-    is asked of another correction."""
+    is asked of another correction, or ``output.directory`` when an
+    output file's path is ``blocked`` by a directory."""
     kind, command, edits = case
-    code, err = _run_edited(kind, command, edits)
+    code, err = _run_edited(kind, command, edits, blocked)
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err, err
     if code == 1:

@@ -167,9 +167,10 @@ def test_gram_sum_with_repeated_rows_equals_compensated_total():
 
 
 def test_gram_sum_with_large_counts_is_correctly_rounded():
-    """Counts above 2^13 on both sides: count products exceed 26 bits,
-    so the split of the counts matters.  fsum over all entries is the
-    exact total correctly rounded, which is what a Fraction sum gives."""
+    """Counts above 2^13 on both sides: count products exceed 2^26, so
+    each extraction pass takes fewer bits of the values.  fsum over all
+    entries is the exact total correctly rounded, which is what a
+    Fraction sum gives."""
     rng = np.random.default_rng(34)
     k = KernelSpec.mixture([0.1, 1.0, 10.0], [0.3, 0.3, 0.4])
     big = 0
@@ -289,6 +290,63 @@ def test_exact_parts_equal_fsum_on_drawn_arrays(seed, n, low, span):
     if n % 2 == 0:
         values = values.reshape(2, -1)
     assert_sums_like_fsum(values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    low=st.integers(-1074, 900),
+    span=st.integers(0, 400),
+    max_weight=st.sampled_from([1, 2, 200, 2**13, 2**20]),
+    zeros=st.booleans(),
+)
+def test_weighted_exact_parts_sum_to_the_exact_weighted_total(
+    seed, n, low, span, max_weight, zeros
+):
+    """Values over a band of exponents, down to subnormals and up to
+    2**960, some of them zeros, times integer weights up to 2**20:
+    ``fsum`` of the parts is the exact weighted total rounded once, as a
+    Fraction sum gives it."""
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(low, min(low + span, 960), size=n, endpoint=True)
+    values = np.ldexp(rng.uniform(-1.0, 1.0, size=n), exponents)
+    if zeros:
+        values[rng.random(n) < 0.3] = 0.0
+    weights = rng.integers(1, max_weight, size=n, endpoint=True)
+    exact = sum(Fraction(v) * int(c) for v, c in zip(values.tolist(), weights.tolist()))
+    assert math.fsum(_exact_parts(values, weights)) == float(exact)
+
+
+@pytest.mark.parametrize("weights", [[2.0**52], [2**50], [2**49, 2**49], [1.0, math.inf]])
+def test_exact_parts_refuse_a_total_weight_from_2_to_the_50(weights):
+    """From a total weight of 2**50 a pass could take too few bits to
+    end, so the call raises at once instead of looping; just below it,
+    the sum is exact.  Weighted non-finite values raise too."""
+    values = [0.3] * len(weights)
+    with pytest.raises(ValueError, match=r"total weight below 2\*\*50"):
+        _exact_parts(values, np.asarray(weights))
+    assert math.fsum(_exact_parts(values[:1], [2**50 - 1])) == float(Fraction(0.3) * (2**50 - 1))
+    with pytest.raises(ValueError, match="weighted exact sums take finite values"):
+        _exact_parts([math.inf], [1])
+
+
+def test_weighted_sums_keep_their_pinned_bits():
+    """Hex values of the weighted sums, pinned when repeated rows still
+    went through a split of values and counts: the ``finite-md``
+    reference self-term, ``gram_sum`` of two repeated-row sets, and a
+    narrow-bandwidth ``self_sum`` whose values span many binades."""
+    from kcusum.detector import build_reference
+    from kcusum.simulate import FiniteChain, simulate_finite
+
+    chain = FiniteChain(states=np.array([[0.0], [1.0]]), matrix=np.array([[0.9, 0.1], [0.2, 0.8]]))
+    reference = build_reference(KernelSpec.gaussian(1.0), simulate_finite(chain, 2001, 1))
+    assert reference.self_mean.hex() == "0x1.6bef1328c5eb7p-1"
+    rng = np.random.default_rng(0)
+    a = np.repeat(rng.standard_normal((30, 4)), rng.integers(1, 200, 30), axis=0)
+    b = np.repeat(rng.standard_normal((40, 4)), rng.integers(1, 200, 40), axis=0)
+    assert KernelSpec.mixture([0.1, 1, 10]).gram_sum(a, b).hex() == "0x1.0d24fabd941c4p+22"
+    assert KernelSpec.gaussian(0.05).self_sum(a).hex() == "0x1.770a800000000p+18"
 
 
 def test_as_points_validation():
