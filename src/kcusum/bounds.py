@@ -221,10 +221,6 @@ def md_upper_bound(
 class BoundReport:
     """Both guarantees side by side for one detector configuration."""
 
-    threshold: float
-    min_sample: int
-    sigma_pre: float
-    sigma_post: float
     mtbfa: MtbfaBound
     md: MdBound
 
@@ -244,10 +240,6 @@ def bound_report(
     lifted-chain certificate when starting from raw-chain parameters).
     """
     return BoundReport(
-        threshold=float(threshold),
-        min_sample=int(min_sample),
-        sigma_pre=sigma_from_doeblin(pre_params),
-        sigma_post=sigma_from_doeblin(post_params),
         mtbfa=mtbfa_lower_bound(threshold, min_sample, pre_params),
         md=md_upper_bound(threshold, min_sample, gamma, correction, post_params),
     )

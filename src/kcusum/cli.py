@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``trace``, ``mtbfa``, ``md``, ``bounds``, ``calibrate``.
-Exit codes: 0 on success, 1 on any configuration error (an output file
-that cannot be written is an ``output.directory`` error), 2 when a
-campaign's results are unreliable (a threshold row exceeded 50%
-truncation, or every replication false-alarmed).  Outputs are still
-written in the exit-2 case; the code is a reliability signal.
+Exit codes: 0 on success, 1 on a usage error or any configuration
+error (an output file that cannot be written is an ``output.directory``
+error), 2 when a campaign's results are unreliable (a threshold row
+exceeded 50% truncation, or every replication false-alarmed).  Outputs
+are still written in the exit-2 case; the code is a reliability signal.
 """
 
 from __future__ import annotations
@@ -19,8 +19,17 @@ from .harness import build_context, make_output_directory, run_experiment, write
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, as a config error does; 2 is kept for an
+    unreliable campaign."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kcusum",
         description="Streaming kernel change detection: traces, campaigns, bounds.",
     )
@@ -34,19 +43,23 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file")
-        cmd.add_argument("--out", default=None, help="output directory override")
+        if name != "calibrate":  # the one subcommand that writes no file
+            cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--seed", type=int, default=None, help="campaign seed override")
-        cmd.add_argument(
-            "--replications", type=int, default=None, help="replication count override"
-        )
+        if name in ("mtbfa", "md"):
+            cmd.add_argument(
+                "--replications", type=int, default=None, help="replication count override"
+            )
     return parser
 
 
 def _overrides(args) -> dict:
     """Command-line values as ``section.key`` entries for the config parser."""
-    values = {"campaign.seed": args.seed, "campaign.replications": args.replications}
+    values = {"campaign.seed": args.seed}
     if args.command in ("trace", "mtbfa", "md"):
         values["campaign.mode"] = args.command
+    if args.command in ("mtbfa", "md"):
+        values["campaign.replications"] = args.replications
     return {name: value for name, value in values.items() if value is not None}
 
 

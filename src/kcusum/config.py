@@ -31,7 +31,8 @@ from .bounds import DoeblinParams, buffer_doeblin
 from .detector import scorer_floats
 from .kernels import KernelSpec, as_points
 from .simulate import (
-    ArScenario, FiniteChain, GaussianLaw, default_system_matrix, doeblin_of_finite, exact_mmd_finite,
+    ArScenario, FiniteChain, FiniteScenario, GaussianLaw, default_system_matrix, doeblin_of_finite,
+    exact_mmd_finite,
 )
 
 __all__ = [
@@ -142,28 +143,29 @@ def _parse_floats(text: str, name: str, key: str) -> list[float]:
 class ScenarioSection:
     """What process to monitor and when (if ever) it changes.
 
-    The parser builds the simulator inputs once: ``ar`` for the AR kinds,
-    ``chains`` (pre, post) for the finite kind; the other is None.  The
-    AR keys ``burn_in``, ``pre_variance``, ``post_variance`` and
-    ``post_mean`` live only in ``ar``.
+    ``process`` is the monitored chain, built once by the parser: an
+    :class:`ArScenario` for the AR kinds, a :class:`FiniteScenario` for
+    the finite kind, None for csv.  It carries ``scenario.length`` and
+    ``scenario.change_at``, and the other scenario keys live only in it;
+    a run resizes it, or takes its ``before_change()`` law for reference
+    and holdout data.  ``change_at`` is kept here too, since a csv
+    scenario has one and no process.
     """
 
     kind: str
-    length: int
     change_at: int | None
     path: str | None
-    ar: ArScenario | None = None
-    chains: tuple[FiniteChain, FiniteChain] | None = None
+    process: ArScenario | FiniteScenario | None
 
     def ar_scenario(self) -> ArScenario:
-        if self.ar is None:
+        if not isinstance(self.process, ArScenario):
             raise ConfigError(f"scenario.kind: {self.kind!r} is not an AR scenario")
-        return self.ar
+        return self.process
 
     def finite_chains(self) -> tuple[FiniteChain, FiniteChain]:
-        if self.chains is None:
+        if not isinstance(self.process, FiniteScenario):
             raise ConfigError(f"scenario.kind: {self.kind!r} is not a finite scenario")
-        return self.chains
+        return self.process.pre, self.process.post
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,7 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
     if "matrix" in sec:
         matrix = _parse_matrix(sec["matrix"], "scenario", "matrix")
 
-    ar = chains = None
+    process = None
     if kind in ("ar-variance", "ar-mean"):
         d = matrix.shape[0]
         post = None
@@ -301,7 +303,7 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
                 post = GaussianLaw.isotropic(d, post_variance)
             else:
                 post = GaussianLaw.isotropic(d, pre_variance, mean=post_mean)
-        ar = _build("scenario", "matrix", lambda: ArScenario(
+        process = _build("scenario", "matrix", lambda: ArScenario(
             matrix=matrix, pre_noise=GaussianLaw.isotropic(d, pre_variance),
             post_noise=post, change_at=change_at, length=length, burn_in=burn_in,
         ))
@@ -318,15 +320,13 @@ def _parse_scenario(parser: configparser.ConfigParser) -> ScenarioSection:
         if "post_matrix" in sec:
             post_matrix = _parse_matrix(sec["post_matrix"], "scenario", "post_matrix")
             post = _build("scenario", "post_matrix", lambda: FiniteChain(states, post_matrix))
-        chains = (pre, post)
+        process = FiniteScenario(pre=pre, post=post, change_at=change_at, length=length)
 
     path = sec.get("path")
     if kind == "csv" and not path:
         _fail("scenario", "path", "required for csv scenarios")
 
-    return ScenarioSection(
-        kind=kind, length=length, change_at=change_at, path=path, ar=ar, chains=chains,
-    )
+    return ScenarioSection(kind=kind, change_at=change_at, path=path, process=process)
 
 
 def _parse_detector(parser: configparser.ConfigParser) -> DetectorSection:
@@ -434,7 +434,7 @@ def _parse_bounds(parser: configparser.ConfigParser, cfg: ExperimentConfig) -> B
         gamma = _get_float(sec, "bounds", "gamma")
         if gamma < 0:
             _fail("bounds", "gamma", "must be >= 0")
-    chains = cfg.scenario.chains
+    chains = cfg.scenario.finite_chains() if cfg.scenario.kind == "finite" else None
     if given is not None:
         certificates, lifted = (given, given), ("bounds", "lag")
     elif chains is not None:
@@ -474,16 +474,15 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     file, so only its window is checked here.
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    scn, det = cfg.scenario, cfg.detector
-    floats = [("detector", "window", scorer_floats(det.window, scn.kind == "finite"))]
-    simulated = scn.ar or (scn.chains and scn.chains[0])  # None for csv
-    if simulated:
-        dim = simulated.dim
+    process, det = cfg.scenario.process, cfg.detector
+    floats = [("detector", "window", scorer_floats(det.window, cfg.scenario.kind == "finite"))]
+    if process is not None:
+        dim = process.dim
         floats.append(("detector", "reference", (det.reference - 1) * 2 * dim))
         if det.correction == "calibrate":
             floats.append(("detector", "holdout", det.holdout * dim))
         if cfg.campaign.mode == "trace":
-            floats.append(("scenario", "length", scn.length * dim))
+            floats.append(("scenario", "length", process.length * dim))
     needed = 8 * sum(count for _, _, count in floats)
     if needed > memory:
         section, key, count = max(floats, key=lambda entry: entry[2])

@@ -236,9 +236,10 @@ class CusumStream:
         """Consume finite scores in order; return the statistic after each.
         A non-finite score raises ``ValueError`` before any state changes.
         Any iterable serves; one that is not a list or tuple is read once,
-        into a list, since the scores are checked before they are used."""
+        into a list, since the scores are checked before they are used.  An
+        ndarray is read with ``tolist``, so the sums stay Python floats."""
         if not isinstance(scores, (list, tuple)):
-            scores = list(scores)
+            scores = scores.tolist() if isinstance(scores, np.ndarray) else list(scores)
         for score in scores:
             if not math.isfinite(score):
                 raise ValueError(f"score must be finite; got {score!r}")

@@ -12,8 +12,11 @@ stream 2             the single monitored trace
 stream 16 + i        monitored trajectory of replication i
 ===================  =====================================
 
-Campaign replications run one after another in index order.  Rerunning
-with the same config and seed reproduces every CSV byte for byte.
+Simulated data follows ``scenario.process``, resized to the length each
+use needs; reference and holdout data follow its ``before_change()``
+law.  Campaign replications run one after another in index order.
+Rerunning with the same config and seed reproduces every CSV byte for
+byte.
 
 Clock conventions
 -----------------
@@ -134,7 +137,8 @@ class HarnessContext:
 
     The kernel is ``reference.kernel``.  ``monitored`` holds the rows of
     a ``csv`` scenario after its reference and holdout parts; it is None
-    for synthesised scenarios, whose monitored data is simulated per run.
+    for synthesised scenarios, whose monitored data is simulated per run
+    from ``scenario.process``, resized by :func:`_scenario`.
     The inputs of the closed-form bounds are ``cfg.bounds``.
     """
 
@@ -155,18 +159,11 @@ def make_output_directory(directory: str) -> str:
 
 
 def _scenario(cfg: ExperimentConfig, length: int, pre_change: bool = False):
-    """The :class:`ArScenario` or :class:`FiniteScenario` of ``length``
-    observations that ``cfg`` describes, honouring ``scenario.change_at``;
-    with ``pre_change`` the change is dropped, which gives the pre-change
-    law that reference and holdout data come from."""
-    scn = cfg.scenario
-    if scn.kind == "finite":
-        pre, post = scn.finite_chains()
-        if pre_change or scn.change_at is None:
-            return FiniteScenario(pre=pre, post=pre, change_at=length, length=length)
-        return FiniteScenario(pre=pre, post=post, change_at=scn.change_at, length=length)
-    quiet = {"post_noise": None, "change_at": None} if pre_change else {}
-    return replace(scn.ar_scenario(), length=length, **quiet)
+    """``scenario.process`` resized to ``length`` observations; with
+    ``pre_change``, its :meth:`before_change` law, the law that reference
+    and holdout data come from."""
+    process = cfg.scenario.process
+    return replace(process.before_change() if pre_change else process, length=length)
 
 
 def _trajectory(
@@ -272,8 +269,8 @@ def run_trace(cfg: ExperimentConfig, context: HarnessContext | None = None) -> C
     ``campaign.thresholds``; from there on every row's alarm flag is
     set.  A ``csv`` scenario monitors ``context.monitored``, the file's
     rows after its reference and holdout parts, and has no
-    ``scenario.length``; the others simulate ``scenario.length``
-    observations on the trace stream.
+    ``scenario.length``; the others simulate ``scenario.process`` on
+    the trace stream.
     Raw steps before the first statistic get empty score/statistic
     columns; when the whole run is shorter than one window the result
     carries an explicit warm-up notice.
@@ -288,7 +285,7 @@ def run_trace(cfg: ExperimentConfig, context: HarnessContext | None = None) -> C
     scn = cfg.scenario
     monitored = context.monitored
     if monitored is None:
-        monitored = _trajectory(cfg, scn.length, cfg.campaign.seed, TRACE_STREAM)
+        monitored = _trajectory(cfg, scn.process.length, cfg.campaign.seed, TRACE_STREAM)
 
     scorer = _BlockScorer(context.reference, window)
     cusum = CusumStream(cfg.detector.min_sample)

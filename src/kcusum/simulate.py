@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -29,8 +29,6 @@ __all__ = [
     "ar_blocks",
     "simulate_ar",
     "default_system_matrix",
-    "variance_change_scenario",
-    "mean_change_scenario",
     "FiniteChain",
     "FiniteScenario",
     "stationary_distribution",
@@ -129,7 +127,7 @@ class ArScenario:
     when ``g > change_at``.  ``change_at=None`` means the change never
     happens; because the underlying normal draws are consumed identically
     either way, ``change_at`` larger than ``length`` is bit-identical to
-    no change at all.
+    no change at all.  :meth:`before_change` is the pre-change law.
     """
 
     matrix: np.ndarray
@@ -170,6 +168,10 @@ class ArScenario:
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[0])
+
+    def before_change(self) -> "ArScenario":
+        """This scenario with the change dropped: the pre-change law."""
+        return replace(self, post_noise=None, change_at=None)
 
 
 def ar_blocks(
@@ -235,7 +237,7 @@ def _block_size(size) -> int:
 
 # Fixed default system matrix: symmetric, eigenvalues
 # (0.95, -0.80, 0.55, -0.30), generated once from a seeded orthogonal
-# basis and pinned here so the stock scenarios are stable across
+# basis and pinned here so the AR scenarios are stable across
 # versions.  Spectral radius 0.95.
 _DEFAULT_MATRIX = np.array(
     [
@@ -248,38 +250,8 @@ _DEFAULT_MATRIX = np.array(
 
 
 def default_system_matrix() -> np.ndarray:
-    """The pinned 4x4 stable system matrix used by the stock scenarios."""
+    """The pinned 4x4 stable system matrix, the default ``scenario.matrix``."""
     return _DEFAULT_MATRIX.copy()
-
-
-def variance_change_scenario(
-    length: int = 2000, change_at: int | None = 1000, burn_in: int = 500
-) -> ArScenario:
-    """Stock scenario: isotropic noise variance doubles from 0.1 to 0.2."""
-    post = GaussianLaw.isotropic(4, 0.2) if change_at is not None else None
-    return ArScenario(
-        matrix=_DEFAULT_MATRIX,
-        pre_noise=GaussianLaw.isotropic(4, 0.1),
-        post_noise=post,
-        change_at=change_at,
-        length=length,
-        burn_in=burn_in,
-    )
-
-
-def mean_change_scenario(
-    length: int = 2000, change_at: int | None = 1000, burn_in: int = 500
-) -> ArScenario:
-    """Stock scenario: noise mean shifts from 0 to 0.05 per coordinate."""
-    post = GaussianLaw.isotropic(4, 0.1, mean=0.05) if change_at is not None else None
-    return ArScenario(
-        matrix=_DEFAULT_MATRIX,
-        pre_noise=GaussianLaw.isotropic(4, 0.1),
-        post_noise=post,
-        change_at=change_at,
-        length=length,
-        burn_in=burn_in,
-    )
 
 
 @dataclass(frozen=True)
@@ -380,34 +352,43 @@ def simulate_finite(
     The first state is drawn exactly from the stationary law, so no
     burn-in is needed.  It is the scenario whose chain never changes.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    scenario = FiniteScenario(pre=chain, post=chain, change_at=length, length=length)
+    scenario = FiniteScenario(pre=chain, post=chain, change_at=None, length=length)
     return np.concatenate(list(finite_blocks(scenario, seed, stream)))
 
 
 @dataclass(frozen=True)
 class FiniteScenario:
-    """Finite-chain monitoring scenario with a transition-law change.
+    """Finite-chain monitoring scenario with an optional transition-law change.
 
     Both chains must share the same state embedding.  Observation ``g``
     (1-based) is produced by the post-change matrix exactly when
-    ``g > change_at``; the initial state is a stationary draw of the
-    pre-change chain.
+    ``g > change_at``; ``change_at=None`` means the change never
+    happens, which is bit-identical to any ``change_at >= length``.
+    The initial state is a stationary draw of the pre-change chain, and
+    :meth:`before_change` is the pre-change law.  The parser builds one
+    as ``scenario.process`` of a ``kind = finite`` config.
     """
 
     pre: FiniteChain
     post: FiniteChain
-    change_at: int
+    change_at: int | None
     length: int
 
     def __post_init__(self) -> None:
         if not np.array_equal(self.pre.states, self.post.states):
             raise ValueError("pre and post chains must share the same state embedding")
-        if self.change_at < 1:
+        if self.change_at is not None and self.change_at < 1:
             raise ValueError("change_at must be >= 1")
         if self.length < 1:
             raise ValueError("length must be >= 1")
+
+    @property
+    def dim(self) -> int:
+        return self.pre.dim
+
+    def before_change(self) -> "FiniteScenario":
+        """This scenario with the change dropped: the pre-change law."""
+        return replace(self, post=self.pre, change_at=None)
 
 
 def finite_blocks(
@@ -419,11 +400,12 @@ def finite_blocks(
     Observation 1 is a stationary draw of the pre-change chain; the step
     into observation g inverts one uniform draw on the current state's
     cumulative row of the post-change matrix when ``g > change_at`` and
-    of the pre-change one otherwise.  Each block draws only its own
-    uniforms from ``stream_rng(seed, stream)`` and inverts every draw
-    against every row at once, so the loop only looks the next state
-    up; the state carries over, and the blocks join into the same path
-    however it is cut.
+    of the pre-change one otherwise (always, when ``change_at`` is
+    None).  Each block draws only its own uniforms from
+    ``stream_rng(seed, stream)`` and inverts every draw against every
+    row at once, so the loop only looks the next state up; the state
+    carries over, and the blocks join into the same path however it is
+    cut.
     """
     length = scenario.length
     size = length if size is None else _block_size(size)
@@ -444,7 +426,9 @@ def finite_blocks(
             first = 1
         # draw j of the path moves into observation j + 1, so draws from
         # ``change_at`` on use post
-        split = min(max(scenario.change_at - start, first), len(u))
+        split = len(u)
+        if scenario.change_at is not None:
+            split = min(max(scenario.change_at - start, first), split)
         moves = (_next_states(pre, u[first:split], top), _next_states(post, u[split:], top))
         flat = np.concatenate(moves).ravel().tolist()
         for base in range(0, len(flat), n):

@@ -221,6 +221,21 @@ def test_extend_reads_any_iterable_once():
     assert stream.snapshot() == before
 
 
+def test_extend_of_an_ndarray_keeps_python_floats():
+    """An ndarray's scores are read as Python floats, so the stream's
+    sums and every later statistic stay ``float``, with the bits of the
+    same list."""
+    scores = [0.5, -1.0, 2.0, 0.25, 1.0, 3.0, -0.5]
+    listed, fed = CusumStream(2), CusumStream(2)
+    want = listed.extend(scores)
+    got = fed.extend(np.array(scores))
+    assert bits(got) == bits(want) and all(type(v) is float for v in got)
+    assert type(fed.statistic) is float
+    assert all(type(v) is float for v in (fed._sum, fed._comp, fed._eligible_min))
+    assert fed.update(0.75).hex() == listed.update(0.75).hex()
+    assert type(fed.statistic) is float
+
+
 def test_from_snapshot_rejects_inconsistent_state():
     steady = CusumStream(3)
     steady.extend([0.5, -1.0, 2.0, 0.25, 1.0, -0.5])

@@ -27,6 +27,7 @@ from kcusum import (
     build_context,
     calibrate_correction,
     consistency_bound,
+    default_system_matrix,
     load_config,
     parse_config_text,
     run_experiment,
@@ -34,6 +35,7 @@ from kcusum import (
     run_mtbfa_campaign,
     run_trace,
     save_trajectory,
+    simulate_ar,
     simulate_finite,
     simulate_finite_scenario,
     stream_rng,
@@ -113,13 +115,20 @@ def finite_config(**edits):
 def test_minimal_config_defaults():
     cfg = parse_config_text(MINIMAL)
     s, d, c, o = cfg.scenario, cfg.detector, cfg.campaign, cfg.output
-    assert (s.kind, s.length, s.change_at, s.ar.burn_in) == ("ar-variance", 2000, None, 500)
-    assert np.array_equal(s.ar.pre_noise.cov, 0.1 * np.eye(4))
+    ar = s.process
+    assert (s.kind, s.change_at, ar.change_at) == ("ar-variance", None, None)
+    assert (ar.length, ar.burn_in, ar.post_noise) == (2000, 500, None)
+    assert np.array_equal(ar.matrix, default_system_matrix())
+    assert np.array_equal(ar.pre_noise.mean, np.zeros(4))
+    assert np.array_equal(ar.pre_noise.cov, 0.1 * np.eye(4))
     post = parse_config_text(MINIMAL.replace("ar-variance", "ar-variance\nchange_at = 9"))
-    assert np.array_equal(post.scenario.ar.post_noise.cov, 0.2 * np.eye(4))
+    assert (post.scenario.change_at, post.scenario.process.change_at) == (9, 9)
+    assert np.array_equal(post.scenario.process.post_noise.mean, np.zeros(4))
+    assert np.array_equal(post.scenario.process.post_noise.cov, 0.2 * np.eye(4))
     post = parse_config_text(MINIMAL.replace("ar-variance", "ar-mean\nchange_at = 9"))
-    assert np.array_equal(post.scenario.ar.post_noise.mean, np.full(4, 0.05))
-    assert np.array_equal(post.scenario.ar.post_noise.cov, 0.1 * np.eye(4))
+    assert np.array_equal(post.scenario.process.pre_noise.cov, 0.1 * np.eye(4))
+    assert np.array_equal(post.scenario.process.post_noise.mean, np.full(4, 0.05))
+    assert np.array_equal(post.scenario.process.post_noise.cov, 0.1 * np.eye(4))
     assert (d.window, d.min_sample, d.threshold, d.reference) == (50, 10, 5.0, 500)
     assert d.bandwidths == (0.1, 1.0, 10.0) and d.weights is None
     assert (d.correction, d.margin, d.quantile, d.holdout) == ("calibrate", 0.01, 1.0, 1000)
@@ -284,10 +293,55 @@ def test_finite_section_builders():
     no_post = parse_config_text(finite_config(post_matrix=None, change_at="none"))
     pre2, post2 = no_post.scenario.finite_chains()
     assert np.array_equal(pre2.matrix, post2.matrix)
+    process = cfg.scenario.process
+    assert isinstance(process, FiniteScenario)
+    assert process.pre is pre and process.post is post
+    assert (process.change_at, process.length) == (30, 60)
+    quiet = no_post.scenario.process
+    assert quiet.post is quiet.pre and (quiet.change_at, quiet.length) == (None, 60)
     with pytest.raises(ConfigError, match="scenario.states"):
         parse_config_text(finite_config(states=None))
     with pytest.raises(ConfigError, match="scenario.pre_matrix"):
         parse_config_text(finite_config(pre_matrix=None))
+
+
+def test_scenario_process_per_kind(tmp_path):
+    """The parser builds one process per simulated kind and none for csv;
+    ``ar_scenario()`` and ``finite_chains()`` read it."""
+    ar = parse_config_text(MINIMAL).scenario
+    finite = parse_config_text(FINITE_BASE).scenario
+    csv = parse_config_text(
+        f"[scenario]\nkind = csv\npath = {tmp_path / 'x.csv'}\n[detector]\n[campaign]\n"
+        "mode = trace\n[output]\n"
+    ).scenario
+    assert ar.ar_scenario() is ar.process and csv.process is None
+    assert finite.finite_chains() == (finite.process.pre, finite.process.post)
+    for section, read in ((finite, "ar_scenario"), (csv, "ar_scenario"),
+                          (ar, "finite_chains"), (csv, "finite_chains")):
+        with pytest.raises(ConfigError, match="scenario.kind"):
+            getattr(section, read)()
+
+
+@pytest.mark.parametrize("text", [FINITE_BASE, MINIMAL.replace("ar-variance", "ar-mean\nchange_at = 9")])
+def test_harness_scenario_only_resizes_the_parsed_process(text):
+    """``harness._scenario`` gives the trajectories of the constructions
+    it replaced, with and without the change, bit for bit."""
+    cfg = parse_config_text(text)
+    process = cfg.scenario.process
+    if isinstance(process, FiniteScenario):
+        pre, post = cfg.scenario.finite_chains()
+        changed = FiniteScenario(pre=pre, post=post, change_at=process.change_at, length=77)
+        quiet = FiniteScenario(pre=pre, post=pre, change_at=77, length=77)
+    else:
+        changed = dataclasses.replace(process, length=77)
+        quiet = dataclasses.replace(process, length=77, post_noise=None, change_at=None)
+    for pre_change, by_hand in ((False, changed), (True, quiet)):
+        scenario = harness._scenario(cfg, 77, pre_change)
+        assert scenario.length == 77
+        assert scenario.change_at == (None if pre_change else process.change_at)
+        got = harness._trajectory(cfg, 77, 5, 2, pre_change)
+        simulate = simulate_finite_scenario if isinstance(process, FiniteScenario) else simulate_ar
+        assert np.array_equal(got, simulate(by_hand, 5, 2))
 
 
 def test_bounds_section_roundtrip():
@@ -426,7 +480,7 @@ def step_loop_trace(cfg, monitored):
 def test_run_trace_rows_match_step_loop(edits):
     cfg = parse_config_text(finite_config(**edits))
     seed = cfg.campaign.seed
-    monitored = harness._trajectory(cfg, cfg.scenario.length, seed, harness.TRACE_STREAM)
+    monitored = harness._trajectory(cfg, cfg.scenario.process.length, seed, harness.TRACE_STREAM)
     result = run_trace(cfg)
     assert result.trace == step_loop_trace(cfg, monitored)
     if not edits:
@@ -784,6 +838,13 @@ def write_config(tmp_path, text, name="exp.ini"):
     return str(path)
 
 
+def cli_argv(command, cfg, out):
+    """The argv of one CLI run that writes to ``out``; calibrate writes
+    no file, so it takes no ``--out``."""
+    argv = [command, "--config", str(cfg)]
+    return argv if command == "calibrate" else argv + ["--out", str(out)]
+
+
 def test_cli_trace_success(tmp_path, capsys):
     cfg = write_config(tmp_path, FINITE_BASE)
     out = tmp_path / "out"
@@ -897,7 +958,7 @@ def test_cli_degenerate_chain_exit_1_in_every_subcommand(tmp_path, capsys):
                          correction="calibrate", replications="2")
     cfg = write_config(tmp_path, text)
     for command in ("trace", "mtbfa", "bounds", "calibrate"):
-        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        code = main(cli_argv(command, cfg, tmp_path / "out"))
         captured = capsys.readouterr()
         assert code == 1, command
         assert "config error: scenario.pre_matrix" in captured.err
@@ -983,7 +1044,7 @@ def test_cli_bad_input_matrix_exit_1(tmp_path, capsys, text, commands, key):
     traj.write_text("\n".join(lines) + "\n")
     cfg = write_config(tmp_path, text.replace("@CSV@", str(traj)))
     for command in commands:
-        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        code = main(cli_argv(command, cfg, tmp_path / "out"))
         captured = capsys.readouterr()
         assert code == 1, command
         assert f"config error: {key}" in captured.err, (command, captured.err)
@@ -1045,9 +1106,43 @@ def test_cli_seed_and_replications_overrides(tmp_path):
     assert main(["mtbfa", "--config", cfg, "--out", str(out_a), "--replications", "3"]) == 2
     rows = (out_a / "campaign.csv").read_text().splitlines()
     assert rows[1].split(",")[3] == "3"  # n_runs column
-    with pytest.raises(SystemExit):  # argparse rejects non-integer seeds
+    with pytest.raises(SystemExit) as exit_info:  # non-integer seeds are a usage error
         main(["mtbfa", "--config", cfg, "--seed", "x"])
+    assert exit_info.value.code == 1
     assert main(["mtbfa", "--config", cfg, "--out", str(out_b), "--seed", "-1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--config", "c", "--seed", "abc"],
+        ["trace", "--config", "c", "--replications", "3"],
+        ["bounds", "--config", "c", "--replications", "3"],
+        ["calibrate", "--config", "c", "--replications", "3"],
+        ["calibrate", "--config", "c", "--out", "d"],
+        ["trace", "--config", "c", "--unknown"],
+        ["trace"],
+        ["frob", "--config", "c"],
+        [],
+    ],
+)
+def test_cli_usage_errors_exit_1(argv, capsys):
+    """A usage error, a flag its subcommand does not read among them,
+    exits 1 with the usage message, as a config error does; exit 2 is
+    kept for an unreliable campaign."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: kcusum")
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["trace", "--help"], ["calibrate", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kcusum")
+    assert build_parser().parse_args(["md", "--config", "c", "--replications", "3"]).replications == 3
 
 
 def test_cli_csv_scenario_trace(tmp_path):
@@ -1141,7 +1236,7 @@ mode = trace
 """
     cfg = write_config(tmp_path, text)
     for command in ("trace", "calibrate"):
-        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        code = main(cli_argv(command, cfg, tmp_path / "out"))
         captured = capsys.readouterr()
         assert code == 1
         assert "config error: scenario.path" in captured.err
@@ -1219,7 +1314,7 @@ def test_cli_generated_bad_csv_files_exit_1(defect, line, column, data):
             )
         out = os.path.join(tmp, "out")
         for command in ("trace", "bounds", "calibrate"):
-            code, err = _run_cli([command, "--config", cfg, "--out", out])
+            code, err = _run_cli(cli_argv(command, cfg, out))
             assert code == 1, (command, err)
             assert "config error: scenario.path" in err and f"{traj}:{line}:" in err, err
         for command in ("mtbfa", "md"):
@@ -1395,7 +1490,7 @@ def _run_edited(kind, command, edits, blocked=None):
             fh.write(text)
         if blocked:
             os.makedirs(os.path.join(tmp, "out", blocked))
-        return _run_cli([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
+        return _run_cli(cli_argv(command, cfg, os.path.join(tmp, "out")))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

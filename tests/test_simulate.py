@@ -1,5 +1,6 @@
 """Data generators and chain analysis: exact oracles and seeded checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from kcusum import (
     finite_blocks,
     lift_chain,
     load_trajectory,
-    mean_change_scenario,
     rho_envelope,
     save_trajectory,
     sigma_from_doeblin,
@@ -30,7 +30,6 @@ from kcusum import (
     simulate_finite_scenario,
     stationary_distribution,
     stream_rng,
-    variance_change_scenario,
 )
 
 TWO_STATE = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -108,8 +107,18 @@ def test_default_matrix_is_pinned_and_copied():
     assert default_system_matrix()[0, 0] != 99.0
 
 
+def variance_scenario(length, change_at, burn_in):
+    """Isotropic noise variance 0.1, doubling to 0.2 after ``change_at``,
+    on the pinned matrix: what ``kind = ar-variance`` builds by default."""
+    post = GaussianLaw.isotropic(4, 0.2) if change_at is not None else None
+    return ArScenario(
+        matrix=default_system_matrix(), pre_noise=GaussianLaw.isotropic(4, 0.1),
+        post_noise=post, change_at=change_at, length=length, burn_in=burn_in,
+    )
+
+
 def test_simulate_ar_shape_and_determinism():
-    scenario = variance_change_scenario(length=300, change_at=100, burn_in=50)
+    scenario = variance_scenario(length=300, change_at=100, burn_in=50)
     x1 = simulate_ar(scenario, seed=5, stream=2)
     x2 = simulate_ar(scenario, seed=5, stream=2)
     assert x1.shape == (300, 4)
@@ -118,14 +127,14 @@ def test_simulate_ar_shape_and_determinism():
 
 
 def test_change_beyond_horizon_is_bit_identical_to_no_change():
-    quiet = variance_change_scenario(length=200, change_at=None, burn_in=40)
-    late = variance_change_scenario(length=200, change_at=5000, burn_in=40)
+    quiet = variance_scenario(length=200, change_at=None, burn_in=40)
+    late = variance_scenario(length=200, change_at=5000, burn_in=40)
     assert np.array_equal(simulate_ar(quiet, seed=9), simulate_ar(late, seed=9))
 
 
 def test_change_actually_changes_only_after_change_index():
-    pre_only = variance_change_scenario(length=200, change_at=None, burn_in=40)
-    changed = variance_change_scenario(length=200, change_at=120, burn_in=40)
+    pre_only = variance_scenario(length=200, change_at=None, burn_in=40)
+    changed = variance_scenario(length=200, change_at=120, burn_in=40)
     a, b = simulate_ar(pre_only, seed=11), simulate_ar(changed, seed=11)
     assert np.array_equal(a[:120], b[:120])
     assert not np.array_equal(a[120:], b[120:])
@@ -249,21 +258,12 @@ def test_finite_blocks_join_into_the_one_piece_path(length, change_at, size, see
 
 @pytest.mark.parametrize("size", [0, -1, 2.5])
 def test_block_size_must_be_a_positive_integer(size):
-    scenario = variance_change_scenario(length=10, change_at=None, burn_in=0)
+    scenario = variance_scenario(length=10, change_at=None, burn_in=0)
     with pytest.raises(ValueError, match="size"):
         next(ar_blocks(scenario, 0, 0, size))
     finite = FiniteScenario(pre=two_state_chain(), post=two_state_chain(), change_at=5, length=10)
     with pytest.raises(ValueError, match="size"):
         next(finite_blocks(finite, 0, 0, size))
-
-
-def test_stock_scenarios_expose_documented_laws():
-    var = variance_change_scenario()
-    assert np.allclose(var.pre_noise.cov, 0.1 * np.eye(4))
-    assert np.allclose(var.post_noise.cov, 0.2 * np.eye(4))
-    mean = mean_change_scenario()
-    assert np.allclose(mean.post_noise.mean, np.full(4, 0.05))
-    assert np.allclose(mean.post_noise.cov, 0.1 * np.eye(4))
 
 
 def test_ar_scenario_validation():
@@ -543,6 +543,56 @@ def test_finite_scenario_validation():
     other = FiniteChain(states=np.array([[0.0], [2.0]]), matrix=TWO_STATE_ALT)
     with pytest.raises(ValueError, match="embedding"):
         FiniteScenario(pre=pre, post=other, change_at=5, length=10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    length=st.integers(1, 90),
+    late=st.integers(0, 30),
+    size=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=60, late=0, size=10, seed=1)  # the old no-change stand-in, in blocks
+@example(length=1, late=0, size=1, seed=1)  # one observation
+def test_finite_scenario_without_a_change_is_bit_identical_to_a_change_at_the_end(
+    length, late, size, seed
+):
+    """``change_at=None`` yields the blocks of ``change_at=length``, the
+    stand-in for "no change" it replaced, and of any later change."""
+    states = np.array([[0.0], [1.0], [2.0]])
+    pre = FiniteChain(states, np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.6, 0.1, 0.3]]))
+    post = FiniteChain(states, np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.2, 0.5, 0.3]]))
+    never = list(finite_blocks(FiniteScenario(pre, post, None, length), seed, 3, size))
+    for stand_in in (
+        FiniteScenario(pre=pre, post=pre, change_at=length, length=length),
+        FiniteScenario(pre=pre, post=post, change_at=length + late, length=length),
+    ):
+        blocks = list(finite_blocks(stand_in, seed, 3, size))
+        assert len(blocks) == len(never)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, never))
+    assert np.array_equal(np.concatenate(never), simulate_finite(pre, length, seed, 3))
+
+
+def test_before_change_is_the_pre_change_law():
+    """``before_change()`` of each kind equals the construction the
+    harness made by hand for reference and holdout data."""
+    ar = variance_scenario(length=300, change_at=100, burn_in=50)
+    quiet = ar.before_change()
+    assert (quiet.post_noise, quiet.change_at, quiet.length, quiet.burn_in) == (None, None, 300, 50)
+    assert quiet.pre_noise is ar.pre_noise and np.array_equal(quiet.matrix, ar.matrix)
+    by_hand = dataclasses.replace(ar, post_noise=None, change_at=None)
+    assert np.array_equal(simulate_ar(quiet, 4, 1), simulate_ar(by_hand, 4, 1))
+    assert np.array_equal(simulate_ar(quiet, 4, 1), simulate_ar(variance_scenario(300, None, 50), 4, 1))
+
+    pre, post = two_state_chain(), two_state_chain(TWO_STATE_ALT)
+    finite = FiniteScenario(pre=pre, post=post, change_at=40, length=120)
+    quiet = finite.before_change()
+    assert quiet == FiniteScenario(pre=pre, post=pre, change_at=None, length=120)
+    by_hand = FiniteScenario(pre=pre, post=pre, change_at=120, length=120)
+    assert np.array_equal(
+        simulate_finite_scenario(quiet, 4, 1), simulate_finite_scenario(by_hand, 4, 1)
+    )
+    assert np.array_equal(simulate_finite_scenario(quiet, 4, 1), simulate_finite(pre, 120, 4, 1))
 
 
 # -- trajectory files -------------------------------------------------------------
