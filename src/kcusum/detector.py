@@ -31,9 +31,22 @@ before it (its band row) and its kernel row sum against the reference
 (its cross sum).  Each band row is summed once, in lag order, when its
 pair arrives; a window value then adds r of those lag sums and r cross
 sums, O(r) work per position with no ``window x window`` table to keep.
-The reference self-term comes from :meth:`KernelSpec.self_sum
-<kcusum.kernels.KernelSpec.self_sum>`, which evaluates the upper
-triangle of the reference Gram matrix only.
+
+Pairs are measured through their observations.  The squared distance
+of two lifted pairs is the sum of the squared distances of their first
+and of their second observations (:func:`pair_distances`), each summed
+in coordinate order; every path computes it so.  The reference holds
+its observations and the offset of each pair's second half, one for a
+lifted trajectory (:class:`ReferenceSet`).  The scorer measures each
+new observation once, against the reference observations and against
+its ``window - 1`` predecessors, and keeps the newest observation's two
+rows: a pair's cross row and band row are then the sums of its two
+observations' rows, and one exponential pass turns both into kernel
+values.  So a step measures ``n_pairs + 1 + window`` distances of d
+coordinates, where measuring whole pairs took ``n_pairs + window`` of
+2d.  The reference self-term comes from :meth:`KernelSpec._self_sum
+<kcusum.kernels.KernelSpec._self_sum>` with the same pair distances; it
+evaluates the upper triangle of the reference Gram matrix only.
 
 Where the band rows and cross sums come from depends on the reference.
 When it repeats pairs, as a finite chain's does (a chain with n states
@@ -43,18 +56,20 @@ one cross sum and its kernel values against the other live ids, so the
 kernel is evaluated only for a pair not seen before, and a band row is
 a gather from the table.  The table holds at most ``2 * window`` ids,
 whatever the stream's length.  Data that does not repeat (a reference
-with continuous support) evaluates every band row and cross sum, since
-an id table would only add lookups.
+with continuous support) evaluates every band row and cross sum from
+the cached observation rows, since an id table would only add lookups.
 
 A window value reads only the pairs inside its window, in a fixed order.
-Because :meth:`KernelSpec.gram` is batch-invariant and symmetric bit for
-bit, a kernel value is the same whichever call, table or band produced
-it, so a window value is a function of the window alone: it depends
-neither on how the stream was cut into blocks, nor on which pairs
-repeat, nor on what came before the window.  So ``extend`` equals a
-``step`` loop bit for bit, and a restore, which pushes the stored
-observations in one block into a fresh scorer, continues an interrupted
-run bit for bit.
+A pair distance is a sum of two observation distances, each a function
+of its two points alone (:func:`~kcusum.kernels.squared_distances`), and
+``x + y`` equals ``y + x``; so a kernel value is the same whichever
+call, cached row, table or block produced it, and it is symmetric bit
+for bit.  A window value is therefore a function of the window alone:
+it depends neither on how the stream was cut into blocks, nor on which
+pairs repeat, nor on what came before the window.  So ``extend`` equals
+a ``step`` loop bit for bit, and a restore, which pushes the stored
+observations in one block into a fresh scorer and so rebuilds the
+cached rows, continues an interrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +82,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import COORDINATE_LIMIT, KernelSpec, as_points, distinct_rows, row_chunks
+from .kernels import (
+    CHUNK_ENTRIES, COORDINATE_LIMIT, KernelSpec, as_points, distinct_rows, row_chunks,
+    squared_distances,
+)
 from .mmd import lift, lifted_pairs
 
 __all__ = [
@@ -89,16 +107,29 @@ CHECKPOINT_VERSION = 2
 class ReferenceSet:
     """Fixed reference sample of lifted pairs with its cached self-term.
 
+    A pair's squared distance to another is the sum of the squared
+    distances of their first and of their second observations
+    (:func:`pair_distances`).  So the reference is also held as
+    observations: pair q is ``(observations[q], observations[q +
+    offset])``.  Pairs that chain, as the lifted pairs of one trajectory
+    do (each second half is the next pair's first), give ``offset`` 1
+    and ``n_pairs + 1`` observations; pairs that do not give ``offset``
+    ``n_pairs``, their first halves followed by their second halves.  A
+    detector then measures an observation against the reference
+    observations once and reads both of its pairs' distances from that
+    row, whichever kind of reference it is.  ``observations`` is stored
+    column-major, so its transpose, which the distances read, is
+    contiguous.
+
     ``self_mean`` is the mean of the full reference-by-reference Gram
     matrix; it enters every windowed discrepancy, so it is computed once
     here, exactly rounded, from the upper triangle of the distinct pairs
-    (:meth:`KernelSpec.self_sum <kcusum.kernels.KernelSpec.self_sum>`):
-    one error-free extraction, weighted by the pair counts when pairs
-    repeat, hands ``math.fsum`` a few exact parts per chunk.
+    (:meth:`KernelSpec._self_sum <kcusum.kernels.KernelSpec._self_sum>`
+    with :func:`pair_distances`): one error-free extraction, weighted by
+    the pair counts when pairs repeat, hands ``math.fsum`` a few exact
+    parts per chunk.
 
-    ``pairs`` is stored column-major: that is the transposed layout in
-    which :meth:`KernelSpec.gram` reads its right-hand set, so scoring
-    against the reference copies nothing.  ``digest`` is a SHA-256 of
+    ``pairs`` is stored column-major as well.  ``digest`` is a SHA-256 of
     the kernel's weights and bandwidths and of the pairs; checkpoints
     carry it, so a detector is never resumed against another reference.
     ``repeats`` says whether some pair occurs more than once, as on a
@@ -112,6 +143,8 @@ class ReferenceSet:
     self_mean: float = field(init=False)
     digest: str = field(default="", init=False, repr=False)
     repeats: bool = field(default=False, init=False, repr=False)
+    observations: np.ndarray = field(default=None, init=False, repr=False)
+    offset: int = field(default=1, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pairs = as_points(self.pairs, name="pairs")
@@ -119,16 +152,22 @@ class ReferenceSet:
             raise ValueError("reference pairs must have even dimension (lifted points)")
         pairs = np.array(pairs, order="F")
         pairs.flags.writeable = False
-        m = pairs.shape[0]
+        m, d = pairs.shape[0], pairs.shape[1] // 2
+        offset = 1 if np.array_equal(pairs[1:, :d], pairs[:-1, d:]) else m
+        observations = np.asfortranarray(np.concatenate((pairs[:, :d], pairs[m - offset :, d:])))
+        observations.flags.writeable = False
         digest = hashlib.sha256()
         for arr in (self.kernel.weights, self.kernel.bandwidths, pairs):
             digest.update(repr(arr.shape).encode())
             digest.update(arr.astype("<f8").tobytes())
         distinct, _, counts = distinct_rows(pairs)
+        total = self.kernel._self_sum(distinct, counts, pair_distances)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "self_mean", self.kernel._self_sum(distinct, counts) / (m * m))
+        object.__setattr__(self, "self_mean", total / (m * m))
         object.__setattr__(self, "digest", digest.hexdigest())
         object.__setattr__(self, "repeats", distinct.shape[0] < m)
+        object.__setattr__(self, "observations", observations)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def n_pairs(self) -> int:
@@ -137,6 +176,20 @@ class ReferenceSet:
     @property
     def point_dim(self) -> int:
         return int(self.pairs.shape[1] // 2)
+
+
+def pair_distances(A: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Squared distances of the lifted pairs ``A`` (``(n, 2d)``) to the
+    pairs in ``columns`` (their ``(2d, k)`` transpose): each is the
+    squared distance of the first halves plus that of the second halves,
+    both from :func:`~kcusum.kernels.squared_distances`.  This is the one
+    definition every scoring path computes, so a pair kernel value has
+    the same bits whether it came from here or from the observation rows
+    a :class:`_BlockScorer` keeps."""
+    d = A.shape[1] // 2
+    sq = squared_distances(A[:, :d], columns[:d])
+    sq += squared_distances(A[:, d:], columns[d:])
+    return sq
 
 
 def build_reference(kernel: KernelSpec, history) -> ReferenceSet:
@@ -235,14 +288,16 @@ class CusumStream:
     def extend(self, scores) -> list:
         """Consume finite scores in order; return the statistic after each.
         A non-finite score raises ``ValueError`` before any state changes.
-        Any iterable serves; one that is not a list or tuple is read once,
-        into a list, since the scores are checked before they are used.  An
-        ndarray is read with ``tolist``, so the sums stay Python floats."""
-        if not isinstance(scores, (list, tuple)):
-            scores = scores.tolist() if isinstance(scores, np.ndarray) else list(scores)
+        Any iterable of real numbers serves.  It is read once, into a list
+        of Python floats, since the scores are checked before they are
+        used; so the sums stay Python floats whatever the input type
+        (``numpy.float32`` scores are summed in double precision)."""
+        checked = []
         for score in scores:
             if not math.isfinite(score):
                 raise ValueError(f"score must be finite; got {score!r}")
+            checked.append(float(score))
+        scores = checked
         total, comp, low = self._sum, self._comp, self._eligible_min
         pending, out = self._pending, []
         for score in scores:
@@ -332,7 +387,7 @@ class _BlockScorer:
 
     where ``C_q[l] = k(q, q) + k(q, q - 1) + ... + k(q, q - l)`` sums
     pair q's kernels against itself and the l pairs before it.  When a
-    pair arrives, its band row is put in lag order and stored once as
+    pair arrives, its band row, in lag order, is stored once as
     ``D_q = 2 * C_q - k(q, q)`` (one ``np.cumsum``), together with its
     kernel row sum against the reference.  ``within`` is then one
     diagonal of the stacked D rows, and the cross term the sum of r
@@ -341,50 +396,86 @@ class _BlockScorer:
     window value is a function of its window alone: it depends neither
     on how the stream was cut into blocks nor on what came before.
 
-    The window's state lives in buffers with one index, the pair's
-    position j: pair j is ``(_obs[j], _obs[j + 1])``, which is row j of
-    ``_lifted``, a standing view of ``_obs``; its D row, cross sum and,
-    against an id table, its id are entry j of ``_lags``, ``_cross`` and
-    ``_ids``.  Each buffer holds ``3 * window`` pairs (``_obs`` one
-    observation more), so a push writes only its new entries.  When a
-    chunk does not fit, one move copies the newest ``window``
-    observations and the entries of their ``window - 1`` pairs, the
-    window the next chunk scores against, to the front of every buffer.
-    ``raw``, the last ``window + 1`` observations, is a view of
-    ``_obs``: the state a checkpoint stores.
+    What is stored: the window's state lives in buffers with one index,
+    the pair's position j: pair j is ``(_obs[j], _obs[j + 1])``, which is
+    row j of ``_lifted``, a standing view of ``_obs``; its D row, cross
+    sum and, against an id table, its id are entry j of ``_lags``,
+    ``_cross`` and ``_ids``.  Each buffer holds ``3 * window`` pairs
+    (``_obs`` one observation more), so a push writes only its new
+    entries.  When a chunk does not fit, one move copies the newest
+    ``window`` observations and the entries of their ``window - 1``
+    pairs, the window the next chunk scores against, to the front of
+    every buffer.  ``raw``, the last ``window + 1`` observations, is a
+    view of ``_obs``: the state a checkpoint stores.  ``_obs`` and
+    ``_ids`` are preceded by ``window - 1`` entries of +inf and of the
+    absent id 0, so that a lag older than the stream's first pair reads
+    the padding.  Row t of ``_lagged``, a standing view, is observation t
+    and the ``window - 1`` before it, newest first.
 
-    A chunk's band, the kernels of its pairs against the chunk and up to
-    ``window - 1`` pairs before it, newest first, reads the pairs or ids
-    from the chunk's first pair back.  Against a reference that repeats
-    pairs it is gathered from an id table (:class:`_PairTable`), which
-    evaluates the kernel only for pairs it has not seen; its values have
-    the bits of a direct evaluation, because ``KernelSpec._gram`` is
-    batch-invariant and symmetric bit for bit.  Otherwise the band is
-    evaluated against a contiguous copy of those rows of ``_lifted``,
-    and each pair gets its own cross row.  Kernel calls go through
-    ``KernelSpec._gram``: the reference was validated when it was built
-    and is not rescanned on every call.
+    What is cached, on continuous data: a pair's squared distance to
+    another is the sum of those of its two observations
+    (:func:`pair_distances`), and consecutive pairs share an
+    observation.  So each observation is measured once, when it arrives:
+    against the reference observations (``n_pairs + 1`` of them for a
+    lifted reference) and against itself and its ``window - 1``
+    predecessors.  The newest observation's two rows are kept
+    (``_ref_row``, ``_lag_row``); the next observation's rows, added to
+    them, give its pair's cross row and band row.  A single step thus
+    measures ``n_pairs + 1 + window`` distances of d coordinates, in one
+    call against ``_columns``, a copy of the reference observations
+    followed by the step's lags, and evaluates the cross and band rows
+    in one exponential pass.  The cached rows are a function of the
+    observations in ``raw``, so the push that a restore makes rebuilds
+    them.  A chunk's band, its c pairs against themselves and the
+    ``window - 1`` pairs before each, comes out in lag order, c x
+    window, with an infinite distance, so a kernel value of 0, for lags
+    before the stream's first pair.
+
+    Against a reference that repeats pairs the band is instead gathered
+    from an id table (:class:`_PairTable`), which evaluates the kernel
+    only for pairs it has not seen; its values have the bits of the
+    cached rows' because both add the same observation distances.
+    Kernel calls go through ``KernelSpec``'s unvalidated methods: the
+    reference was validated when it was built and is not rescanned on
+    every call.
     """
 
-    __slots__ = ("reference", "window", "_obs", "_end", "_lifted", "_lags", "_cross", "_ids",
-                 "_table")
+    __slots__ = ("reference", "window", "_obs", "_end", "_lifted", "_lagged", "_lags", "_cross",
+                 "_ids", "_padded_ids", "_table", "_chunk", "_ref_row", "_lag_row", "_columns")
 
     def __init__(self, reference: ReferenceSet, window: int):
         self.reference = reference
         self.window = r = int(window)
         d = reference.point_dim
-        # a block chunk adds at most r pairs to the r - 1 it scores against
-        self._obs = obs = np.empty((3 * r + 1, d))
+        # a block chunk adds at most r pairs to the r - 1 it scores against;
+        # r - 1 rows of +inf come first, for lags older than the stream
+        padded = np.full((4 * r, d), np.inf)
+        self._obs = obs = padded[r - 1 :]
         self._end = 0  # rows of ``_obs`` in use
+        row, item = obs.strides
         # row j is the pair (obs[j], obs[j + 1]): rows overlap by one
         # observation, and the view stays valid as ``_obs`` is rewritten
-        self._lifted = np.ndarray(
-            (3 * r, 2 * d), buffer=obs, strides=(obs.strides[0], obs.itemsize)
+        self._lifted = np.ndarray((3 * r, 2 * d), buffer=obs, strides=(row, item))
+        self._lagged = np.ndarray(
+            (3 * r + 1, r, d), buffer=padded, offset=(r - 1) * row, strides=(row, -row, item)
         )
         self._lags = np.empty((3 * r, r))
         self._cross = np.empty(3 * r)
-        self._ids = np.zeros(3 * r, dtype=np.intp)  # read only against a table
+        # read only against a table; r - 1 absent ids come first
+        self._padded_ids = np.zeros(4 * r - 1, dtype=np.intp)
+        self._ids = self._padded_ids[r - 1 :]
         self._table = _PairTable(reference, r) if reference.repeats else None
+        self._ref_row = self._lag_row = None  # the newest observation's rows
+        self._columns = None
+        self._chunk = r  # the table reads no rows
+        if self._table is None:
+            width = reference.observations.shape[0] + r
+            # a chunk's scratch, c rows of reference and lag distances,
+            # stays within CHUNK_ENTRIES
+            self._chunk = max(1, min(r, CHUNK_ENTRIES // width))
+            # the reference observations, then the lags of a step's observation
+            self._columns = np.empty((d, width))
+            self._columns[:, : width - r] = reference.observations.T
 
     @property
     def raw(self) -> np.ndarray:
@@ -402,12 +493,13 @@ class _BlockScorer:
         if self._end == 0 and observations.shape[0]:
             obs[0] = observations[0]  # the stream's first observation ends no pair
             self._end = first = 1
+            if table is None:
+                self._ref_row, self._lag_row = self._rows(0, 1)
         values = []
-        # chunks of at most ``window`` pairs: each pair needs the kernels
-        # against the ``window - 1`` pairs before it, so a longer chunk
-        # would evaluate more of its own band than it uses
-        for lo in range(first, observations.shape[0], r):
-            chunk = observations[lo : lo + r]
+        # chunks of at most ``window`` pairs, so that the buffers hold a
+        # chunk and the window before it
+        for lo in range(first, observations.shape[0], self._chunk):
+            chunk = observations[lo : lo + self._chunk]
             c = chunk.shape[0]
             p = self._end - 1  # the chunk's first pair
             if p + c > 3 * r:
@@ -419,20 +511,16 @@ class _BlockScorer:
                 p = r - 1
             obs[p + 1 : p + 1 + c] = chunk
             self._end = p + 1 + c
-            block = self._lifted[p : p + c]  # the chunk's pairs
-            back = max(p - (r - 1), 0)
             if table is None:
-                # the chunk and up to r - 1 pairs before it, newest first
-                columns = np.ascontiguousarray(self._lifted[back : p + c][::-1].T)
-                band = self.reference.kernel._gram(block, columns)
-                cross[p : p + c] = _cross_sums(self.reference, block)
+                band = self._band(p, c)
             else:
-                band, cross[p : p + c] = table.band(block, ids[back : p + c])
-            band_lags = _lag_rows(band, r)
+                # the ids of the r - 1 pairs before the chunk, then its own
+                sequence = self._padded_ids[p : p + c + r - 1]
+                band, cross[p : p + c] = table.band(self._lifted[p : p + c], sequence)
             rows = lags[p : p + c]
-            np.add.accumulate(band_lags, axis=1, out=rows)  # cumsum with less call overhead
+            np.add.accumulate(band, axis=1, out=rows)  # cumsum with less call overhead
             rows *= 2.0
-            rows -= band_lags[:, :1]
+            rows -= band[:, :1]
             # a pair at index r - 1 or later has a full window behind it:
             # before the first move indices count pairs from the stream's
             # start, and a move keeps exactly r - 1 pairs
@@ -440,6 +528,40 @@ class _BlockScorer:
             if first < p + c:
                 values += self._values(first - (r - 1), p + c - first)
         return values
+
+    def _rows(self, lo: int, hi: int) -> tuple:
+        """Squared distances of observations ``lo .. hi - 1`` to the
+        reference observations and to themselves and their lags."""
+        observations = self._obs[lo:hi]
+        if hi - lo == 1:
+            # one observation, as a step: its lags are copied next to the
+            # reference observations, so that one call measures both
+            columns, width = self._columns, self._columns.shape[1] - self.window
+            columns[:, width:] = self._lagged[lo].T
+            both = squared_distances(observations, columns)
+            return both[:, :width], both[:, width:]
+        return (
+            squared_distances(observations, self.reference.observations.T),
+            squared_distances(observations, self._lagged[lo:hi].transpose(2, 0, 1)),
+        )
+
+    def _band(self, p: int, c: int) -> np.ndarray:
+        """Cross sums of pairs ``p .. p + c - 1`` into ``_cross``, and their
+        ``(c, window)`` band in lag order, from the rows of the chunk's c
+        observations and the cached rows of the one before; one
+        exponential pass evaluates both."""
+        reference = self.reference
+        m = reference.n_pairs
+        ref_rows, lag_rows = self._rows(p + 1, p + 1 + c)
+        sq = np.empty((c, m + self.window))
+        _chain(self._ref_row, ref_rows, reference.offset, sq[:, :m])
+        _chain(self._lag_row, lag_rows, 0, sq[:, m:])
+        if c > 1:  # keep one row, not the chunk's table
+            ref_rows, lag_rows = ref_rows[-1:].copy(), lag_rows[-1:].copy()
+        self._ref_row, self._lag_row = ref_rows, lag_rows
+        values = reference.kernel._kernel_values(sq)
+        self._cross[p : p + c] = np.add.reduce(values[:, :m], axis=1)
+        return values[:, m:]
 
     def _values(self, start: int, count: int) -> list:
         """Values of the ``count`` windows whose first rows are ``start``,
@@ -470,32 +592,16 @@ class _BlockScorer:
         return np.sqrt(np.maximum(squared, 0.0)).tolist()
 
 
-def _lag_rows(band: np.ndarray, r: int) -> np.ndarray:
-    """The ``(c, r)`` lags of a band whose columns run newest first.
-
-    Row i of ``band`` holds pair i of its chunk against the chunk and
-    the pairs before it, newest first, so its lags 0 .. r - 1 are the
-    columns from ``c - 1 - i`` on.  Rows are read as a skewed view of
-    the band's memory, which copies nothing.  A band narrower than
-    ``c + r - 1`` columns is padded (:func:`_padded`).
-    """
-    c = band.shape[0]
-    band = _padded(band, c + r - 1)
-    if c == 1:
-        return band[:, :r]
-    width = band.shape[1] - 1
-    return band.ravel()[c - 1 : c - 1 + c * width].reshape(c, width)[:, :r]
-
-
-def _padded(band: np.ndarray, width: int) -> np.ndarray:
-    """``band`` widened with zeros to ``width`` columns.  Only a band at
-    the stream's start is narrower; its lags older than the stream's
-    first pair read the zeros, and no full window reads them."""
-    if band.shape[1] == width:
-        return band
-    out = np.zeros((band.shape[0], width))
-    out[:, : band.shape[1]] = band
-    return out
+def _chain(previous: np.ndarray, rows: np.ndarray, shift: int, out: np.ndarray) -> None:
+    """Squared distances of the pairs that consecutive observations form:
+    ``out[i] = rows[i - 1, :w] + rows[i, shift : shift + w]`` for the
+    width w of ``out``, with the one-row ``previous`` as ``rows[-1]``.
+    ``rows`` measure observations against the first halves of the
+    pairs compared with, and ``shift`` further on, their second halves."""
+    w = out.shape[1]
+    np.add(previous[:, :w], rows[:1, shift : shift + w], out=out[:1])
+    if rows.shape[0] > 1:
+        np.add(rows[:-1, :w], rows[1:, shift : shift + w], out=out[1:])
 
 
 def _cross_sums(reference: ReferenceSet, pairs: np.ndarray) -> np.ndarray:
@@ -504,7 +610,7 @@ def _cross_sums(reference: ReferenceSet, pairs: np.ndarray) -> np.ndarray:
     columns = reference.pairs.T
     out = np.empty(pairs.shape[0])
     for rows in row_chunks(pairs.shape[0], columns.shape[1]):
-        out[rows] = kernel._gram(pairs[rows], columns).sum(axis=1)
+        out[rows] = kernel._gram(pairs[rows], columns, pair_distances).sum(axis=1)
     return out
 
 
@@ -524,9 +630,9 @@ class _PairTable:
 
     The ids of the stream's pairs live in :class:`_BlockScorer`'s
     ``_ids``, indexed as its other buffers are.  :meth:`band` gets the
-    slice of it that a chunk's band reads, oldest first: up to
-    ``window - 1`` ids before the chunk (the tail), then room for the
-    chunk's own, which it writes.  A step's band row is then one
+    slice of it that a chunk's band reads, oldest first: the
+    ``window - 1`` ids before the chunk (the tail; the absent id 0 before
+    the stream's start), then room for the chunk's own, which it writes.  A step's band row is then one
     ``take`` from its id's kernel row.  Before ids are added past
     ``2 * window``, the table is rebuilt from the ids still in the tail
     or in the chunk at hand (at most ``2 * window - 1`` with the chunk's
@@ -549,11 +655,12 @@ class _PairTable:
         self._count = 1  # ids in use, the absent id 0 included
 
     def band(self, block: np.ndarray, sequence: np.ndarray) -> tuple:
-        """The band of a chunk of ``c <= window`` pairs that follows the
-        pairs seen so far, as :meth:`_BlockScorer.push` evaluates it, and
-        the chunk's ``c`` cross sums.  ``sequence`` holds, oldest first,
-        the ids of up to ``window - 1`` pairs before the chunk and then
-        ``c`` slots, where the chunk's ids are written."""
+        """The ``(c, window)`` band, in lag order, of a chunk of
+        ``c <= window`` pairs that follows the pairs seen so far, as
+        :meth:`_BlockScorer._band` evaluates it, and the chunk's ``c``
+        cross sums.  ``sequence`` holds, oldest first, the ids of the
+        ``window - 1`` pairs before the chunk (0 before the stream's
+        start) and then ``c`` slots, where the chunk's ids are written."""
         c = block.shape[0]
         # ids first: admitting a pair may rebuild the table, which
         # renumbers the tail where it stands
@@ -561,15 +668,18 @@ class _PairTable:
             key = block.tobytes()
             i = self._ids.get(key) or int(self._ids_of(block, [key], sequence[:-1])[0])
             sequence[-1] = i
-            return self._kernels[i].take(sequence)[None, ::-1], self._cross[i]
+            return self._kernels[i].take(sequence[::-1])[None], self._cross[i]
         distinct, inverse, _ = distinct_rows(block)
         ids = self._ids_of(distinct, [row.tobytes() for row in distinct], sequence[:-c])
         block_ids = ids[inverse]
         sequence[-c:] = block_ids
-        # one row per distinct pair, padded while it is small; the
-        # chunk's copies of a pair share it
-        band = _padded(self._kernels[ids[:, None], sequence[::-1]], c + self.window - 1)
-        return band[inverse], self._cross[block_ids]
+        # one row per distinct pair against the sequence, newest first; the
+        # chunk's copies of a pair share it.  Pair i's lags 0 .. window - 1
+        # are the columns from c - 1 - i on: a skewed view of the rows
+        wide = self._kernels[ids[:, None], sequence[::-1]][inverse]
+        width = wide.shape[1] - 1
+        band = wide.ravel()[c - 1 : c - 1 + c * width].reshape(c, width)[:, : self.window]
+        return band, self._cross[block_ids]
 
     def _ids_of(self, pairs: np.ndarray, keys: list, tail: np.ndarray) -> np.ndarray:
         """Ids of the distinct ``pairs``, whose bytes are ``keys``; pairs
@@ -594,7 +704,9 @@ class _PairTable:
         live = self._count + len(keys)
         self._pairs[new] = pairs
         self._cross[new] = _cross_sums(self.reference, pairs)
-        values = self.reference.kernel._gram(pairs, np.ascontiguousarray(self._pairs[1:live].T))
+        values = self.reference.kernel._gram(
+            pairs, np.ascontiguousarray(self._pairs[1:live].T), pair_distances
+        )
         self._kernels[new, 1:live] = values
         self._kernels[1:live, new] = values.T
         self._ids.update(zip(keys, new.tolist()))

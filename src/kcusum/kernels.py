@@ -22,7 +22,7 @@ _WEIGHT_TOL = 1e-12
 CHUNK_ENTRIES = 1 << 16
 
 # Largest table of coordinate differences (rows x columns x dimension)
-# that ``KernelSpec.gram`` forms in one broadcast call.
+# that ``squared_distances`` forms in one broadcast call.
 _BROADCAST_LIMIT = 1 << 14
 
 # Largest coordinate magnitude a point may have.  Two points within it
@@ -36,6 +36,40 @@ def row_chunks(n_rows: int, n_cols: int) -> list:
     of about :data:`CHUNK_ENTRIES` values (at least one row each)."""
     step = max(1, CHUNK_ENTRIES // n_cols)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def squared_distances(A: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of ``A`` (``(n, d)``) to the points
+    in ``columns``, shape ``(n, k)``.
+
+    ``columns`` is the ``(d, k)`` transpose of the points every row is
+    measured against, or a ``(d, n, k)`` array holding row i's own points
+    at ``[:, i, :]``.  Each distance adds its squared coordinate
+    differences in coordinate order, so an entry depends on its two
+    points alone: not on the shapes, the memory layout or the other
+    points of the call.  Both branches add the same squares in the same
+    order.  A small table takes all of them in one broadcast call, which
+    saves numpy call overhead (one detector step); a larger one goes
+    coordinate by coordinate, which keeps its scratch a single table and
+    so in cache.
+    """
+    if columns.ndim == 2:
+        columns = columns[:, None, :]
+    if A.size * columns.shape[2] <= _BROADCAST_LIMIT:
+        squares = np.subtract(A.T[:, :, None], columns, order="C")
+        squares *= squares
+        sq = squares[0]
+        for k in range(1, A.shape[1]):
+            sq += squares[k]
+        return sq
+    sq = np.subtract(A[:, :1], columns[0])
+    sq *= sq
+    tmp = np.empty_like(sq)
+    for k in range(1, A.shape[1]):
+        np.subtract(A[:, k : k + 1], columns[k], out=tmp)
+        tmp *= tmp
+        sq += tmp
+    return sq
 
 
 def compensated_sum(values) -> float:
@@ -161,7 +195,7 @@ class KernelSpec:
 
     weights: np.ndarray
     bandwidths: np.ndarray
-    # (w_j, -2 * sigma_j^2) as Python floats, the factors ``_fill`` applies
+    # (w_j, -2 * sigma_j^2) as Python floats, the factors ``_kernel_values`` applies
     _terms: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -241,13 +275,16 @@ class KernelSpec:
 
         Every entry depends only on its own two points, never on the
         rest of the call: the squared distance is summed from
-        per-coordinate differences in coordinate order, then each
-        component's exponential is added in component order.  A row of
-        a many-row call therefore equals, bit for bit, the same row
-        computed alone, and so does its ``np.sum``; the detector relies
-        on this to score one observation or a whole block alike.
-        Differences, unlike the norm expansion ``|x|^2 + |y|^2 - 2 x.y``,
-        keep full precision on data far from the origin.
+        per-coordinate differences in coordinate order
+        (:func:`squared_distances`), then each component's exponential
+        is added in component order.  A row of a many-row call therefore
+        equals, bit for bit, the same row computed alone, and so does its
+        ``np.sum``.  The detector's pair path relies on the same two
+        steps: it adds two such observation distances per lifted pair
+        and evaluates the kernel values as here, so a pair scored in one
+        step or in a whole block gets the same bits.  Differences,
+        unlike the norm expansion ``|x|^2 + |y|^2 - 2 x.y``, keep full
+        precision on data far from the origin.
 
         ``b`` is read through its transpose; a column-major ``b`` (such
         as :attr:`ReferenceSet.pairs <kcusum.detector.ReferenceSet>`)
@@ -263,49 +300,32 @@ class KernelSpec:
             )
         return self._gram(A, np.ascontiguousarray(B.T))
 
-    def _gram(self, A: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    def _gram(self, A: np.ndarray, columns: np.ndarray, distances=squared_distances) -> np.ndarray:
         """:meth:`gram` without validation: ``A`` is ``(n, d)`` finite rows,
         ``columns`` the ``(d, m)`` transpose of finite rows, read fastest
         with contiguous rows.  For callers holding validated sets (the
-        detector's reference and window buffers), so that a step does
-        not rescan them."""
+        detector's reference and pair table), so that they are not
+        rescanned on every call.  ``distances(A, columns)`` gives the
+        squared distances, row chunk by row chunk."""
         out = np.empty((A.shape[0], columns.shape[1]))
-        if A.shape[0] * columns.shape[1] <= CHUNK_ENTRIES:
-            self._fill(A, columns, out)  # one chunk, as a detector step
-            return out
         for rows in row_chunks(A.shape[0], columns.shape[1]):
-            self._fill(A[rows], columns, out[rows])
+            self._kernel_values(distances(A[rows], columns), out[rows])
         return out
 
-    def _fill(self, A: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
-        # Both branches add the same squared differences in the same
-        # order.  A small table takes all of them in one broadcast call,
-        # which saves numpy call overhead (a one-row call, as in a
-        # detector step); a larger one goes coordinate by coordinate,
-        # which keeps its scratch a single table and so in cache.
-        if A.shape[0] * columns.size <= _BROADCAST_LIMIT:
-            squares = np.subtract(A.T[:, :, None], columns[:, None, :])
-            squares *= squares
-            sq = squares[0]
-            for k in range(1, columns.shape[0]):
-                sq += squares[k]
-            tmp = np.empty_like(sq)
-        else:
-            sq = np.subtract(A[:, :1], columns[0])
-            sq *= sq
-            tmp = np.empty_like(sq)
-            for k in range(1, columns.shape[0]):
-                np.subtract(A[:, k : k + 1], columns[k], out=tmp)
-                tmp *= tmp
-                sq += tmp
+    def _kernel_values(self, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Kernel values of the squared distances ``sq``, into ``out``
+        (a new array when None; never ``sq`` itself): each component's
+        ``w * exp(sq / (-2 * sigma**2))``, added in component order."""
+        out = np.empty_like(sq) if out is None else out
+        tmp = np.empty_like(sq) if len(self._terms) > 1 else None
         for j, (w, scale) in enumerate(self._terms):
-            np.divide(sq, scale, out=tmp)
-            np.exp(tmp, out=tmp)
-            if j == 0:
-                np.multiply(tmp, w, out=out)
-            else:
-                tmp *= w
-                out += tmp
+            part = out if j == 0 else tmp
+            np.divide(sq, scale, out=part)
+            np.exp(part, out=part)
+            part *= w
+            if j:
+                out += part
+        return out
 
     def gram_sum(self, a, b) -> float:
         """Exact sum of all entries of ``gram(a, b)``, rounded once.
@@ -332,9 +352,12 @@ class KernelSpec:
         distinct, _, counts = distinct_rows(as_points(points))
         return self._self_sum(distinct, counts)
 
-    def _self_sum(self, points: np.ndarray, counts: np.ndarray) -> float:
+    def _self_sum(
+        self, points: np.ndarray, counts: np.ndarray, distances=squared_distances
+    ) -> float:
         """:meth:`gram_sum` of ``points`` with itself, row i repeated
-        ``counts[i]`` times (the output of :func:`distinct_rows`).
+        ``counts[i]`` times (the output of :func:`distinct_rows`);
+        ``distances`` as in :meth:`_gram`.
 
         :meth:`gram` is symmetric bit for bit, since ``(x - y)**2`` equals
         ``(y - x)**2`` and both orders add the same squares in the same
@@ -345,11 +368,11 @@ class KernelSpec:
         once.  So ``fsum`` sees the exact total of the full matrix and
         rounds it to the bits of :meth:`gram_sum`.
         """
-        B = np.asfortranarray(points)
+        columns = np.ascontiguousarray(points.T)
         repeats = bool(counts.max() > 1)
         parts = []
         for rows in row_chunks(len(points), len(points)):
-            values = self.gram(points[rows], B[rows.start :])
+            values = self._gram(points[rows], columns[:, rows.start :], distances)
             weights = np.multiply.outer(counts[rows], counts[rows.start :]) if repeats else None
             diagonal = values.diagonal().copy()
             values[np.tril_indices(values.shape[0])] = 0.0  # left of the diagonal and on it

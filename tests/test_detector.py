@@ -236,6 +236,23 @@ def test_extend_of_an_ndarray_keeps_python_floats():
     assert type(fed.statistic) is float
 
 
+def test_extend_of_float32_scores_keeps_python_floats():
+    """``numpy.float32`` scores are read as Python floats: the sums are
+    kept in double precision, every statistic is a ``float`` with the
+    bits of the same scores as doubles, and the state survives a
+    snapshot round trip."""
+    scores = [np.float32(0.1), np.float32(0.2), np.float32(0.3)]
+    fed, listed = CusumStream(1), CusumStream(1)
+    got = fed.extend(scores)
+    assert bits(got) == bits(listed.extend([float(s) for s in scores]))
+    assert type(fed.statistic) is float and all(type(v) is float for v in got)
+    assert type(fed.update(np.float32(0.4))) is float
+    snapshot = fed.snapshot()
+    restored = CusumStream.from_snapshot(1, snapshot)
+    assert restored.snapshot() == snapshot and type(restored.statistic) is float
+    assert restored.update(0.5).hex() == fed.update(0.5).hex()
+
+
 def test_from_snapshot_rejects_inconsistent_state():
     steady = CusumStream(3)
     steady.extend([0.5, -1.0, 2.0, 0.25, 1.0, -0.5])
@@ -516,10 +533,10 @@ def test_scoring_groups_repeated_pairs(monkeypatch):
     rows_against_reference = []
     original = KernelSpec._gram
 
-    def recording(self, A, columns):
+    def recording(self, A, columns, *rest):
         if columns.shape[1] == m:
             rows_against_reference.append(A.shape[0])
-        return original(self, A, columns)
+        return original(self, A, columns, *rest)
 
     monkeypatch.setattr(KernelSpec, "_gram", recording)
     det = KernelCusumDetector(reference, config)
@@ -545,9 +562,9 @@ def counting_gram(monkeypatch):
     calls = []
     original = KernelSpec._gram
 
-    def recording(self, A, columns):
+    def recording(self, A, columns, *rest):
         calls.append((A.copy(), columns.shape[1]))
-        return original(self, A, columns)
+        return original(self, A, columns, *rest)
 
     monkeypatch.setattr(KernelSpec, "_gram", recording)
     return calls
@@ -624,7 +641,7 @@ def table_run(reference, config, data):
 def test_pair_table_stays_within_its_bound_on_continuous_data():
     """Monitored on 20 windows of continuous pairs, every pair is new to
     the table; it never holds more than ``2 * window`` ids.  The
-    discrepancies keep the digest they had before the table existed.
+    discrepancies keep a pinned digest, the one a band path gives too.
     A stretch that recurs 1.5 windows later brings back pairs the table
     still holds into blocks that make it rebuild."""
     reference = duplicated_reference()
@@ -636,7 +653,7 @@ def test_pair_table_stays_within_its_bound_on_continuous_data():
     values = [out.discrepancy for out in single if out.index is not None]
     assert len(values) == 20 * window - window + 1
     digest = hashlib.sha256("".join(v.hex() for v in values).encode()).hexdigest()
-    assert digest == "d306a23d45dede08044b6ea3591768a225022fa95176c4eb3c4a06575b934120"
+    assert digest == "9db97ed2355db23700d554a98b76522548cccf7b43b6654e53227d62d399ebd7"
     table_run(reference, config, np.concatenate([data[:100], data[85:93], data[100:]]))
 
 
@@ -775,6 +792,133 @@ def test_table_path_equals_band_path(window, coarse, data):
         assert rebuilds
 
 
+def pair_kernel(kernel, a, b):
+    """The detector's kernel between the lifted pair sets ``a`` and ``b``."""
+    return kernel._gram(a, np.ascontiguousarray(b.T), detector.pair_distances)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**16),
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 30),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_pair_kernel_is_the_lifted_gram(dim, seed, rows, cols, scale):
+    """A pair's squared distance is the sum of its halves' distances.  At
+    d = 1 the pair kernel is ``KernelSpec.gram`` of the lifted points bit
+    for bit, and at d = 2 and 4 it is within 2e-15 relative of it.  It
+    is symmetric, and a row or a column computed alone has the bits it
+    has in the whole table."""
+    rng = np.random.default_rng(seed)
+    kernel = KernelSpec.mixture([0.1 * scale, scale, 10.0 * scale])
+    a = lift(scale * rng.standard_normal((rows + 1, dim)))
+    b = lift(scale * rng.standard_normal((cols + 1, dim)))
+    got = pair_kernel(kernel, a, b)
+    want = kernel.gram(a, b)
+    if dim == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 2e-15 * want)
+    assert pair_kernel(kernel, b, a).T.tobytes() == got.tobytes()
+    i, j = rows // 2, cols // 3
+    assert pair_kernel(kernel, a[i : i + 1], b).tobytes() == got[i : i + 1].tobytes()
+    assert pair_kernel(kernel, a, b[j : j + 1]).tobytes() == got[:, j : j + 1].tobytes()
+
+
+def unchained_twin(reference):
+    """``reference`` held as pairs that do not chain: its first halves,
+    then its second halves, with offset ``n_pairs``."""
+    twin = ReferenceSet(kernel=reference.kernel, pairs=reference.pairs)
+    d = reference.point_dim
+    halves = np.concatenate((reference.pairs[:, :d], reference.pairs[:, d:]))
+    object.__setattr__(twin, "observations", np.asfortranarray(halves))
+    object.__setattr__(twin, "offset", reference.n_pairs)
+    return twin
+
+
+def test_reference_observations_chain_when_the_pairs_do():
+    """A lifted trajectory is held as its observations, offset 1; pairs
+    that do not chain, as their first and then their second halves,
+    offset ``n_pairs``.  Either way pair q is observations q and
+    q + offset."""
+    x, y = ar_data(60, 30), ar_data(61, 20)
+    kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
+    chained = build_reference(kernel, x)
+    assert chained.offset == 1 and np.array_equal(chained.observations, x)
+    joined = ReferenceSet(kernel=kernel, pairs=np.concatenate((lift(x), lift(y))))
+    m = joined.n_pairs
+    assert joined.offset == m and joined.observations.shape == (2 * m, 2)
+    for reference in (chained, joined):
+        obs, off = reference.observations, reference.offset
+        assert np.array_equal(np.hstack((obs[: reference.n_pairs], obs[off:])), reference.pairs)
+        assert obs.T.flags.c_contiguous and not obs.flags.writeable
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([1, 2, 4]),
+    window=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    cuts=st.lists(st.integers(1, 79), max_size=5),
+)
+def test_chained_and_unchained_references_score_alike(dim, window, seed, cuts):
+    """A lifted reference, held as a chain, and its twin held as unchained
+    pairs give the same outcomes bit for bit, in a step loop and in
+    blocks, and their cross sums are the pair kernel's row sums against
+    the reference, bit for bit."""
+    reference = build_reference(KernelSpec.mixture([0.1, 1.0, 10.0]), ar_data(seed, 41, dim))
+    twin = unchained_twin(reference)
+    assert reference.offset == 1 and twin.offset == reference.n_pairs
+    config = DetectorConfig(window=window, min_sample=2, threshold=0.5, correction=0.05)
+    stream = ar_data(seed + 1, 80, dim)
+    det = KernelCusumDetector(reference, config)
+    single = [det.step(row) for row in stream]
+    twin_det = KernelCusumDetector(twin, config)
+    bounds = [0, *sorted(set(cuts)), len(stream)]
+    assert [out for lo, hi in zip(bounds, bounds[1:]) for out in twin_det.extend(stream[lo:hi])] == single
+    for scorer in (det._scorer, twin_det._scorer):
+        held = scorer._end - 1  # pairs in the buffers since the last move
+        pairs = scorer._lifted[:held]
+        want = np.add.reduce(pair_kernel(reference.kernel, pairs, reference.pairs), axis=1)
+        assert scorer._cross[:held].tobytes() == want.tobytes()
+
+
+def test_a_continuous_step_measures_one_new_observation(monkeypatch):
+    """On continuous data a step measures only its new observation, in
+    one call: its distances to the m + 1 reference observations and to
+    itself and its ``window - 1`` predecessors, d coordinates each.  The
+    pair that the previous observation began is not measured again, and
+    its cross row and band row are evaluated in one kernel pass."""
+    reference = build_reference(KernelSpec.mixture([0.1, 1.0, 10.0]), ar_data(62, 41, dim=4))
+    m, window = reference.n_pairs, 7
+    config = DetectorConfig(window=window, min_sample=2, threshold=50.0, correction=0.05)
+    data = ar_data(63, 60, dim=4)
+    det = KernelCusumDetector(reference, config)
+    det.extend(data[:30])
+    measured, passes = [], []
+    distances, values = detector.squared_distances, KernelSpec._kernel_values
+
+    def counting_distances(A, columns):
+        out = distances(A, columns)
+        measured.append((A.shape, out.size))
+        return out
+
+    def counting_values(self, sq, out=None):
+        passes.append(sq.size)
+        return values(self, sq, out)
+
+    monkeypatch.setattr(detector, "squared_distances", counting_distances)
+    monkeypatch.setattr(KernelSpec, "_kernel_values", counting_values)
+    for row in data[30:]:
+        measured.clear()
+        passes.clear()
+        det.step(row)
+        assert measured == [((1, 4), m + 1 + window)]
+        assert passes == [m + window]
+
+
 def test_alarm_latches_and_reset_clears():
     kernel, reference = make_reference(seed=5)
     # Tiny threshold and zero correction: shifted data alarms quickly.
@@ -865,28 +1009,35 @@ def test_restore_rejects_another_reference():
     KernelCusumDetector.restore(rebuilt, config, blob)
 
 
-@pytest.mark.parametrize("shift", [1e2, 1e4])
+@pytest.mark.parametrize("shift", [1e2, 1e4, 1e6])
 def test_discrepancies_are_translation_invariant(shift):
     """Shifting the reference, holdout and monitored data by one constant
-    leaves the calibration level and every discrepancy within 1e-9."""
-    rng = np.random.default_rng(32)
+    leaves the calibration level and every discrepancy within 1e-9, in
+    dimensions 2 and 4: in a step loop, whose observation rows are
+    cached from step to step, and across a restore in mid-stream, which
+    rebuilds them."""
     kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
-    ref_obs = 0.3 * rng.standard_normal((301, 2))
-    holdout = 0.3 * rng.standard_normal((150, 2))
-    monitored = 0.3 * rng.standard_normal((120, 2))
-    monitored[60:] *= 2.0
 
-    def run(offset):
+    def run(dim, offset):
+        rng = np.random.default_rng(32)
+        ref_obs = 0.3 * rng.standard_normal((301, dim))
+        holdout = 0.3 * rng.standard_normal((150, dim))
+        monitored = 0.3 * rng.standard_normal((120, dim))
+        monitored[60:] *= 2.0
         reference = build_reference(kernel, ref_obs + offset)
         cal = calibrate_correction(reference, holdout + offset, window=20)
         config = DetectorConfig(window=20, min_sample=5, threshold=5.0, correction=cal.correction)
-        outs = KernelCusumDetector(reference, config).extend(monitored + offset)
+        det = KernelCusumDetector(reference, config)
+        outs = [det.step(row) for row in monitored[:50] + offset]
+        det = KernelCusumDetector.restore(reference, config, det.checkpoint())
+        outs += [det.step(row) for row in monitored[50:] + offset]
         return cal.holdout_level, np.array([o.discrepancy for o in outs if o.index is not None])
 
-    level, values = run(0.0)
-    shifted_level, shifted_values = run(shift)
-    assert abs(shifted_level - level) <= 1e-9
-    assert np.max(np.abs(shifted_values - values)) <= 1e-9
+    for dim in (2, 4):
+        level, values = run(dim, 0.0)
+        shifted_level, shifted_values = run(dim, shift)
+        assert abs(shifted_level - level) <= 1e-9, dim
+        assert np.max(np.abs(shifted_values - values)) <= 1e-9, dim
 
 
 def test_checkpoint_preserves_alarm_index():

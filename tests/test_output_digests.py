@@ -105,14 +105,14 @@ formats = csv
 """
 
 CSV_TRACE_DIGESTS = {
-    "trace.csv": "0aed7a629233b1b228b8f3a67b872e5014a571f4d90007325a466c9af58ef602",
+    "trace.csv": "5ffb6718bfa8b770e337aabe8574e127e274821f5fe3fd0879231a3dcbf888f9",
     "notes.txt": "ccfe173c9c96ac28c52a3b8be1785208d5593e112cff52c0276a605ef78b8936",
     "bounds.txt": "ed4e08e48e8b81097e8218670ebc305642071acef47fb877c3679fbcc55f8ca4",
 }
 
 CHECKPOINT_DIGESTS = {
     "warm-up": "873dc97a3e517efb13c3e14900d5ec5396fd8df864e833b95f35dcc3cbbd08e9",
-    "steady": "9026c013d22901c44ad0f876a9fdb64fb178974e436610099b8f5b75f5939671",
+    "steady": "e50f95c179dd39bd566d862b8a12914fb691e730b951cb758cc6d09051a8bd9c",
 }
 
 PINNED = {
