@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import DoeblinParams, buffer_doeblin
-from .detector import scorer_floats
+from .detector import reference_floats, scorer_floats
 from .kernels import KernelSpec, as_points
 from .simulate import (
     ArScenario, FiniteChain, FiniteScenario, GaussianLaw, default_system_matrix, doeblin_of_finite,
@@ -464,7 +464,10 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     - ``detector.window``: the block scorer's buffers and, on a finite
       chain, its pair table (:func:`~kcusum.detector.scorer_floats`);
     - ``detector.reference``: the ``reference - 1`` lifted pairs of
-      ``2 * dim`` floats;
+      ``2 * dim`` floats, the copy of them made while the self-term is
+      built, the ``reference`` observations of ``dim`` floats and, on
+      continuous data, the scorer's copy of them followed by ``window``
+      lags (:func:`~kcusum.detector.reference_floats`);
     - ``detector.holdout``, when calibrating: the holdout trajectory of
       ``holdout * dim`` floats;
     - ``scenario.length``, in a trace: its trajectory of ``length * dim``
@@ -475,10 +478,12 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     process, det = cfg.scenario.process, cfg.detector
-    floats = [("detector", "window", scorer_floats(det.window, cfg.scenario.kind == "finite"))]
+    table = cfg.scenario.kind == "finite"
+    floats = [("detector", "window", scorer_floats(det.window, table))]
     if process is not None:
         dim = process.dim
-        floats.append(("detector", "reference", (det.reference - 1) * 2 * dim))
+        floats.append(("detector", "reference",
+                       reference_floats(det.reference - 1, dim, det.window, table)))
         if det.correction == "calibrate":
             floats.append(("detector", "holdout", det.holdout * dim))
         if cfg.campaign.mode == "trace":

@@ -45,8 +45,14 @@ observations' rows, and one exponential pass turns both into kernel
 values.  So a step measures ``n_pairs + 1 + window`` distances of d
 coordinates, where measuring whole pairs took ``n_pairs + window`` of
 2d.  The reference self-term comes from :meth:`KernelSpec._self_sum
-<kcusum.kernels.KernelSpec._self_sum>` with the same pair distances; it
-evaluates the upper triangle of the reference Gram matrix only.
+<kcusum.kernels.KernelSpec._self_sum>`, which evaluates the upper
+triangle of the reference Gram matrix only, with the same pair
+distances.  A lifted reference measures them through its observations
+too (:func:`chained_distances`): a chunk of pairs takes one table of
+observation distances, whose entries, shifted by one row and one
+column, give both halves of every pair distance.  So the self-term
+measures about m^2 / 2 distances of d coordinates, where measuring
+whole pairs took m^2 / 2 of 2d.
 
 Where the band rows and cross sums come from depends on the reference.
 When it repeats pairs, as a finite chain's does (a chain with n states
@@ -123,11 +129,17 @@ class ReferenceSet:
 
     ``self_mean`` is the mean of the full reference-by-reference Gram
     matrix; it enters every windowed discrepancy, so it is computed once
-    here, exactly rounded, from the upper triangle of the distinct pairs
-    (:meth:`KernelSpec._self_sum <kcusum.kernels.KernelSpec._self_sum>`
-    with :func:`pair_distances`): one error-free extraction, weighted by
-    the pair counts when pairs repeat, hands ``math.fsum`` a few exact
-    parts per chunk.
+    here, exactly rounded, from the upper triangle
+    (:meth:`KernelSpec._self_sum <kcusum.kernels.KernelSpec._self_sum>`):
+    one error-free extraction per chunk hands ``math.fsum`` a few exact
+    parts.  Pairs that chain and do not repeat, as a lifted trajectory's
+    on continuous data, are taken in their own order, and a chunk's pair
+    distances come from one table of observation distances
+    (:func:`chained_distances`).  Otherwise the distinct pairs are
+    taken, with :func:`pair_distances`, and their counts weight the
+    extraction.  Both give the bits of the same exact sum: each pair
+    distance adds the same two observation distances in the same order,
+    and the exact sum does not depend on the order of the rows.
 
     ``pairs`` is stored column-major as well.  ``digest`` is a SHA-256 of
     the kernel's weights and bandwidths and of the pairs; checkpoints
@@ -161,11 +173,16 @@ class ReferenceSet:
             digest.update(repr(arr.shape).encode())
             digest.update(arr.astype("<f8").tobytes())
         distinct, _, counts = distinct_rows(pairs)
-        total = self.kernel._self_sum(distinct, counts, pair_distances)
+        repeats = distinct.shape[0] < m
+        if offset == 1 and not repeats:
+            # every count is one, so the pairs serve in their own order
+            total = self.kernel._self_sum(pairs, counts, chained_distances)
+        else:
+            total = self.kernel._self_sum(distinct, counts, pair_distances)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "self_mean", total / (m * m))
         object.__setattr__(self, "digest", digest.hexdigest())
-        object.__setattr__(self, "repeats", distinct.shape[0] < m)
+        object.__setattr__(self, "repeats", repeats)
         object.__setattr__(self, "observations", observations)
         object.__setattr__(self, "offset", offset)
 
@@ -190,6 +207,20 @@ def pair_distances(A: np.ndarray, columns: np.ndarray) -> np.ndarray:
     sq = squared_distances(A[:, :d], columns[:d])
     sq += squared_distances(A[:, d:], columns[d:])
     return sq
+
+
+def chained_distances(A: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """:func:`pair_distances` of pairs that chain, rows and columns alike
+    (each pair's second half is the next pair's first, as in a run of a
+    lifted trajectory), from one table of their observations' distances:
+    n + 1 observations against k + 1 instead of n pairs against k, each
+    half.  Entry (i, j) adds the distance of observations i and j to
+    that of i + 1 and j + 1, the same two terms in the same order, so it
+    has :func:`pair_distances`' bits."""
+    d = A.shape[1] // 2
+    rows = np.concatenate((A[:, :d], A[-1:, d:]))
+    sq = squared_distances(rows, np.concatenate((columns[:d], columns[d:, -1:]), axis=1))
+    return sq[:-1, :-1] + sq[1:, 1:]
 
 
 def build_reference(kernel: KernelSpec, history) -> ReferenceSet:
@@ -376,6 +407,19 @@ def scorer_floats(window: int, table: bool) -> int:
     table's ``(2 * window + 1)**2`` kernel values.  The parser checks
     them against memory before a run allocates them."""
     return 3 * window * window + table * (2 * window + 1) ** 2
+
+
+def reference_floats(n_pairs: int, dim: int, window: int, table: bool) -> int:
+    """Floats held for a lifted reference of ``n_pairs`` pairs of
+    ``dim``-dimensional observations: its pairs, the copy of them that
+    :func:`~kcusum.kernels.distinct_rows` makes while the self-term is
+    built (at most all of them), its ``n_pairs + 1`` observations and,
+    in a :class:`_BlockScorer` of ``window`` pairs without an id
+    ``table``, ``_columns``, a copy of the observations followed by a
+    step's lags.  The parser checks them against memory together with
+    :func:`scorer_floats`."""
+    pairs, observations = 2 * n_pairs * dim, (n_pairs + 1) * dim
+    return 2 * pairs + observations + (not table) * (observations + window * dim)
 
 
 class _BlockScorer:

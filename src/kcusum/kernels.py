@@ -25,6 +25,13 @@ CHUNK_ENTRIES = 1 << 16
 # that ``squared_distances`` forms in one broadcast call.
 _BROADCAST_LIMIT = 1 << 14
 
+# Elements in numpy's ufunc buffer while ``squared_distances`` forms a
+# large table (the default is 8192).  numpy 2 copies a broadcast operand
+# through the buffer when a table row is shorter than the buffer, which
+# makes the row-minus-column differences several times slower than a
+# flat subtraction; rows longer than this buffer run unbuffered.
+_DIFFERENCE_BUFFER = 256
+
 # Largest coordinate magnitude a point may have.  Two points within it
 # differ by at most 2e150 per coordinate, so their squared distance is at
 # most 4e300 times the dimension: finite in any dimension below 4e7.
@@ -51,7 +58,7 @@ def squared_distances(A: np.ndarray, columns: np.ndarray) -> np.ndarray:
     order.  A small table takes all of them in one broadcast call, which
     saves numpy call overhead (one detector step); a larger one goes
     coordinate by coordinate, which keeps its scratch a single table and
-    so in cache.
+    so in cache, with a small ufunc buffer (:data:`_DIFFERENCE_BUFFER`).
     """
     if columns.ndim == 2:
         columns = columns[:, None, :]
@@ -62,13 +69,15 @@ def squared_distances(A: np.ndarray, columns: np.ndarray) -> np.ndarray:
         for k in range(1, A.shape[1]):
             sq += squares[k]
         return sq
-    sq = np.subtract(A[:, :1], columns[0])
-    sq *= sq
-    tmp = np.empty_like(sq)
-    for k in range(1, A.shape[1]):
-        np.subtract(A[:, k : k + 1], columns[k], out=tmp)
-        tmp *= tmp
-        sq += tmp
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(_DIFFERENCE_BUFFER)
+        sq = np.subtract(A[:, :1], columns[0])
+        sq *= sq
+        tmp = np.empty_like(sq)
+        for k in range(1, A.shape[1]):
+            np.subtract(A[:, k : k + 1], columns[k], out=tmp)
+            tmp *= tmp
+            sq += tmp
     return sq
 
 
@@ -109,7 +118,7 @@ def _exact_parts(values, weights=None) -> list:
     Weighted input of that kind, or a total weight of 2**50 or more,
     which leaves a pass too few bits, raises ``ValueError``.
     """
-    x = np.asarray(values, dtype=float).ravel()
+    x = np.array(values, dtype=float).ravel()  # a copy: the remainders overwrite it
     c = None if weights is None else np.asarray(weights).ravel()
     total = x.size if c is None else float(np.add.reduce(c, dtype=float))
     if not total < 2**50:
@@ -123,11 +132,12 @@ def _exact_parts(values, weights=None) -> list:
             raise ValueError(f"weighted exact sums take finite values below 2**{1023 - bits}")
         return x.tolist()
     parts = []
+    hi = np.empty_like(x)
     while top > 0.0:
         sigma = math.ldexp(1.0, bits + math.frexp(top)[1])
-        hi = x + sigma
+        np.add(x, sigma, out=hi)
         hi -= sigma  # two roundings: x + sigma is rounded before sigma goes
-        x = x - hi
+        x -= hi
         if c is not None:
             hi *= c
         parts.append(float(np.add.reduce(hi)))
@@ -255,7 +265,14 @@ class KernelSpec:
         return int(self.weights.shape[0])
 
     def eval(self, z1, z2) -> float:
-        """Kernel value between two single points (1-D vectors)."""
+        """Kernel value between two single points (1-D vectors).
+
+        This is the naive formula: the squared distance from ``np.dot``,
+        the components added by ``math.fsum``.  It shares no arithmetic
+        with :meth:`gram`, so tests use it as an independent check of
+        the batched path, and it may differ from ``gram``'s entry for
+        the same two points in the last bits.
+        """
         a = np.asarray(z1, dtype=float)
         b = np.asarray(z2, dtype=float)
         if a.ndim != 1 or b.ndim != 1:
@@ -356,7 +373,8 @@ class KernelSpec:
         self, points: np.ndarray, counts: np.ndarray, distances=squared_distances
     ) -> float:
         """:meth:`gram_sum` of ``points`` with itself, row i repeated
-        ``counts[i]`` times (the output of :func:`distinct_rows`);
+        ``counts[i]`` times (the output of :func:`distinct_rows`, or any
+        rows with their counts, all ones for rows that do not repeat);
         ``distances`` as in :meth:`_gram`.
 
         :meth:`gram` is symmetric bit for bit, since ``(x - y)**2`` equals
@@ -370,12 +388,17 @@ class KernelSpec:
         """
         columns = np.ascontiguousarray(points.T)
         repeats = bool(counts.max() > 1)
+        chunks = row_chunks(len(points), len(points))
+        # the first chunk is the tallest; a shorter one's lower triangle is
+        # a prefix of this one, which lists its entries row by row
+        lower = np.tril_indices(chunks[0].stop)
         parts = []
-        for rows in row_chunks(len(points), len(points)):
+        for rows in chunks:
             values = self._gram(points[rows], columns[:, rows.start :], distances)
             weights = np.multiply.outer(counts[rows], counts[rows.start :]) if repeats else None
             diagonal = values.diagonal().copy()
-            values[np.tril_indices(values.shape[0])] = 0.0  # left of the diagonal and on it
+            n = values.shape[0] * (values.shape[0] + 1) // 2
+            values[lower[0][:n], lower[1][:n]] = 0.0  # left of the diagonal and on it
             parts += [2.0 * part for part in _exact_parts(values, weights)]
             parts += _exact_parts(diagonal, None if weights is None else weights.diagonal())
         return math.fsum(parts)

@@ -671,6 +671,26 @@ def test_scorer_floats_state_the_scorer_buffers(window):
     )
 
 
+@pytest.mark.parametrize("window", [1, 5, 13])
+def test_reference_floats_state_the_reference_arrays(window):
+    """``reference_floats``, which the config parser checks against
+    memory, counts a lifted reference's pairs, the copy ``distinct_rows``
+    makes of them, its observations and a continuous scorer's
+    ``_columns``; on a finite chain, whose distinct pairs are few, the
+    copy is at most the pairs, and the scorer has no ``_columns``."""
+    kernel = KernelSpec.gaussian(1.0)
+    for reference in (build_reference(kernel, ar_data(3, 40)), two_state_setup()[0]):
+        scorer = detector._BlockScorer(reference, window)
+        table = scorer._table is not None
+        held = reference.pairs.nbytes + reference.observations.nbytes
+        if not table:
+            held += scorer._columns.nbytes
+        count = detector.reference_floats(reference.n_pairs, reference.point_dim, window, table)
+        copy = detector.distinct_rows(reference.pairs)[0].nbytes
+        assert 8 * count == held + (reference.pairs.nbytes if table else copy)
+        assert copy <= reference.pairs.nbytes
+
+
 def counting_rebuilds(patch):
     """Patch ``_PairTable._rebuild`` to record each call in the returned list."""
     rebuilds = []
@@ -917,6 +937,88 @@ def test_a_continuous_step_measures_one_new_observation(monkeypatch):
         det.step(row)
         assert measured == [((1, 4), m + 1 + window)]
         assert passes == [m + window]
+
+
+def pair_path_self_sum(reference):
+    """The reference self-term as the sum of the Gram matrix of the
+    distinct pairs, weighted by their counts, with :func:`pair_distances`
+    (the path every reference took before lifted references were measured
+    through their observations)."""
+    distinct, _, counts = detector.distinct_rows(reference.pairs)
+    return reference.kernel._self_sum(distinct, counts, detector.pair_distances)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([1, 2, 4]),
+    m=st.integers(1, 600),
+    bandwidths=st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0, 1e3]), min_size=1, max_size=3),
+    shift=st.sampled_from([0.0, -3.0, 1e6]),
+    seed=st.integers(0, 2**16),
+)
+@example(dim=4, m=600, bandwidths=[0.01, 1e3], shift=1e6, seed=0)  # several row chunks
+def test_lifted_reference_self_term_keeps_the_pair_path_bits(dim, m, bandwidths, shift, seed):
+    """The self-term of a lifted reference on continuous data, measured
+    through one table of observation distances per chunk, has the bits
+    of the pair path over the distinct pairs: its total equals that sum
+    and ``self_mean`` is that sum over m**2.  The same pairs in reverse
+    order, which do not chain, and a reference of a finite chain, which
+    repeats pairs, still take the pair path and give its bits."""
+    kernel = KernelSpec.mixture(bandwidths)
+    pairs = lift(ar_data(seed, m + 1, dim) + shift)
+    finite = lift(np.random.default_rng(seed).integers(0, 2, (m + 1, 1)) * np.ones(dim) + shift)
+    chained_distances = detector.chained_distances
+    references = []
+    for held in (pairs, pairs[::-1], finite):
+        chained = []
+
+        def recording(A, columns):
+            chained.append(A.shape[0])
+            return chained_distances(A, columns)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detector, "chained_distances", recording)
+            reference = ReferenceSet(kernel=kernel, pairs=held)
+        total = pair_path_self_sum(reference)
+        assert reference.self_mean == total / (m * m)
+        through_observations = reference.offset == 1 and not reference.repeats
+        assert sum(chained) == (m if through_observations else 0)
+        references.append(reference)
+    lifted = references[0]
+    assert lifted.offset == 1 and not lifted.repeats
+    assert references[1].offset == m or m == 1
+    if m > 8:  # a two-state chain has four distinct pairs
+        assert references[2].repeats
+    ones = np.ones(m, dtype=np.int64)
+    assert kernel._self_sum(lifted.pairs, ones, detector.chained_distances) == pair_path_self_sum(lifted)
+
+
+def test_a_lifted_reference_measures_each_observation_pair_once(monkeypatch):
+    """A 2000-pair lifted reference measures its self-term through a table
+    of observation distances per row chunk: at most the (m + 1)(m + 2) / 2
+    observation pairs of the triangle and one row of m + 1 per chunk, all
+    of d coordinates.  The same pairs in reverse order do not chain and
+    measure both halves of every pair of the triangle, about twice that."""
+    measured = []
+    distances = detector.squared_distances
+
+    def counting(A, columns):
+        out = distances(A, columns)
+        measured.append((A.shape[1], out.size))
+        return out
+
+    monkeypatch.setattr(detector, "squared_distances", counting)
+    kernel = KernelSpec.mixture([0.1, 1.0, 10.0])
+    reference = build_reference(kernel, ar_data(7, 2001, dim=4))
+    m = reference.n_pairs
+    chunks = len(detector.row_chunks(m, m))
+    assert {width for width, _ in measured} == {4}
+    assert sum(size for _, size in measured) <= (m + 1) * (m + 2) // 2 + chunks * (m + 1)
+    measured.clear()
+    reversed_pairs = ReferenceSet(kernel=kernel, pairs=reference.pairs[::-1])
+    assert reversed_pairs.offset == m and reversed_pairs.self_mean == reference.self_mean
+    assert {width for width, _ in measured} == {4}
+    assert sum(size for _, size in measured) >= m * (m + 1)
 
 
 def test_alarm_latches_and_reset_clears():

@@ -1069,21 +1069,42 @@ def test_cli_unwritable_output_exit_1(tmp_path, capsys, command, blocked):
     assert f"config error: output.directory: cannot write {out / blocked}: " in captured.err
 
 
-def test_arrays_held_together_must_fit_in_memory(monkeypatch):
-    """On a finite chain the scorer's lag rows (3 * window**2 floats) and
-    its pair table ((2 * window + 1)**2) are held together with the
-    reference pairs and a trace's trajectory.  Memory above the largest
-    of them but below their sum rejects the config, naming the window,
-    which has the largest share; nothing is allocated."""
-    text = finite_config(window="1000")
-    table, lags = 2001**2, 3 * 1000**2
-    held = table + lags + 39 * 2 + 60  # the 39 lifted pairs and 60 observations
-    message = f"detector.window: needs {8 * (table + lags)} of the {8 * held} bytes a run holds"
-    for pages, fits in ((table + 1, False), (held - 1, False), (held, True)):
+# (key named, its floats, floats held in all) for a finite chain whose
+# window dominates and for a d = 4 AR run whose reference dominates
+FINITE_WINDOW = 2001**2 + 3 * 1000**2  # the pair table and the lag rows
+AR_REFERENCE = (
+    2 * 99_999 * 8  # the lifted pairs and the copy made while the self-term is built
+    + 100_000 * 4  # the reference observations
+    + (100_000 + 50) * 4  # the scorer's copy of them, then a step's 50 lags
+)
+
+
+@pytest.mark.parametrize(
+    "text, key, count, held",
+    [
+        (finite_config(window="1000"), "detector.window", FINITE_WINDOW,
+         # the 39 lifted pairs and their copy, 40 reference and 60 trace observations
+         FINITE_WINDOW + 2 * 39 * 2 + 40 + 60),
+        (MINIMAL.replace("[detector]", "[detector]\nreference = 100000"), "detector.reference",
+         # the lag rows, the holdout and the trace of 1000 and 2000 observations
+         AR_REFERENCE, AR_REFERENCE + 3 * 50**2 + 1000 * 4 + 2000 * 4),
+    ],
+    ids=["finite", "ar"],
+)
+def test_arrays_held_together_must_fit_in_memory(monkeypatch, text, key, count, held):
+    """A run holds together the scorer's lag rows (3 * window**2 floats)
+    and, on a finite chain, its pair table ((2 * window + 1)**2); the
+    reference pairs, their copy, the reference observations and, on
+    continuous data, the scorer's copy of those; the holdout when
+    calibrating and a trace's trajectory.  Memory from the largest of
+    them to one float below their sum rejects the config, naming the key
+    with the largest share; nothing is allocated."""
+    message = f"{key}: needs {8 * count} of the {8 * held} bytes a run holds"
+    for pages, fits in ((count, False), (held - 1, False), (held, True)):
         memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": pages}
         monkeypatch.setattr(os, "sysconf", memory.__getitem__)
         if fits:
-            assert parse_config_text(text).detector.window == 1000
+            parse_config_text(text)
         else:
             with pytest.raises(ConfigError, match=message):
                 parse_config_text(text)

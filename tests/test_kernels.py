@@ -84,7 +84,9 @@ def test_gram_rows_do_not_depend_on_the_batch():
     rng = np.random.default_rng(30)
     k = KernelSpec.mixture([0.1, 1.0, 10.0])
     a, b = rng.standard_normal((70, 4)), rng.standard_normal((3000, 4))
+    bufsize = np.getbufsize()
     g = k.gram(a, b)
+    assert np.getbufsize() == bufsize  # the many-row table restores numpy's buffer size
     sums = g.sum(axis=1)
     for i in range(70):
         row = k.gram(a[i : i + 1], b)[0]
