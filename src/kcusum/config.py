@@ -464,10 +464,11 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     - ``detector.window``: the block scorer's buffers and, on a finite
       chain, its pair table (:func:`~kcusum.detector.scorer_floats`);
     - ``detector.reference``: the ``reference - 1`` lifted pairs of
-      ``2 * dim`` floats, the copy of them made while the self-term is
-      built, the ``reference`` observations of ``dim`` floats and, on
-      continuous data, the scorer's copy of them followed by ``window``
-      lags (:func:`~kcusum.detector.reference_floats`);
+      ``2 * dim`` floats, the peak of grouping them while the self-term
+      is built (four copies and seven floats per pair), the
+      ``reference`` observations of ``dim`` floats and, on continuous
+      data, the scorer's copy of them followed by ``window`` lags
+      (:func:`~kcusum.detector.reference_floats`);
     - ``detector.holdout``, when calibrating: the holdout trajectory of
       ``holdout * dim`` floats;
     - ``scenario.length``, in a trace: its trajectory of ``length * dim``

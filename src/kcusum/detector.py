@@ -411,15 +411,17 @@ def scorer_floats(window: int, table: bool) -> int:
 
 def reference_floats(n_pairs: int, dim: int, window: int, table: bool) -> int:
     """Floats held for a lifted reference of ``n_pairs`` pairs of
-    ``dim``-dimensional observations: its pairs, the copy of them that
-    :func:`~kcusum.kernels.distinct_rows` makes while the self-term is
-    built (at most all of them), its ``n_pairs + 1`` observations and,
-    in a :class:`_BlockScorer` of ``window`` pairs without an id
-    ``table``, ``_columns``, a copy of the observations followed by a
-    step's lags.  The parser checks them against memory together with
-    :func:`scorer_floats`."""
+    ``dim``-dimensional observations: its pairs; the peak of
+    :func:`~kcusum.kernels.distinct_rows` while the self-term is built,
+    four copies of the pairs and seven floats per pair of index arrays
+    (by ``tracemalloc``, 7.1 times the pairs' bytes at ``dim`` 1); its
+    ``n_pairs + 1`` observations and, in a :class:`_BlockScorer` of
+    ``window`` pairs without an id ``table``, ``_columns``, a copy of
+    the observations followed by a step's lags.  The parser checks them
+    against memory together with :func:`scorer_floats`."""
     pairs, observations = 2 * n_pairs * dim, (n_pairs + 1) * dim
-    return 2 * pairs + observations + (not table) * (observations + window * dim)
+    distinct_peak = 4 * pairs + 7 * n_pairs
+    return pairs + distinct_peak + observations + (not table) * (observations + window * dim)
 
 
 class _BlockScorer:

@@ -14,9 +14,10 @@ stream 16 + i        monitored trajectory of replication i
 
 Simulated data follows ``scenario.process``, resized to the length each
 use needs; reference and holdout data follow its ``before_change()``
-law.  Campaign replications run one after another in index order.
-Rerunning with the same config and seed reproduces every CSV byte for
-byte.
+law.  Every simulated observation is drawn by one generator,
+:func:`_draw`.  Campaign replications run one after another in index
+order.  Rerunning with the same config and seed reproduces every CSV
+byte for byte.
 
 Clock conventions
 -----------------
@@ -47,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -57,14 +59,7 @@ from .detector import (
 )
 from .kernels import COORDINATE_LIMIT
 from .mmd import consistency_bound
-from .simulate import (
-    FiniteScenario,
-    ar_blocks,
-    finite_blocks,
-    load_trajectory,
-    simulate_ar,
-    simulate_finite_scenario,
-)
+from .simulate import load_trajectory
 
 __all__ = [
     "REFERENCE_STREAM",
@@ -137,9 +132,8 @@ class HarnessContext:
 
     The kernel is ``reference.kernel``.  ``monitored`` holds the rows of
     a ``csv`` scenario after its reference and holdout parts; it is None
-    for synthesised scenarios, whose monitored data is simulated per run
-    from ``scenario.process``, resized by :func:`_scenario`.
-    The inputs of the closed-form bounds are ``cfg.bounds``.
+    for synthesised scenarios, whose monitored data is drawn per run by
+    :func:`_draw`.  The inputs of the closed-form bounds are ``cfg.bounds``.
     """
 
     reference: ReferenceSet
@@ -166,30 +160,42 @@ def _scenario(cfg: ExperimentConfig, length: int, pre_change: bool = False):
     return replace(process.before_change() if pre_change else process, length=length)
 
 
+def _draw(
+    cfg: ExperimentConfig, length: int, seed: int, stream: int, size: int | None = None,
+    pre_change: bool = False,
+) -> Iterator[np.ndarray]:
+    """The trajectory of :func:`_scenario` on ``stream``, drawn in blocks
+    of ``size`` observations (``None``: one block), each checked by
+    :func:`_finite`.  Every simulated observation the harness uses is
+    drawn here."""
+    scenario = _scenario(cfg, length, pre_change)
+    first = 1
+    for block in scenario.blocks(seed, stream, size):
+        yield _finite(cfg, scenario, block, first)
+        first += block.shape[0]
+
+
 def _trajectory(
     cfg: ExperimentConfig, length: int, seed: int, stream: int, pre_change: bool = False
 ) -> np.ndarray:
-    """One whole synthesised trajectory of :func:`_scenario`."""
-    scenario = _scenario(cfg, length, pre_change)
-    simulate = simulate_finite_scenario if isinstance(scenario, FiniteScenario) else simulate_ar
-    return _finite(cfg, simulate(scenario, seed, stream), 1, pre_change)
+    """One whole synthesised trajectory: the single block of :func:`_draw`."""
+    (trajectory,) = _draw(cfg, length, seed, stream, None, pre_change)
+    return trajectory
 
 
-def _finite(
-    cfg: ExperimentConfig, rows: np.ndarray, first: int, pre_change: bool = False
-) -> np.ndarray:
-    """``rows``, observations ``first``, ``first + 1``, ... of a simulated
-    trajectory, checked to lie within :data:`COORDINATE_LIMIT`.  Huge
+def _finite(cfg: ExperimentConfig, scenario, rows: np.ndarray, first: int) -> np.ndarray:
+    """``rows``, observations ``first``, ``first + 1``, ... of a trajectory
+    of ``scenario``, checked to lie within :data:`COORDINATE_LIMIT`.  Huge
     noise or matrix entries can overflow the AR recursion; the error
-    names the noise key of the law in effect at the first row outside."""
+    names the noise key of the law in effect at the first row outside
+    (the pre-change law has no ``change_at``)."""
     inside = np.abs(rows) <= COORDINATE_LIMIT
     if inside.all():
         return rows
     g = first + int(np.argmin(inside.all(axis=1)))
-    scn = cfg.scenario
     key = "pre_variance"
-    if not pre_change and scn.change_at is not None and g > scn.change_at:
-        key = "post_mean" if scn.kind == "ar-mean" else "post_variance"
+    if scenario.change_at is not None and g > scenario.change_at:
+        key = "post_mean" if cfg.scenario.kind == "ar-mean" else "post_variance"
     raise ConfigError(
         f"scenario.{key}: the simulated trajectory overflows +-{COORDINATE_LIMIT:g} at "
         f"observation {g}; smaller noise or scenario.matrix entries keep it inside"
@@ -347,24 +353,19 @@ def _crossing_times(series, thresholds) -> list:
 def _replication_hits(cfg: ExperimentConfig, context: HarnessContext, length: int, i: int) -> list:
     """Crossing times of replication ``i`` on a ``length``-step trajectory.
 
-    The trajectory is simulated and scored one block of ``window``
-    observations at a time, and the search for crossings carries over
-    from block to block.  Once every threshold has been crossed no later
-    statistic can change a crossing, so the replication stops after that
-    block: it draws and scores at most ``window - 1`` statistics past its
-    last crossing.  The scorer is batch-invariant, so the crossings are
-    those of the whole trajectory scored at once.
+    The trajectory is drawn (:func:`_draw`) and scored one block of
+    ``window`` observations at a time, and the search for crossings
+    carries over from block to block.  Once every threshold has been
+    crossed no later statistic can change a crossing, so the replication
+    stops after that block: it draws and scores at most ``window - 1``
+    statistics past its last crossing.  The scorer is batch-invariant,
+    so the crossings are those of the whole trajectory scored at once.
     """
     thresholds = cfg.campaign.thresholds
     det = cfg.detector
     scorer, cusum = _BlockScorer(context.reference, det.window), CusumStream(det.min_sample)
-    scenario = _scenario(cfg, length)
-    blocks = finite_blocks if isinstance(scenario, FiniteScenario) else ar_blocks
-    stream = REPLICATION_STREAM_BASE + i
-    hits, first = [], 1
-    for block in blocks(scenario, cfg.campaign.seed, stream, det.window):
-        _finite(cfg, block, first)
-        first += block.shape[0]
+    hits = []
+    for block in _draw(cfg, length, cfg.campaign.seed, REPLICATION_STREAM_BASE + i, det.window):
         _, _, statistics = score_series(scorer, cusum, block, context.correction)
         before = cusum.n - len(statistics)
         found = _crossing_times(statistics, thresholds[len(hits):])

@@ -1,8 +1,9 @@
 """Data generators: linear state-space chains and finite-state chains.
 
-Both generators use counter-based random streams (Philox keyed by
-``(seed, stream)``), so any replication of a campaign can be regenerated
-in isolation and results never depend on scheduling order.
+Each scenario draws its trajectory in blocks (:meth:`ArScenario.blocks`,
+:meth:`FiniteScenario.blocks`) from counter-based random streams (Philox
+keyed by ``(seed, stream)``), so any replication of a campaign can be
+regenerated in isolation and results never depend on scheduling order.
 
 The finite-chain half also provides exact population quantities
 (stationary law, pair-distribution discrepancy, minorisation constants)
@@ -26,13 +27,11 @@ __all__ = [
     "stream_rng",
     "GaussianLaw",
     "ArScenario",
-    "ar_blocks",
     "simulate_ar",
     "default_system_matrix",
     "FiniteChain",
     "FiniteScenario",
     "stationary_distribution",
-    "finite_blocks",
     "simulate_finite",
     "simulate_finite_scenario",
     "exact_mmd_finite",
@@ -127,7 +126,8 @@ class ArScenario:
     when ``g > change_at``.  ``change_at=None`` means the change never
     happens; because the underlying normal draws are consumed identically
     either way, ``change_at`` larger than ``length`` is bit-identical to
-    no change at all.  :meth:`before_change` is the pre-change law.
+    no change at all.  :meth:`blocks` draws a trajectory, and
+    :meth:`before_change` is the pre-change law.
     """
 
     matrix: np.ndarray
@@ -173,31 +173,28 @@ class ArScenario:
         """This scenario with the change dropped: the pre-change law."""
         return replace(self, post_noise=None, change_at=None)
 
+    def blocks(self, seed: int, stream: int = 0, size: int | None = None) -> Iterator[np.ndarray]:
+        """Yield one trajectory as consecutive ``(size, dim)`` blocks.
 
-def ar_blocks(
-    scenario: ArScenario, seed: int, stream: int = 0, size: int | None = None
-) -> Iterator[np.ndarray]:
-    """Yield one trajectory as consecutive ``(size, dim)`` blocks.
-
-    Starts from the origin and discards ``burn_in`` steps so the output
-    is close to stationary; ``size=None`` yields the whole trajectory as
-    one block, and the last block may be shorter than ``size``.  The
-    state and the generator ``stream_rng(seed, stream)`` carry over from
-    block to block, and each block draws only its own standard normals.
-    Chunked Philox draws equal one call, and :meth:`GaussianLaw.transform`
-    maps rows one by one, so the blocks join into the same trajectory
-    however it is cut, and a caller that stops early draws no more.
-    """
-    length = scenario.length
-    size = length if size is None else _block_size(size)
-    rng = stream_rng(seed, stream)
-    x = np.zeros(scenario.dim)
-    for start in range(-scenario.burn_in, 0, size):
-        x = _ar_rows(scenario, rng, x, start, min(size, -start))[-1]
-    for start in range(0, length, size):
-        rows = _ar_rows(scenario, rng, x, start, min(size, length - start))
-        x = rows[-1].copy()  # the caller may write to its block
-        yield rows
+        Starts from the origin and discards ``burn_in`` steps so the output
+        is close to stationary; ``size=None`` yields the whole trajectory as
+        one block, and the last block may be shorter than ``size``.  The
+        state and the generator ``stream_rng(seed, stream)`` carry over from
+        block to block, and each block draws only its own standard normals.
+        Chunked Philox draws equal one call, and :meth:`GaussianLaw.transform`
+        maps rows one by one, so the blocks join into the same trajectory
+        however it is cut, and a caller that stops early draws no more.
+        """
+        length = self.length
+        size = length if size is None else _block_size(size)
+        rng = stream_rng(seed, stream)
+        x = np.zeros(self.dim)
+        for start in range(-self.burn_in, 0, size):
+            x = _ar_rows(self, rng, x, start, min(size, -start))[-1]
+        for start in range(0, length, size):
+            rows = _ar_rows(self, rng, x, start, min(size, length - start))
+            x = rows[-1].copy()  # the caller may write to its block
+            yield rows
 
 
 def _ar_rows(
@@ -225,8 +222,8 @@ def _ar_rows(
 
 def simulate_ar(scenario: ArScenario, seed: int, stream: int = 0) -> np.ndarray:
     """One trajectory of ``scenario``, shape ``(length, dim)``: the blocks
-    of :func:`ar_blocks` joined."""
-    return np.concatenate(list(ar_blocks(scenario, seed, stream)))
+    of :meth:`ArScenario.blocks` joined."""
+    return np.concatenate(list(scenario.blocks(seed, stream)))
 
 
 def _block_size(size) -> int:
@@ -353,7 +350,7 @@ def simulate_finite(
     burn-in is needed.  It is the scenario whose chain never changes.
     """
     scenario = FiniteScenario(pre=chain, post=chain, change_at=None, length=length)
-    return np.concatenate(list(finite_blocks(scenario, seed, stream)))
+    return np.concatenate(list(scenario.blocks(seed, stream)))
 
 
 @dataclass(frozen=True)
@@ -364,9 +361,10 @@ class FiniteScenario:
     (1-based) is produced by the post-change matrix exactly when
     ``g > change_at``; ``change_at=None`` means the change never
     happens, which is bit-identical to any ``change_at >= length``.
-    The initial state is a stationary draw of the pre-change chain, and
-    :meth:`before_change` is the pre-change law.  The parser builds one
-    as ``scenario.process`` of a ``kind = finite`` config.
+    The initial state is a stationary draw of the pre-change chain,
+    :meth:`before_change` is the pre-change law, and :meth:`blocks`
+    draws a trajectory.  The parser builds one as ``scenario.process``
+    of a ``kind = finite`` config.
     """
 
     pre: FiniteChain
@@ -390,59 +388,56 @@ class FiniteScenario:
         """This scenario with the change dropped: the pre-change law."""
         return replace(self, post=self.pre, change_at=None)
 
+    def blocks(self, seed: int, stream: int = 0, size: int | None = None) -> Iterator[np.ndarray]:
+        """Yield the trajectory as consecutive ``(size, dim)`` blocks of
+        embedded states (``size=None``: one block).
 
-def finite_blocks(
-    scenario: FiniteScenario, seed: int, stream: int = 0, size: int | None = None
-) -> Iterator[np.ndarray]:
-    """Yield the trajectory of ``scenario`` as consecutive ``(size, dim)``
-    blocks of embedded states (``size=None``: one block).
-
-    Observation 1 is a stationary draw of the pre-change chain; the step
-    into observation g inverts one uniform draw on the current state's
-    cumulative row of the post-change matrix when ``g > change_at`` and
-    of the pre-change one otherwise (always, when ``change_at`` is
-    None).  Each block draws only its own uniforms from
-    ``stream_rng(seed, stream)`` and inverts every draw against every
-    row at once, so the loop only looks the next state up; the state
-    carries over, and the blocks join into the same path however it is
-    cut.
-    """
-    length = scenario.length
-    size = length if size is None else _block_size(size)
-    rng = stream_rng(seed, stream)
-    pre, post = scenario.pre.matrix, scenario.post.matrix
-    n = scenario.pre.n_states
-    top = n - 1
-    state = None
-    for start in range(0, length, size):
-        u = rng.random(min(size, length - start))
-        path = []
-        first = 0
-        if state is None:
-            pi = stationary_distribution(scenario.pre)
-            # clamp guards the (round-off) case u >= cumulative total
-            state = min(int(np.searchsorted(np.cumsum(pi), u[0], side="right")), top)
-            path.append(state)
-            first = 1
-        # draw j of the path moves into observation j + 1, so draws from
-        # ``change_at`` on use post
-        split = len(u)
-        if scenario.change_at is not None:
-            split = min(max(scenario.change_at - start, first), split)
-        moves = (_next_states(pre, u[first:split], top), _next_states(post, u[split:], top))
-        flat = np.concatenate(moves).ravel().tolist()
-        for base in range(0, len(flat), n):
-            state = flat[base + state]
-            path.append(state)
-        yield scenario.pre.states[path]
+        Observation 1 is a stationary draw of the pre-change chain; the step
+        into observation g inverts one uniform draw on the current state's
+        cumulative row of the post-change matrix when ``g > change_at`` and
+        of the pre-change one otherwise (always, when ``change_at`` is
+        None).  Each block draws only its own uniforms from
+        ``stream_rng(seed, stream)`` and inverts every draw against every
+        row at once, so the loop only looks the next state up; the state
+        carries over, and the blocks join into the same path however it is
+        cut.
+        """
+        length = self.length
+        size = length if size is None else _block_size(size)
+        rng = stream_rng(seed, stream)
+        pre, post = self.pre.matrix, self.post.matrix
+        n = self.pre.n_states
+        top = n - 1
+        state = None
+        for start in range(0, length, size):
+            u = rng.random(min(size, length - start))
+            path = []
+            first = 0
+            if state is None:
+                pi = stationary_distribution(self.pre)
+                # clamp guards the (round-off) case u >= cumulative total
+                state = min(int(np.searchsorted(np.cumsum(pi), u[0], side="right")), top)
+                path.append(state)
+                first = 1
+            # draw j of the path moves into observation j + 1, so draws from
+            # ``change_at`` on use post
+            split = len(u)
+            if self.change_at is not None:
+                split = min(max(self.change_at - start, first), split)
+            moves = (_next_states(pre, u[first:split], top), _next_states(post, u[split:], top))
+            flat = np.concatenate(moves).ravel().tolist()
+            for base in range(0, len(flat), n):
+                state = flat[base + state]
+                path.append(state)
+            yield self.pre.states[path]
 
 
 def simulate_finite_scenario(
     scenario: FiniteScenario, seed: int, stream: int = 0
 ) -> np.ndarray:
     """Trajectory for a :class:`FiniteScenario`, shape ``(length, dim)``:
-    the blocks of :func:`finite_blocks` joined."""
-    return np.concatenate(list(finite_blocks(scenario, seed, stream)))
+    the blocks of :meth:`FiniteScenario.blocks` joined."""
+    return np.concatenate(list(scenario.blocks(seed, stream)))
 
 
 def exact_mmd_finite(

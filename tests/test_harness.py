@@ -325,7 +325,8 @@ def test_scenario_process_per_kind(tmp_path):
 @pytest.mark.parametrize("text", [FINITE_BASE, MINIMAL.replace("ar-variance", "ar-mean\nchange_at = 9")])
 def test_harness_scenario_only_resizes_the_parsed_process(text):
     """``harness._scenario`` gives the trajectories of the constructions
-    it replaced, with and without the change, bit for bit."""
+    it replaced, with and without the change, bit for bit, and the blocks
+    of ``harness._draw`` join into that trajectory at every block size."""
     cfg = parse_config_text(text)
     process = cfg.scenario.process
     if isinstance(process, FiniteScenario):
@@ -342,6 +343,10 @@ def test_harness_scenario_only_resizes_the_parsed_process(text):
         got = harness._trajectory(cfg, 77, 5, 2, pre_change)
         simulate = simulate_finite_scenario if isinstance(process, FiniteScenario) else simulate_ar
         assert np.array_equal(got, simulate(by_hand, 5, 2))
+        for size in (1, 7, None):
+            blocks = list(harness._draw(cfg, 77, 5, 2, size, pre_change))
+            assert len(blocks) == math.ceil(77 / (size or 77))
+            assert np.array_equal(np.concatenate(blocks), got)
 
 
 def test_bounds_section_roundtrip():
@@ -1073,7 +1078,8 @@ def test_cli_unwritable_output_exit_1(tmp_path, capsys, command, blocked):
 # window dominates and for a d = 4 AR run whose reference dominates
 FINITE_WINDOW = 2001**2 + 3 * 1000**2  # the pair table and the lag rows
 AR_REFERENCE = (
-    2 * 99_999 * 8  # the lifted pairs and the copy made while the self-term is built
+    99_999 * 8  # the lifted pairs
+    + 99_999 * (4 * 8 + 7)  # grouping them for the self-term: four copies, seven index floats
     + 100_000 * 4  # the reference observations
     + (100_000 + 50) * 4  # the scorer's copy of them, then a step's 50 lags
 )
@@ -1083,8 +1089,9 @@ AR_REFERENCE = (
     "text, key, count, held",
     [
         (finite_config(window="1000"), "detector.window", FINITE_WINDOW,
-         # the 39 lifted pairs and their copy, 40 reference and 60 trace observations
-         FINITE_WINDOW + 2 * 39 * 2 + 40 + 60),
+         # the 39 lifted pairs, the peak of grouping them (four copies and seven
+         # index floats per pair), 40 reference and 60 trace observations
+         FINITE_WINDOW + 39 * 2 + 39 * (4 * 2 + 7) + 40 + 60),
         (MINIMAL.replace("[detector]", "[detector]\nreference = 100000"), "detector.reference",
          # the lag rows, the holdout and the trace of 1000 and 2000 observations
          AR_REFERENCE, AR_REFERENCE + 3 * 50**2 + 1000 * 4 + 2000 * 4),
@@ -1094,11 +1101,12 @@ AR_REFERENCE = (
 def test_arrays_held_together_must_fit_in_memory(monkeypatch, text, key, count, held):
     """A run holds together the scorer's lag rows (3 * window**2 floats)
     and, on a finite chain, its pair table ((2 * window + 1)**2); the
-    reference pairs, their copy, the reference observations and, on
-    continuous data, the scorer's copy of those; the holdout when
-    calibrating and a trace's trajectory.  Memory from the largest of
-    them to one float below their sum rejects the config, naming the key
-    with the largest share; nothing is allocated."""
+    reference pairs, the peak of grouping them while the self-term is
+    built, the reference observations and, on continuous data, the
+    scorer's copy of those; the holdout when calibrating and a trace's
+    trajectory.  Memory from the largest of them to one float below their
+    sum rejects the config, naming the key with the largest share;
+    nothing is allocated."""
     message = f"{key}: needs {8 * count} of the {8 * held} bytes a run holds"
     for pages, fits in ((count, False), (held - 1, False), (held, True)):
         memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": pages}
@@ -1553,26 +1561,35 @@ def test_cli_generated_configs_exit_0_1_or_2(case, blocked):
         assert found.groups() in RUN_ONLY_KEYS, err
 
 
+# the window-5 md campaign draws its replications in blocks of 5, so the
+# overflow at observation 301 comes in a replication's 61st block
+LATE_CHANGE = (("detector", "window", "5"), ("scenario", "change_at", "300"))
+
+
 @pytest.mark.parametrize(
-    "kind,key,value,commands",
+    "kind,key,value,commands,edits,at",
     [
-        ("ar-variance", "pre_variance", "1e308", COMMANDS),
-        ("ar-mean", "pre_variance", "1e308", COMMANDS),
-        ("ar-variance", "post_variance", "1e308", ("trace", "md")),
-        ("ar-mean", "post_mean", "1e308", ("trace", "md")),
-        ("ar-variance", "matrix", "0.5,1e200,0;0,0.5,1e200;0,0,0.5", COMMANDS),
+        ("ar-variance", "pre_variance", "1e308", COMMANDS, (), None),
+        ("ar-mean", "pre_variance", "1e308", COMMANDS, (), None),
+        ("ar-variance", "post_variance", "1e308", ("trace", "md"), (), 13),
+        ("ar-mean", "post_mean", "1e308", ("trace", "md"), (), 13),
+        ("ar-variance", "post_variance", "1e308", ("md",), LATE_CHANGE, 301),
+        ("ar-variance", "matrix", "0.5,1e200,0;0,0.5,1e200;0,0,0.5", COMMANDS, (), None),
         # finite noise of about 3e152, beyond the coordinate limit
-        ("ar-variance", "pre_variance", "1e305", COMMANDS),
+        ("ar-variance", "pre_variance", "1e305", COMMANDS, (), None),
     ],
 )
-def test_cli_overflowing_trajectory_exit_1(kind, key, value, commands):
+def test_cli_overflowing_trajectory_exit_1(kind, key, value, commands, edits, at):
     """Noise or matrix entries so large that the AR recursion overflows,
     or leaves the coordinate limit, exit 1 in every subcommand that
     simulates the law concerned, naming the noise key of the law in
     effect where the trajectory first overflows.  Only traces and md
-    campaigns simulate past the change."""
+    campaigns simulate past the change; their message names the first
+    observation after it, in whichever block of a replication it comes."""
     named = "pre_variance" if commands == COMMANDS else key
     for command in commands:
-        code, err = _run_edited(kind, command, [("scenario", key, value)])
+        code, err = _run_edited(kind, command, [("scenario", key, value), *edits])
         assert code == 1, (command, err)
         assert f"config error: scenario.{named}: the simulated trajectory overflows" in err, err
+        if at is not None:
+            assert f" at observation {at};" in err, err

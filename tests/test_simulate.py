@@ -15,11 +15,9 @@ from kcusum import (
     FiniteScenario,
     GaussianLaw,
     KernelSpec,
-    ar_blocks,
     default_system_matrix,
     doeblin_of_finite,
     exact_mmd_finite,
-    finite_blocks,
     lift_chain,
     load_trajectory,
     rho_envelope,
@@ -227,7 +225,7 @@ def test_ar_blocks_join_into_the_one_piece_trajectory(length, burn_in, change_at
     )
     want = per_step_ar(scenario, seed, 5)
     assert np.array_equal(simulate_ar(scenario, seed, 5), want)
-    assert np.array_equal(_blocks_of(ar_blocks(scenario, seed, 5, size), size, length), want)
+    assert np.array_equal(_blocks_of(scenario.blocks(seed, 5, size), size, length), want)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -248,10 +246,10 @@ def test_finite_blocks_join_into_the_one_piece_path(length, change_at, size, see
     pi = stationary_distribution(pre)
     scenario = FiniteScenario(pre=pre, post=post, change_at=change_at, length=length)
     want = states[per_step_path(lambda g: post if g > change_at else pre, pi, length, seed, 3)]
-    assert np.array_equal(_blocks_of(finite_blocks(scenario, seed, 3, size), size, length), want)
+    assert np.array_equal(_blocks_of(scenario.blocks(seed, 3, size), size, length), want)
     quiet = FiniteScenario(pre=pre, post=pre, change_at=length, length=length)
     assert np.array_equal(
-        _blocks_of(finite_blocks(quiet, seed, 3, size), size, length),
+        _blocks_of(quiet.blocks(seed, 3, size), size, length),
         simulate_finite(pre, length, seed, 3),
     )
 
@@ -260,10 +258,10 @@ def test_finite_blocks_join_into_the_one_piece_path(length, change_at, size, see
 def test_block_size_must_be_a_positive_integer(size):
     scenario = variance_scenario(length=10, change_at=None, burn_in=0)
     with pytest.raises(ValueError, match="size"):
-        next(ar_blocks(scenario, 0, 0, size))
+        next(scenario.blocks(0, 0, size))
     finite = FiniteScenario(pre=two_state_chain(), post=two_state_chain(), change_at=5, length=10)
     with pytest.raises(ValueError, match="size"):
-        next(finite_blocks(finite, 0, 0, size))
+        next(finite.blocks(0, 0, size))
 
 
 def test_ar_scenario_validation():
@@ -562,12 +560,12 @@ def test_finite_scenario_without_a_change_is_bit_identical_to_a_change_at_the_en
     states = np.array([[0.0], [1.0], [2.0]])
     pre = FiniteChain(states, np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4], [0.6, 0.1, 0.3]]))
     post = FiniteChain(states, np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.2, 0.5, 0.3]]))
-    never = list(finite_blocks(FiniteScenario(pre, post, None, length), seed, 3, size))
+    never = list(FiniteScenario(pre, post, None, length).blocks(seed, 3, size))
     for stand_in in (
         FiniteScenario(pre=pre, post=pre, change_at=length, length=length),
         FiniteScenario(pre=pre, post=post, change_at=length + late, length=length),
     ):
-        blocks = list(finite_blocks(stand_in, seed, 3, size))
+        blocks = list(stand_in.blocks(seed, 3, size))
         assert len(blocks) == len(never)
         assert all(np.array_equal(a, b) for a, b in zip(blocks, never))
     assert np.array_equal(np.concatenate(never), simulate_finite(pre, length, seed, 3))
