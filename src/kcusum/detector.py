@@ -73,14 +73,19 @@ call, cached row, table or block produced it, and it is symmetric bit
 for bit.  A window value is therefore a function of the window alone:
 it depends neither on how the stream was cut into blocks, nor on which
 pairs repeat, nor on what came before the window.  So ``extend`` equals
-a ``step`` loop bit for bit, and a restore, which pushes the stored
-observations in one block into a fresh scorer and so rebuilds the
-cached rows, continues an interrupted run bit for bit.
+a ``step`` loop bit for bit, and a restore continues an interrupted run
+bit for bit.  A checkpoint stores the observations of the window and
+the cross sums of their pairs.  A restore pushes the observations but
+the newest into a fresh scorer with those sums, which evaluates only
+their band rows, and then the newest observation alone, whose pair's
+cross sum it evaluates and compares with the stored one; so it rebuilds
+the cached rows without scoring the window against the reference.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections import deque
@@ -106,7 +111,13 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "kcusum-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# the fields of each version that restore reads, sorted
+_CHECKPOINT_FIELDS = {
+    2: sorted(["format", "version", "window", "min_sample", "threshold", "correction", "dim",
+               "reference", "raw_buffer", "alarmed_at", "cusum"]),
+}
+_CHECKPOINT_FIELDS[3] = sorted(_CHECKPOINT_FIELDS[2] + ["cross", "state_sha256"])
 
 
 @dataclass(frozen=True)
@@ -400,6 +411,24 @@ def _exact_int(value, what: str) -> int:
     return value
 
 
+def _state_digest(data: dict) -> str:
+    """SHA-256 of a checkpoint's fields but ``state_sha256``, which holds
+    it in a version 3 checkpoint: of their compact JSON with sorted
+    keys, so that it does not depend on how the text was spaced."""
+    fields = {key: value for key, value in data.items() if key != "state_sha256"}
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _hex_floats(value, what: str) -> list:
+    """``value``, a checkpoint field, as floats if it is a list of hex
+    strings; iterating a string or a dict would read its characters or
+    keys."""
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        raise ValueError(f"checkpoint is malformed: {what} must be a list of hex strings")
+    return list(map(float.fromhex, value))
+
+
 def scorer_floats(window: int, table: bool) -> int:
     """Floats in the large buffers of a :class:`_BlockScorer` of
     ``window`` pairs: its lag rows, ``3 * window`` of ``window`` floats,
@@ -471,8 +500,11 @@ class _BlockScorer:
     call against ``_columns``, a copy of the reference observations
     followed by the step's lags, and evaluates the cross and band rows
     in one exponential pass.  The cached rows are a function of the
-    observations in ``raw``, so the push that a restore makes rebuilds
-    them.  A chunk's band, its c pairs against themselves and the
+    observations in ``raw``, so the pushes that a restore makes rebuild
+    them.  Given the cross sums of a chunk's pairs, as a restore is, the
+    chunk measures only its lag rows and its last observation's
+    reference row, the one the next pair chains from.  A chunk's band,
+    its c pairs against themselves and the
     ``window - 1`` pairs before each, comes out in lag order, c x
     window, with an infinite distance, so a kernel value of 0, for lags
     before the stream's first pair.
@@ -529,12 +561,23 @@ class _BlockScorer:
         the stream is shorter); a view that the next push overwrites."""
         return self._obs[max(self._end - self.window - 1, 0) : self._end]
 
-    def push(self, observations: np.ndarray) -> list:
+    @property
+    def raw_cross(self) -> np.ndarray:
+        """The cross sums of the pairs of :attr:`raw`, oldest first; a view
+        that the next push overwrites."""
+        return self._cross[max(self._end - self.window - 1, 0) : max(self._end - 1, 0)]
+
+    def push(self, observations: np.ndarray, sums=None) -> list:
         """Add the validated ``(k, d)`` rows ``observations`` in order;
         return the window value after each one that leaves the window
-        full."""
+        full.  ``sums``, when given, holds the cross sums of the pairs
+        that the rows complete, oldest first: those pairs take them, and
+        their reference rows are not evaluated.  Against an id table it
+        is not given."""
         r = self.window
         obs, lags, cross, ids, table = self._obs, self._lags, self._cross, self._ids, self._table
+        # given the sums, a chunk's scratch is its c rows of lag distances
+        step = self._chunk if sums is None else max(1, min(r, CHUNK_ENTRIES // r))
         first = 0
         if self._end == 0 and observations.shape[0]:
             obs[0] = observations[0]  # the stream's first observation ends no pair
@@ -542,10 +585,11 @@ class _BlockScorer:
             if table is None:
                 self._ref_row, self._lag_row = self._rows(0, 1)
         values = []
+        start = first  # the row that completes the push's first pair
         # chunks of at most ``window`` pairs, so that the buffers hold a
         # chunk and the window before it
-        for lo in range(first, observations.shape[0], self._chunk):
-            chunk = observations[lo : lo + self._chunk]
+        for lo in range(first, observations.shape[0], step):
+            chunk = observations[lo : lo + step]
             c = chunk.shape[0]
             p = self._end - 1  # the chunk's first pair
             if p + c > 3 * r:
@@ -558,7 +602,8 @@ class _BlockScorer:
             obs[p + 1 : p + 1 + c] = chunk
             self._end = p + 1 + c
             if table is None:
-                band = self._band(p, c)
+                given = None if sums is None else sums[lo - start : lo - start + c]
+                band = self._band(p, c, given)
             else:
                 # the ids of the r - 1 pairs before the chunk, then its own
                 sequence = self._padded_ids[p : p + c + r - 1]
@@ -591,12 +636,26 @@ class _BlockScorer:
             squared_distances(observations, self._lagged[lo:hi].transpose(2, 0, 1)),
         )
 
-    def _band(self, p: int, c: int) -> np.ndarray:
+    def _band(self, p: int, c: int, sums=None) -> np.ndarray:
         """Cross sums of pairs ``p .. p + c - 1`` into ``_cross``, and their
         ``(c, window)`` band in lag order, from the rows of the chunk's c
         observations and the cached rows of the one before; one
-        exponential pass evaluates both."""
+        exponential pass evaluates both.  Given the pairs' cross ``sums``,
+        it stores those and evaluates the band alone, from the chunk's
+        lag rows; of the reference rows it measures only the last
+        observation's, which the next pair reads."""
         reference = self.reference
+        if sums is not None:
+            observations = self._obs[p + 1 : p + 1 + c]
+            lag_rows = squared_distances(
+                observations, self._lagged[p + 1 : p + 1 + c].transpose(2, 0, 1)
+            )
+            sq = np.empty((c, self.window))
+            _chain(self._lag_row, lag_rows, 0, sq)
+            self._ref_row = squared_distances(observations[-1:], reference.observations.T)
+            self._lag_row = lag_rows[-1:].copy()
+            self._cross[p : p + c] = sums
+            return reference.kernel._kernel_values(sq)
         m = reference.n_pairs
         ref_rows, lag_rows = self._rows(p + 1, p + 1 + c)
         sq = np.empty((c, m + self.window))
@@ -883,11 +942,16 @@ class KernelCusumDetector:
     # -- checkpointing ----------------------------------------------------
 
     def checkpoint(self) -> str:
-        """Serialise resumable state as JSON text.
+        """Serialise resumable state as compact JSON text (version 3).
 
         Floats are stored in hexadecimal, so a round trip restores them
         bit for bit.  The reference sample itself is not stored, only its
         digest; restore requires the same reference and configuration.
+        Besides the configuration, the last ``window + 1`` observations
+        (``raw_buffer``) and the CUSUM state, the text holds the cross
+        sum of each buffered pair against the reference (``cross``,
+        oldest first), which spares a restore the reference rows, and a
+        SHA-256 of all these fields (``state_sha256``).
         """
         payload = {
             "format": CHECKPOINT_FORMAT,
@@ -899,22 +963,36 @@ class KernelCusumDetector:
             "dim": self._dim,
             "reference": self.reference.digest,
             "raw_buffer": [[v.hex() for v in row] for row in self._scorer.raw.tolist()],
+            "cross": [v.hex() for v in self._scorer.raw_cross.tolist()],
             "alarmed_at": self._alarmed_at,
             "cusum": self._cusum.snapshot(),
         }
-        return json.dumps(payload, indent=1)
+        payload["state_sha256"] = _state_digest(payload)
+        return json.dumps(payload, separators=(",", ":"))
 
     @classmethod
     def restore(
         cls, reference: ReferenceSet, config: DetectorConfig, text: str
     ) -> "KernelCusumDetector":
-        """Rebuild a detector from :meth:`checkpoint` output.
+        """Rebuild a detector from :meth:`checkpoint` output, of version 3
+        or 2.
 
-        The stored raw observations are pushed in one block into a fresh
-        scorer.  A window value depends only on the pairs in its window,
-        so subsequent outputs are bit-identical to an uninterrupted run.
-        A checkpoint written against another reference (kernel or
-        pairs) is rejected.
+        A window value depends only on the pairs in its window, so
+        subsequent outputs are bit-identical to an uninterrupted run.
+        Three guards keep state from being resumed wrongly.  A checkpoint
+        written against another reference (kernel or pairs) is rejected
+        by the reference digest, and a version 3 text whose fields do not
+        match its ``state_sha256`` is rejected.  A version 3 text then
+        gives its stored observations but the newest to a fresh scorer
+        with their stored cross sums, which scores none of them against
+        the reference, and the newest one alone; the cross sum of the
+        newest pair must equal the stored one bit for bit.  If it does
+        not, as in a text written by a program whose kernel arithmetic
+        differs, the stored sums are dropped and the text restores as
+        version 2 does: every stored observation is pushed in one block
+        and scored against the reference.  A scorer with an id table
+        recomputes only its few distinct cross rows and takes nothing
+        from ``cross``.
         """
         try:
             data = json.loads(text)
@@ -923,8 +1001,15 @@ class KernelCusumDetector:
         if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
             raise ValueError("not a detector checkpoint")
         version = data.get("version")
-        if type(version) is not int or version != CHECKPOINT_VERSION:  # 2.0 is not 2
+        if type(version) is not int or version not in _CHECKPOINT_FIELDS:  # 2.0 is not 2
             raise ValueError(f"unsupported checkpoint version {version!r}")
+        if sorted(data) != _CHECKPOINT_FIELDS[version]:
+            raise ValueError(
+                f"checkpoint is malformed: version {version} holds the fields "
+                f"{', '.join(_CHECKPOINT_FIELDS[version])}"
+            )
+        if version >= 3 and data["state_sha256"] != _state_digest(data):
+            raise ValueError("checkpoint state does not match its state_sha256 digest")
         try:
             return cls._restore_checked(reference, config, data)
         except (KeyError, TypeError, IndexError, OverflowError) as exc:  # Overflow: "0x1p+2000"
@@ -946,20 +1031,36 @@ class KernelCusumDetector:
         if data["reference"] != reference.digest:
             raise ValueError("checkpoint was written against a different reference")
         det = cls(reference, config)
-        raw = [[float.fromhex(v) for v in row] for row in data["raw_buffer"]]
-        if len(raw) > config.window + 1:
+        rows = data["raw_buffer"]
+        if type(rows) is not list or not set(map(type, rows)) <= {list}:
+            raise ValueError("checkpoint is malformed: raw buffer must be a list of rows")
+        raw = _hex_floats(list(itertools.chain.from_iterable(rows)), "a raw buffer row")
+        if len(rows) > config.window + 1:
             raise ValueError("checkpoint raw buffer longer than window + 1")
-        if any(len(row) != det._dim for row in raw):
+        if not set(map(len, rows)) <= {det._dim}:
             raise ValueError("checkpoint raw buffer has wrong dimension")
-        buffer = np.array(raw, dtype=float).reshape(len(raw), det._dim)
+        buffer = np.array(raw, dtype=float).reshape(len(rows), det._dim)
         if not (np.abs(buffer) <= COORDINATE_LIMIT).all():
             if not np.isfinite(buffer).all():
                 raise ValueError("checkpoint raw buffer holds a non-finite value")
             raise ValueError(
                 f"checkpoint raw buffer holds a coordinate beyond +-{COORDINATE_LIMIT:g}"
             )
+        n_pairs = max(len(rows) - 1, 0)
+        sums = None
+        if "cross" in data:
+            sums = np.array(_hex_floats(data["cross"], "cross"), dtype=float)
+            if len(sums) != n_pairs:
+                raise ValueError("checkpoint cross must hold one sum per buffered pair")
+            # a cross sum adds one kernel value per reference pair, each at
+            # most the sum of the weights (within 1e-12 of 1); so a window
+            # of them adds without overflow
+            bound = 2.0 * reference.n_pairs
+            if not (sums <= bound).all() or np.signbit(sums).any():
+                raise ValueError(
+                    f"checkpoint cross holds a value outside [+0, {bound:g}]: not a cross sum"
+                )
         n = _exact_int(data["cusum"]["n"], "checkpoint inconsistent: cusum.n")
-        n_pairs = max(len(raw) - 1, 0)
         if n_pairs < config.window and n != 0:
             raise ValueError("checkpoint inconsistent: scores before the buffer filled")
         if n_pairs == config.window and n < 1:
@@ -975,7 +1076,16 @@ class KernelCusumDetector:
                 f"checkpoint inconsistent: alarmed_at must be null or an integer "
                 f"in [1, n = {n}]; got {alarmed!r}"
             )
-        det._scorer.push(buffer)
+        scorer = det._scorer
+        if n_pairs and sums is not None and scorer._table is None:
+            scorer.push(buffer[:-1], sums[:-1])
+            scorer.push(buffer[-1:])
+            if scorer.raw_cross[-1] != sums[-1]:
+                # written with other kernel arithmetic: score the whole buffer
+                det._scorer = _BlockScorer(reference, config.window)
+                det._scorer.push(buffer)
+        else:
+            scorer.push(buffer)
         det._cusum = cusum
         det._alarmed_at = alarmed
         return det

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import pathlib
 import tracemalloc
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from kcusum import (
     simulate_ar,
     simulate_finite,
     simulate_finite_scenario,
+    stream_rng,
 )
 from kcusum import detector
 
@@ -1090,9 +1092,12 @@ def test_checkpoint_roundtrip_bit_identical(split):
     assert resumed.n == len(data) - config.window
 
 
-def test_checkpoint_at_every_split_across_chunks():
+@pytest.mark.parametrize("version", [3, 2])
+def test_checkpoint_at_every_split_across_chunks(version):
     """Every split, from an empty buffer through the filling phase to
-    full windows, with a window wider than one kernel chunk."""
+    full windows, with a window wider than one kernel chunk, from the
+    checkpoint and from its version 2 form; either restores the state
+    the checkpoint was taken of."""
     reference, config = chunked_reference()
     rng = np.random.default_rng(28)
     data = 0.3 * rng.standard_normal((100, 1))
@@ -1100,10 +1105,144 @@ def test_checkpoint_at_every_split_across_chunks():
     for split in range(len(data) + 1):
         det = KernelCusumDetector(reference, config)
         outcomes = det.extend(data[:split]) if split else []
-        resumed = KernelCusumDetector.restore(reference, config, det.checkpoint())
+        text = det.checkpoint()
+        resumed = KernelCusumDetector.restore(
+            reference, config, text if version == 3 else as_version_2(text)
+        )
+        assert resumed.checkpoint() == text, split
         if split < len(data):
             outcomes += resumed.extend(data[split:])
         assert outcomes == direct, split
+
+
+@pytest.mark.parametrize("window", [3, 300])
+def test_a_restore_takes_the_stored_cross_sums_at_any_split(window):
+    """At every split of a stream several windows long, the scorer that a
+    restore rebuilds holds the cross sums, the cached observation rows
+    and the D rows of the uninterrupted one, bit for bit, and so goes on
+    like it; at window 300 the stored sums fill two chunks.  Of the D
+    rows, only the lags within the stored window can match, and only
+    they are read: the i-th oldest pair's first i + 1."""
+    reference = build_reference(KernelSpec.mixture([0.1, 1.0, 10.0]), ar_data(70, 301, dim=2))
+    config = DetectorConfig(window=window, min_sample=2, threshold=5.0, correction=0.05)
+    data = ar_data(71, 3 * window + 4, dim=2)
+    splits = range(1, len(data)) if window < 10 else (1, 2, window, window + 1, 2 * window + 3)
+    for split in splits:
+        det = KernelCusumDetector(reference, config)
+        det.extend(data[:split])
+        resumed = KernelCusumDetector.restore(reference, config, det.checkpoint())
+        kept, rebuilt = det._scorer, resumed._scorer
+        pairs = min(split - 1, window)
+        assert rebuilt.raw_cross.tobytes() == kept.raw_cross.tobytes(), split
+        lags = [np.tril(s._lags[s._end - 1 - pairs : s._end - 1]) for s in (rebuilt, kept)]
+        assert lags[0].tobytes() == lags[1].tobytes(), split
+        assert rebuilt._ref_row.tobytes() == kept._ref_row.tobytes(), split
+        assert rebuilt._lag_row.tobytes() == kept._lag_row.tobytes(), split
+        assert resumed.extend(data[split:]) == det.extend(data[split:]), split
+
+
+def test_a_newest_cross_sum_that_differs_restores_as_version_2():
+    """A version 3 text whose every cross sum is one ulp off, as from a
+    program with other kernel arithmetic, fails the newest-pair check and
+    drops the stored sums: it restores the state its version 2 form
+    restores, which is the uninterrupted one.  When only older stored
+    sums differ, they are taken as they stand."""
+    kernel, reference = make_reference(seed=21, m_obs=60)
+    config = DetectorConfig(window=6, min_sample=2, threshold=50.0, correction=0.1)
+    data = ar_data(72, 40, dim=2)
+    det = KernelCusumDetector(reference, config)
+    det.extend(data[:25])
+    text = det.checkpoint()
+
+    def nudged(indices):
+        def nudge(d):
+            for i in indices:
+                d["cross"][i] = math.nextafter(float.fromhex(d["cross"][i]), 0.0).hex()
+
+        return corrupt(text, nudge)
+
+    every = nudged(range(config.window))
+    resumed = KernelCusumDetector.restore(reference, config, every)
+    assert resumed.checkpoint() == text
+    as_2 = KernelCusumDetector.restore(reference, config, as_version_2(every))
+    assert as_2.checkpoint() == text
+    assert resumed.extend(data[25:]) == det.extend(data[25:])
+    older = nudged(range(config.window - 1))
+    resumed = KernelCusumDetector.restore(reference, config, older)
+    assert json.loads(resumed.checkpoint()) == json.loads(older) != json.loads(text)
+
+
+def counting_kernel_values(monkeypatch):
+    """Patch ``KernelSpec._kernel_values`` to record the number of kernel
+    values of each call."""
+    counts = []
+    original = KernelSpec._kernel_values
+
+    def counting(self, sq, out=None):
+        counts.append(sq.size)
+        return original(self, sq, out)
+
+    monkeypatch.setattr(KernelSpec, "_kernel_values", counting)
+    return counts
+
+
+def test_a_restore_evaluates_the_band_and_one_cross_row(monkeypatch):
+    """On a continuous reference, restoring a version 3 checkpoint with a
+    full window evaluates at most ``window**2 + n_pairs`` kernel values:
+    the band rows of the window's pairs and the cross row of its newest
+    one.  Its version 2 form scores the whole window against the
+    reference, ``window * (n_pairs + window)`` values."""
+    reference = build_reference(KernelSpec.mixture([0.1, 1.0, 10.0]), ar_data(73, 301, dim=2))
+    m, window = reference.n_pairs, 8
+    config = DetectorConfig(window=window, min_sample=2, threshold=50.0, correction=0.05)
+    det = KernelCusumDetector(reference, config)
+    det.extend(ar_data(74, 40, dim=2))
+    text = det.checkpoint()
+    counts = counting_kernel_values(monkeypatch)
+    for _ in range(2):  # the counts repeat
+        counts.clear()
+        KernelCusumDetector.restore(reference, config, text)
+        assert sum(counts) <= window * window + m
+        counts.clear()
+        KernelCusumDetector.restore(reference, config, as_version_2(text))
+        assert sum(counts) == window * (m + window)
+
+
+# -- a version 2 checkpoint, written before version 3 --------------------------
+
+V2_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "checkpoint-v2-steady.json"
+
+
+def v2_fixture_detector():
+    """The detector whose checkpoint, written by version 2, is
+    ``V2_FIXTURE``, and the data it was fed: a 20-pair reference, window
+    4, and the 39 observations that leave 35 scores."""
+    data = stream_rng(12, 0).standard_normal((60, 2))
+    reference = build_reference(KernelSpec.gaussian(1.0), data[:21])
+    config = DetectorConfig(window=4, min_sample=6, threshold=50.0, correction=0.3)
+    det = KernelCusumDetector(reference, config)
+    det.extend(data[21:])
+    return det
+
+
+def test_a_version_2_checkpoint_restores_bit_for_bit(monkeypatch):
+    """A checkpoint text written by version 2 restores the state of the
+    detector that wrote it, whose version 3 checkpoint the restored
+    detector writes, and goes on like it bit for bit.  It scores its
+    whole window against the reference, ``window * (n_pairs + window)``
+    kernel values, as every version 2 restore did."""
+    text = V2_FIXTURE.read_text()
+    assert json.loads(text)["version"] == 2
+    det = v2_fixture_detector()
+    counts = counting_kernel_values(monkeypatch)
+    resumed = KernelCusumDetector.restore(det.reference, det.config, text)
+    window, m = det.config.window, det.reference.n_pairs
+    assert sum(counts) == window * (m + window) == 96
+    monkeypatch.undo()
+    assert resumed.checkpoint() == det.checkpoint()
+    assert as_version_2(det.checkpoint()) == text
+    more = stream_rng(12, 1).standard_normal((30, 2))
+    assert resumed.extend(more) == det.extend(more)
 
 
 def test_restore_rejects_another_reference():
@@ -1168,10 +1307,24 @@ def test_checkpoint_preserves_alarm_index():
     assert resumed.alarmed_at == det.alarmed_at
 
 
-def corrupt(blob, mutate):
+def corrupt(blob, mutate, sign=True):
+    """``blob`` after ``mutate`` of its parsed fields, signed again with
+    the module's state digest unless ``sign`` is False, so that restore
+    gets past the digest to the check of the mutated field."""
     data = json.loads(blob)
     mutate(data)
+    if sign:
+        data["state_sha256"] = detector._state_digest(data)
     return json.dumps(data)
+
+
+def as_version_2(blob):
+    """A version 3 checkpoint as version 2 writes it: without the cross
+    sums and the state digest."""
+    data = json.loads(blob)
+    del data["cross"], data["state_sha256"]
+    data["version"] = 2
+    return json.dumps(data, indent=1)
 
 
 def test_restore_rejects_bad_checkpoints():
@@ -1198,9 +1351,12 @@ def test_restore_rejects_bad_checkpoints():
     _, wide = make_reference(seed=13, dim=3)
     with pytest.raises(ValueError, match="dimension"):
         KernelCusumDetector.restore(wide, config, blob)
-    with pytest.raises(ValueError, match="malformed"):
+    for fields in [lambda d: d.pop("cusum"), lambda d: d.pop("cross"), set_at("version", value=2)]:
+        with pytest.raises(ValueError, match="malformed: version . holds the fields"):
+            KernelCusumDetector.restore(reference, config, corrupt(blob, fields))
+    with pytest.raises(ValueError, match="does not match its state_sha256"):
         KernelCusumDetector.restore(
-            reference, config, corrupt(blob, lambda d: d.pop("cusum"))
+            reference, config, corrupt(blob, set_at("state_sha256", value="0" * 64), sign=False)
         )
 
     n = json.loads(blob)["cusum"]["n"]
@@ -1226,6 +1382,20 @@ def test_restore_rejects_bad_checkpoints():
         (set_at("raw_buffer", 2, 1, value="nan"), "raw buffer holds a non-finite value"),
         (set_at("raw_buffer", 2, 1, value="inf"), "raw buffer holds a non-finite value"),
         (set_at("raw_buffer", 2, 1, value=(-1e200).hex()), "raw buffer holds a coordinate beyond"),
+        (set_at("raw_buffer", value="12"), "raw buffer must be a list of rows"),
+        (set_at("raw_buffer", value={"0": ["0x1p+0"]}), "raw buffer must be a list of rows"),
+        (set_at("raw_buffer", 0, value="12"), "raw buffer must be a list of rows"),
+        (set_at("raw_buffer", 0, value={"1": 0, "2": 0}), "raw buffer must be a list of rows"),
+        (set_at("raw_buffer", 0, 0, value=1.0), "raw buffer row must be a list of hex strings"),
+        (set_at("cross", value="12"), "cross must be a list of hex strings"),
+        (set_at("cross", 0, value=1.0), "cross must be a list of hex strings"),
+        (lambda d: d["cross"].pop(), "one sum per buffered pair"),
+        (lambda d: d["cross"].append("0x1p+0"), "one sum per buffered pair"),
+        (set_at("cross", 0, value="nan"), "not a cross sum"),
+        (set_at("cross", 0, value="inf"), "not a cross sum"),
+        (set_at("cross", 0, value="-0x1p-2"), "not a cross sum"),
+        (set_at("cross", 0, value="-0x0p+0"), "not a cross sum"),
+        (set_at("cross", 0, value=(2.0 * reference.n_pairs + 1.0).hex()), "not a cross sum"),
         (set_at("alarmed_at", value=999), "alarmed_at must be null or an integer"),
         (set_at("alarmed_at", value=-5), "alarmed_at must be null or an integer"),
         (set_at("alarmed_at", value=0), "alarmed_at must be null or an integer"),
@@ -1328,6 +1498,7 @@ TARGETS = [
     ("raw_buffer", 0, 1), ("raw_buffer", -1, 0), ("cusum",), ("cusum", "n"), ("cusum", "sum"),
     ("cusum", "comp"), ("cusum", "eligible_min"), ("cusum", "statistic"), ("cusum", "pending"),
     ("cusum", "pending", 0), ("cusum", "pending", 0, 0), ("cusum", "pending", -1, 1),
+    ("cross",), ("cross", 0), ("cross", -1), ("state_sha256",),
 ]
 
 
@@ -1364,12 +1535,20 @@ DELETE = object()
 @example(split=12, target=("raw_buffer", -1, 0), op="replace", value="nan")  # in the next window
 @example(split=12, target=("cusum", "sum"), op="replace", value="inf")
 @example(split=30, target=("threshold",), op="pad", value=None)
+@example(split=12, target=("raw_buffer", 0), op="replace", value="12")
+@example(split=12, target=("cross", 0), op="replace", value="0x1p+3")
+@example(split=12, target=("cross", -1), op="replace", value="0x1p+3")
 def test_a_mutated_checkpoint_is_rejected_or_restores_what_it_says(split, target, op, value):
-    """Mutate one entry of a valid checkpoint.  ``restore`` either raises
-    ``ValueError``, or it restores exactly the state the text describes
-    (its own checkpoint is the text, up to hex spelling) and runs on
+    """Mutate one entry of a valid checkpoint and sign the text again
+    with the module's state digest, unless the digest is the entry
+    mutated.  ``restore`` either raises ``ValueError``, or it restores
+    exactly the state the text describes (its own checkpoint is the
+    text, up to hex spelling and so up to the digest) and runs on
     without error or nan; when that state is the original one, it goes
-    on bit for bit like the uninterrupted run."""
+    on bit for bit like the uninterrupted run.  The one exception is a
+    newest cross sum other than the one restore recomputes: then the
+    stored sums are dropped, and the text restores as its version 2
+    form does."""
     kernel, reference = make_reference(seed=19)
     config = DetectorConfig(window=4, min_sample=2, threshold=3.0, correction=0.05)
     stream = np.random.default_rng(20).standard_normal((40, 2))
@@ -1387,17 +1566,54 @@ def test_a_mutated_checkpoint_is_rejected_or_restores_what_it_says(split, target
         parent.pop(target[-1])
     else:
         parent[target[-1]] = entry
+    if target != ("state_sha256",):
+        mutated["state_sha256"] = detector._state_digest(mutated)
     try:
         resumed = KernelCusumDetector.restore(reference, config, json.dumps(mutated))
     except ValueError:
         return
-    text = json.dumps(_canonical(mutated), sort_keys=True)
-    assert json.dumps(_canonical(json.loads(resumed.checkpoint())), sort_keys=True) == text
+    said, got = _canonical(mutated), _canonical(json.loads(resumed.checkpoint()))
+    for fields in (said, got):
+        del fields["state_sha256"]  # it moves with the spelling of the fields
+    if got["cross"] != said["cross"]:
+        assert got["cross"][-1] != said["cross"][-1]
+        as_2 = KernelCusumDetector.restore(reference, config, as_version_2(json.dumps(mutated)))
+        assert resumed.checkpoint() == as_2.checkpoint()
+        for fields in (said, got):
+            del fields["cross"]
+    text = json.dumps(said, sort_keys=True)
+    assert json.dumps(got, sort_keys=True) == text
     rest = resumed.extend(stream[split:])
     assert not any(math.isnan(v) for o in rest for v in (o.discrepancy, o.score, o.statistic)
                    if v is not None)
-    if text == json.dumps(_canonical(original), sort_keys=True):
+    original = _canonical(original)
+    if text == json.dumps({key: original[key] for key in said}, sort_keys=True):
         assert _outcome_bits(rest) == _outcome_bits(direct[split:])
+
+
+@pytest.mark.parametrize("split, path, value", [
+    (12, ("raw_buffer", 0, 0), (0.25).hex()),
+    (12, ("cusum", "pending", 0, 1), (-0.5).hex()),
+    (30, ("alarmed_at",), 1),
+])
+def test_the_state_digest_sees_a_change_to_another_valid_value(split, path, value):
+    """A raw-buffer cell, an older pending prefix or ``alarmed_at`` changed
+    to another value that passes every field check: signed again, the
+    text restores the changed state; left unsigned, it is rejected."""
+    kernel, reference = make_reference(seed=19)
+    config = DetectorConfig(window=4, min_sample=2, threshold=3.0, correction=0.05)
+    stream = np.random.default_rng(20).standard_normal((40, 2))
+    stream[20:] += 1.5
+    det = KernelCusumDetector(reference, config)
+    det.extend(stream[:split])
+    blob = det.checkpoint()
+    signed = corrupt(blob, set_at(*path, value=value))
+    resumed = KernelCusumDetector.restore(reference, config, signed)
+    assert _canonical(json.loads(resumed.checkpoint())) == _canonical(json.loads(signed))
+    with pytest.raises(ValueError, match="does not match its state_sha256"):
+        KernelCusumDetector.restore(
+            reference, config, corrupt(blob, set_at(*path, value=value), sign=False)
+        )
 
 
 # -- construction and validation ----------------------------------------------

@@ -110,9 +110,11 @@ CSV_TRACE_DIGESTS = {
     "bounds.txt": "ed4e08e48e8b81097e8218670ebc305642071acef47fb877c3679fbcc55f8ca4",
 }
 
+# version 3 texts; ``tests/fixtures/checkpoint-v2-steady.json`` is the
+# version 2 "steady" text, whose digest was e50f95c1...
 CHECKPOINT_DIGESTS = {
-    "warm-up": "873dc97a3e517efb13c3e14900d5ec5396fd8df864e833b95f35dcc3cbbd08e9",
-    "steady": "e50f95c179dd39bd566d862b8a12914fb691e730b951cb758cc6d09051a8bd9c",
+    "warm-up": "319a73bb90704e7e2e7d40641bb3a691a1be3779d54e83f41706153a5e1c72b8",
+    "steady": "883aa705d631d87117b13db00ae04c4551e4103b4ebbfd9e7218f48681d9fd5a",
 }
 
 PINNED = {
